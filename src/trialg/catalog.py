@@ -527,10 +527,9 @@ def _point_doc(entry: FamilyEntry, values):
     return {p: str(v) for p, v in zip(entry.params, values)}
 
 
-def _claim_inexpressible(primes, caps, jobs, groebner=True):
+def _claim_inexpressible(primes, caps, groebner=True):
     outcome = certify_expressibility(
-        catalog_get("Cstar"), primes=primes, caps=caps, jobs=jobs,
-        groebner=groebner,
+        catalog_get("Cstar"), primes=primes, caps=caps, groebner=groebner,
     )
     ok = outcome.status in ("no_solution_mod_p", "certified_empty_over_closure")
     return {
@@ -542,7 +541,7 @@ def _claim_inexpressible(primes, caps, jobs, groebner=True):
     }
 
 
-def _claim_cstar_non_iso(primes, jobs):
+def _claim_cstar_non_iso(primes):
     cstar = catalog_get("Cstar")
     targets = [("B9", None), ("B10", None), ("B11", None)]
     for name in ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8"):
@@ -554,7 +553,7 @@ def _claim_cstar_non_iso(primes, jobs):
         entry = FAMILIES[name]
         target = entry.specialize(_assignment(entry, values)) if values else entry.msc
         for p in primes:
-            found = iso_search(cstar, target, p, jobs=jobs)
+            found = iso_search(cstar, target, p)
             ok = ok and not found
             searches.append({
                 "target": name,
@@ -571,7 +570,7 @@ def _claim_cstar_non_iso(primes, jobs):
     }
 
 
-def _claim_collision(claim_id, gen_a, gen_b, target, collision_primes, jobs=1):
+def _claim_collision(claim_id, gen_a, gen_b, target, collision_primes):
     name_a, values_a = gen_a
     name_b, values_b = gen_b
     entry_a, entry_b = FAMILIES[name_a], FAMILIES[name_b]
@@ -580,7 +579,7 @@ def _claim_collision(claim_id, gen_a, gen_b, target, collision_primes, jobs=1):
     tgt = catalog_get(target)
     res_a = expressibility_residual(ma, tgt).is_zero()
     res_b = expressibility_residual(mb, tgt).is_zero()
-    searches = {p: len(iso_search(ma, mb, p, jobs=jobs)) for p in collision_primes}
+    searches = {p: len(iso_search(ma, mb, p)) for p in collision_primes}
     ok = res_a and res_b and not any(searches.values())
     return {
         "id": claim_id,
@@ -736,20 +735,20 @@ def _claim_sign_pair(claim_id, family, values_plus, values_minus, prime):
 
 
 def claims_verify(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
-                  jobs: int = 1, groebner: bool = True) -> Report:
+                  groebner: bool = True) -> Report:
     """Replay the bullet and list claims about the catalog algebras."""
     claims = [
-        _claim_inexpressible(primes, caps, jobs, groebner),
-        _claim_cstar_non_iso(primes, jobs),
+        _claim_inexpressible(primes, caps, groebner),
+        _claim_cstar_non_iso(primes),
         _claim_collision(
             "bullet:collision-Cdagger",
             ("A4", (_F(1, 3), _F(-1, 3))), ("A5", (_F(1, 3),)),
-            "Cdagger", collision_primes, jobs,
+            "Cdagger", collision_primes,
         ),
         _claim_collision(
             "bullet:collision-B4-unit",
             ("A4", (_F(1), _F(1))), ("A4", (_F(1), _F(-1))),
-            "Ex52", collision_primes, jobs,
+            "Ex52", collision_primes,
         ),
         _claim_totassoc_members(),
         _claim_totassoc_display(),
@@ -766,7 +765,7 @@ def claims_verify(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=
 
 
 def paper_replay(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
-                 jobs: int = 1, groebner: bool = True) -> Report:
+                 groebner: bool = True) -> Report:
     """Full replay: table rows, default scans, and every bullet/list claim.
 
     The replay is clean when every claim passes or fails exactly as pinned
@@ -774,5 +773,5 @@ def paper_replay(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=N
     """
     return table1_verify().merge(
         claims_verify(primes=primes, collision_primes=collision_primes,
-                      caps=caps, jobs=jobs, groebner=groebner)
+                      caps=caps, groebner=groebner)
     )

@@ -9,8 +9,7 @@ Exit codes: 0 success / checked true, 1 checked false / no witness,
 
 Inputs that take an algebra accept either a path to an msc JSON document
 or an inline catalog name with optional parameters, e.g.  "Cstar" or
-"A4(a1=1,b2=-1)".  Worker parallelism is controlled by --jobs or the
-TRIALG_JOBS environment variable.
+"A4(a1=1,b2=-1)".
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ def _cmd_assoc(args) -> int:
 def _cmd_iso(args) -> int:
     A = _load_algebra(args.a, args.params_a)
     B = _load_algebra(args.b, args.params_b)
-    doc = iso_report(A, B, args.prime, find_all=args.all, jobs=args.jobs)
+    doc = iso_report(A, B, args.prime, find_all=args.all)
     _emit(doc)
     return 0 if doc["witness_count"] else 1
 
@@ -113,7 +112,7 @@ def _cmd_express(args) -> int:
     caps = {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
     outcome = certify_expressibility(
         C, primes=_parse_primes(args.primes, allow_empty=True), caps=caps,
-        jobs=args.jobs, groebner=args.groebner,
+        groebner=args.groebner,
     )
     _emit(outcome.to_doc())
     if outcome.status == "witness":
@@ -154,7 +153,7 @@ def _cmd_paper_replay(args) -> int:
     report = cat.paper_replay(
         primes=_parse_primes(args.primes),
         collision_primes=_parse_primes(args.collision_primes),
-        caps=caps, jobs=args.jobs, groebner=args.groebner,
+        caps=caps, groebner=args.groebner,
     )
     text = json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -177,10 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="trialg",
         description="Exact computations with 2-dimensional binary and ternary "
                     "algebras given by matrices of structure constants.",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("TRIALG_JOBS", "1")),
-        help="worker processes for search/sweep partitioning (default 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -243,9 +238,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    if args.jobs < 1:
-        _diag("--jobs must be at least 1")
-        return 2
     try:
         return args.fn(args)
     except (ValueError, OSError, ZeroDivisionError, json.JSONDecodeError) as exc:

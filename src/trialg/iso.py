@@ -6,21 +6,22 @@ field the whole of GL(m, GF(p)) can be enumerated, which decides the
 question there; an empty search is evidence (never proof) about fields of
 characteristic zero.
 
-Candidates g are enumerated in row-major lexicographic order of their
-entries over 0..p-1, so results are reproducible bit for bit.  The inner
-loop works on plain integer matrices and tests the equivalent identity
-B . g^(tensor n) = g . A column by column, bailing out on the first
-mismatch; accepted candidates are re-verified through the exact
-transform path before they are returned.
+The search writes the equivalent identity B . g^(tensor n) = g . A, together
+with t . det(g) = 1 for invertibility, as one polynomial system in the
+entries of g and t, and hands it to the pruned finite-field enumerator of
+polysolve.py.  Candidates g therefore come out in row-major lexicographic
+order of their entries over 0..p-1, so results are reproducible bit for
+bit; every witness is re-verified through the exact transform path before
+it is returned.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 from . import ring as rg
-from .msc import BasisChange, Matrix, Msc, column_tuple, transform
+from .msc import BasisChange, Matrix, Msc, kron_power, transform
+from .polysolve import PolySystem, _compile_mod_p, _enumerate
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
            "DEFAULT_EVIDENCE_PRIMES"]
@@ -54,81 +55,36 @@ def iso_verify(A: Msc, B: Msc, g: BasisChange) -> bool:
     return transform(A, g) == B
 
 
-def _det_mod(g, p: int) -> int:
-    n = len(g)
-    if n == 1:
-        return g[0][0] % p
-    if n == 2:
-        return (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p
-    work = [row[:] for row in g]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col] % p
-        inv = pow(work[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            f = work[r][col] * inv % p
-            if f:
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
-    return det % p
+def _det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rg.zero(rows[0][0].ring)
+    for j, a in enumerate(rows[0]):
+        term = a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
 
 
-def _candidate_matrix(idx: int, m: int, p: int):
-    digits = []
-    for _ in range(m * m):
-        digits.append(idx % p)
-        idx //= p
-    digits.reverse()
-    return [digits[r * m:(r + 1) * m] for r in range(m)]
+def _iso_system(Ap: Msc, Bp: Msc) -> PolySystem:
+    """B . g^(tensor n) - g . A = 0 and t . det(g) - 1 = 0 over Q[g, t].
+
+    The entries of the GF(p) algebras enter as their residues 0..p-1; the
+    variables are g's entries in row-major order, then t.
+    """
+    m = Ap.dim
+    names = [f"g{r}_{c}" for r in range(1, m + 1) for c in range(1, m + 1)]
+    ring = rg.polynomial_ring(names + ["t"])
+    g = Matrix(ring, [
+        [rg.variable(ring, names[r * m + c]) for c in range(m)] for r in range(m)
+    ])
+    a, b = (X.mat.map_entries(lambda x: rg.from_int(ring, x.v), ring) for X in (Ap, Bp))
+    eqs = b * kron_power(g, Ap.arity) - g * a
+    unit = rg.variable(ring, "t") * _det(g.rows) - rg.one(ring)
+    return PolySystem(ring, [x for row in eqs.rows for x in row] + [unit])
 
 
-def _scan_range(a, b, m, n, p, start, stop, col_digits, limit):
-    """Return candidate indices in [start, stop) whose g satisfies B g^(x n) = g A."""
-    found = []
-    ncols = m ** n
-    for idx in range(start, stop):
-        g = _candidate_matrix(idx, m, p)
-        if _det_mod(g, p) == 0:
-            continue
-        ok = True
-        for c in range(ncols):
-            kv = [1]
-            for d in col_digits[c]:
-                kv = [x * g[r][d] % p for x in kv for r in range(m)]
-            for i in range(m):
-                lhs = 0
-                for r in range(ncols):
-                    lhs += b[i][r] * kv[r]
-                gi = g[i]
-                rhs = 0
-                for k in range(m):
-                    rhs += gi[k] * a[k][c]
-                if (lhs - rhs) % p:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(idx)
-            if limit is not None and len(found) >= limit:
-                break
-    return found
-
-
-def _scan_worker(args):
-    return _scan_range(*args)
-
-
-def _int_rows(A: Msc):
-    return [[x.v for x in row] for row in A.mat.rows]
-
-
-def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True, jobs: int = 1):
+def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     """Enumerate GL(m, GF(p)) for basis changes carrying A to B.
 
     A and B may have rational entries (reduced mod p; p must not divide a
@@ -149,7 +105,7 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True, jobs: int = 1):
         )
     Ap = A.reduce_mod(p)
     Bp = B.reduce_mod(p)
-    m, n = A.dim, A.arity
+    m = A.dim
     space = p ** (m * m)
     if space > _SEARCH_SPACE_WARN:
         warnings.warn(
@@ -158,38 +114,24 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True, jobs: int = 1):
             RuntimeWarning,
             stacklevel=2,
         )
-    a, b = _int_rows(Ap), _int_rows(Bp)
-    col_digits = [
-        tuple(i - 1 for i in column_tuple(m, n, c)) for c in range(m ** n)
-    ]
-    limit = None if find_all else 1
-    if jobs > 1:
-        chunk = (space + jobs - 1) // jobs
-        tasks = [
-            (a, b, m, n, p, lo, min(lo + chunk, space), col_digits, None)
-            for lo in range(0, space, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_worker, tasks))
-        indices = sorted(i for part in parts for i in part)
-        if limit is not None:
-            indices = indices[:limit]
-    else:
-        indices = _scan_range(a, b, m, n, p, 0, space, col_digits, limit)
+    # never obstructed: no polynomial of the system is a nonzero constant
+    compiled, _ = _compile_mod_p(_iso_system(Ap, Bp), p)
+    hits = _enumerate(compiled, p, m * m + 1, None if find_all else 1)
     gf = rg.prime_field(p)
     witnesses = []
-    for idx in indices:
-        rows = _candidate_matrix(idx, m, p)
-        g = BasisChange(Matrix(gf, [[rg.RingElem(gf, x) for x in row] for row in rows]))
+    for values in hits:
+        g = BasisChange(Matrix(gf, [
+            [rg.RingElem(gf, x) for x in values[r * m:(r + 1) * m]] for r in range(m)
+        ]))
         if not iso_verify(Ap, Bp, g):
             raise RuntimeError("search produced a candidate the exact check rejects")
         witnesses.append(IsoWitness(g, Ap, Bp))
     return witnesses
 
 
-def iso_report(A: Msc, B: Msc, p: int, find_all: bool = False, jobs: int = 1) -> dict:
+def iso_report(A: Msc, B: Msc, p: int, find_all: bool = False) -> dict:
     """JSON-ready summary of one search."""
-    witnesses = iso_search(A, B, p, find_all=find_all, jobs=jobs)
+    witnesses = iso_search(A, B, p, find_all=find_all)
     exhaustive = find_all or not witnesses
     return {
         "prime": p,

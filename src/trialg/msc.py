@@ -387,9 +387,9 @@ def msc_from_doc(doc) -> Msc:
         if key not in doc:
             raise ValueError(f"msc: missing field {key!r}")
     dim, arity = doc["dim"], doc["arity"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"msc: bad field 'dim': {dim!r}")
-    if not isinstance(arity, int) or arity < 2:
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 2:
         raise ValueError(f"msc: bad field 'arity': {arity!r}")
     ring = rg.ring_from_doc(doc["ring"])
     entries = doc["entries"]

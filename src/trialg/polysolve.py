@@ -2,11 +2,12 @@
 
 Two engines back every verdict:
 
-* an exhaustive finite-field sweep: all p^k assignments of the k variables
-  are enumerated in lexicographic order (first variable most significant)
-  and every polynomial is evaluated mod p.  The sweep is vectorized in
-  chunks; a separate straightforward per-assignment evaluator exists purely
-  as an independent cross-check.
+* an exhaustive finite-field sweep: the p^k assignments of the k variables
+  are enumerated depth first in lexicographic order (first variable most
+  significant), and a partial assignment is dropped as soon as it fails a
+  polynomial whose variables are all assigned.  The same enumerator decides
+  isomorphism over GF(p) (see iso.py).  A separate straightforward
+  per-assignment evaluator exists purely as an independent cross-check.
 
 * a bounded Buchberger engine over Q in graded reverse lexicographic
   order, with the normal selection strategy, coprime-lead and chain
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -59,6 +59,8 @@ __all__ = [
 
 DEFAULT_CAPS = {"max_pairs": 20000, "max_degree": 12}
 MAX_FF_VARS = 9
+# rows built by one expansion step of the finite-field enumerator
+_MAX_ROWS = 1 << 16
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -150,14 +152,15 @@ class SolveOutcome:
 # ---------------------------------------------------------------------------
 
 def _compile_mod_p(system: PolySystem, p: int):
-    """Reduce every polynomial mod p to (coeff array, exponent matrix) pairs.
+    """Reduce every polynomial mod p to a list of (coeff, factors) terms.
 
-    Returns (compiled, obstructed) where obstructed means some polynomial
-    reduced to a nonzero constant, so no assignment can work.
+    ``factors`` lists the (variable index, exponent) pairs of the term's
+    monomial.  Returns (compiled, obstructed) where obstructed means some
+    polynomial reduced to a nonzero constant, so no assignment can work.
     """
     compiled = []
     for poly in system.polys:
-        coeffs, monos = [], []
+        terms = []
         for mono, q in poly.v.items():
             den = q.denominator % p
             if den == 0:
@@ -166,15 +169,12 @@ def _compile_mod_p(system: PolySystem, p: int):
                 )
             c = q.numerator * pow(den, p - 2, p) % p
             if c:
-                coeffs.append(c)
-                monos.append(mono)
-        if not coeffs:
+                terms.append((c, tuple((i, e) for i, e in enumerate(mono) if e)))
+        if not terms:
             continue
-        if all(sum(m) == 0 for m in monos):
+        if all(not factors for _, factors in terms):
             return [], True
-        compiled.append(
-            (np.asarray(coeffs, dtype=np.int64), np.asarray(monos, dtype=np.int64))
-        )
+        compiled.append(terms)
     return compiled, False
 
 
@@ -187,52 +187,72 @@ def _vec_pow(col, e, p):
     return out
 
 
-def _sweep_chunk(compiled, p, nvars, lo, hi, cap):
-    """Indices in [lo, hi) whose decoded assignments zero every polynomial."""
-    alive = np.arange(lo, hi, dtype=np.int64)
-    cols = [
-        (alive // int(p ** (nvars - 1 - i))) % p for i in range(nvars)
-    ]
-    for coeffs, monos in compiled:
-        if len(alive) == 0:
-            break
-        acc = np.zeros(len(alive), dtype=np.int64)
-        for c, mono in zip(coeffs, monos):
-            t = np.full(len(alive), int(c), dtype=np.int64)
-            for i, e in enumerate(mono):
-                if e:
-                    t = t * _vec_pow(cols[i], int(e), p) % p
-            acc = (acc + t) % p
-        keep = acc == 0
-        if not keep.all():
-            alive = alive[keep]
-            cols = [col[keep] for col in cols]
-    if cap is not None and len(alive) > cap:
-        alive = alive[:cap]
-    return alive.tolist()
+def _eval_mod_p(terms, cols, p):
+    """Values mod p of one compiled polynomial on every row of ``cols``."""
+    acc = np.zeros(cols.shape[1], dtype=np.int64)
+    for c, factors in terms:
+        t = np.full(cols.shape[1], c, dtype=np.int64)
+        for i, e in factors:
+            t = t * _vec_pow(cols[i], e, p) % p
+        acc = (acc + t) % p
+    return acc
 
 
-def _sweep_worker(args):
-    return _sweep_chunk(*args)
+def _enumerate(compiled, p, nvars, cap):
+    """Every assignment in GF(p)^nvars that zeroes each compiled polynomial.
 
+    Variables are assigned depth first, the first one most significant, so
+    the assignments come out in lexicographic order.  Each polynomial is
+    tested as soon as the last variable it uses is assigned, and a prefix
+    that fails it is dropped with everything below it.  One expansion
+    builds at most ``_MAX_ROWS`` rows, splitting both the prefixes taken and
+    the values tried for the next variable, so memory stays bounded for
+    every accepted p.  Stops after ``cap`` assignments (None: no cap).
+    """
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"modulus {p} is too large for 64-bit residue products")
+    buckets = [[] for _ in range(nvars)]
+    for terms in compiled:
+        buckets[max(i for _, factors in terms for i, _ in factors)].append(terms)
+    hits = []
 
-def _decode_assignment(idx: int, nvars: int, p: int):
-    digits = []
-    for _ in range(nvars):
-        digits.append(idx % p)
-        idx //= p
-    return tuple(reversed(digits))
+    def descend(prefixes):
+        # prefixes: one row per variable assigned so far, one column per prefix
+        level = prefixes.shape[0]
+        if level == nvars:
+            hits.extend(zip(*prefixes.tolist()))
+            return
+        take = max(1, _MAX_ROWS // p)
+        width = min(p, _MAX_ROWS)
+        for lo in range(0, prefixes.shape[1], take):
+            block = prefixes[:, lo:lo + take]
+            for v0 in range(0, p, width):
+                values = np.arange(v0, min(v0 + width, p), dtype=np.int64)
+                cols = np.vstack([
+                    np.repeat(block, len(values), axis=1),
+                    np.tile(values, block.shape[1]),
+                ])
+                for terms in buckets[level]:
+                    cols = cols[:, _eval_mod_p(terms, cols, p) == 0]
+                    if not cols.shape[1]:
+                        break
+                if cols.shape[1]:
+                    descend(cols)
+                if cap is not None and len(hits) >= cap:
+                    return
+
+    descend(np.zeros((0, 1), dtype=np.int64))
+    return hits[:cap] if cap is not None else hits
 
 
 def solve_ff_exhaustive(system: PolySystem, p: int, all_witnesses: bool = False,
-                        max_witnesses: int = 4096, jobs: int = 1,
-                        chunk: int = 1 << 19) -> SolveOutcome:
-    """Decide the system mod p by sweeping every assignment.
+                        max_witnesses: int = 4096) -> SolveOutcome:
+    """Decide the system mod p by an exhaustive pruned enumeration.
 
     Assignments are enumerated in lexicographic order (first declared
     variable most significant).  Returns the first witness, or all of them
     (up to ``max_witnesses``) when ``all_witnesses`` is set; a
-    "no_solution_mod_p" outcome always rests on a full sweep.
+    "no_solution_mod_p" outcome always rests on a complete enumeration.
     """
     if not rg.is_prime(p):
         raise ValueError(f"sweep modulus must be prime, got {p!r}")
@@ -249,30 +269,14 @@ def solve_ff_exhaustive(system: PolySystem, p: int, all_witnesses: bool = False,
         return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
 
     cap = max_witnesses if all_witnesses else 1
-    hits: list[int] = []
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if jobs > 1 and len(ranges) > 1:
-        tasks = [(compiled, p, nvars, lo, hi, cap) for lo, hi in ranges]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_sweep_worker, tasks):
-                hits.extend(part)
-                if len(hits) >= cap:
-                    break
-    else:
-        for lo, hi in ranges:
-            hits.extend(_sweep_chunk(compiled, p, nvars, lo, hi, cap - len(hits)))
-            if len(hits) >= cap:
-                break
-    hits = sorted(hits)[:cap]
-
+    hits = _enumerate(compiled, p, nvars, cap)
     if not hits:
         return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
 
     gf = rg.prime_field(p)
     names = system.vars
     assignments = []
-    for idx in hits:
-        values = _decode_assignment(idx, nvars, p)
+    for values in hits:
         assignment = {n: RingElem(gf, v) for n, v in zip(names, values)}
         if not _check_assignment_mod_p(system, p, values):
             raise RuntimeError("sweep produced an assignment the scalar check rejects")
@@ -645,8 +649,7 @@ def _crt_pair(r1, p1, r2, p2):
     return [(a + p1 * ((b - a) * inv % p2)) % (p1 * p2) for a, b in zip(r1, r2)]
 
 
-def certify_expressibility(C, primes=(5, 7), caps=None, jobs: int = 1,
-                           max_witnesses: int = 4096,
+def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 4096,
                            groebner: bool = True) -> SolveOutcome:
     """Strongest available verdict on whether a ternary algebra is generated
     by some binary algebra.
@@ -673,7 +676,7 @@ def certify_expressibility(C, primes=(5, 7), caps=None, jobs: int = 1,
 
     for p in primes:
         out = solve_ff_exhaustive(
-            system, p, all_witnesses=True, max_witnesses=max_witnesses, jobs=jobs,
+            system, p, all_witnesses=True, max_witnesses=max_witnesses,
         )
         evidence.append(out)
         if out.status != "witness":

@@ -529,12 +529,23 @@ def _tokenize(text):
     return tokens
 
 
+# Bound on nested '(' and unary-sign chains, well inside Python's recursion
+# limit: each nesting level costs the recursive-descent parser a few frames.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, ring: Ring):
         self.text = text
         self.ring = ring
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nest(self):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            self.fail(f"nesting deeper than {_MAX_NESTING} levels")
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -582,7 +593,9 @@ class _Parser:
         kind, op = self.peek()
         if kind == "op" and op in "+-":
             self.i += 1
+            self.nest()
             value = self.unary()
+            self.depth -= 1
             return -value if op == "-" else value
         return self.power()
 
@@ -615,7 +628,9 @@ class _Parser:
         if kind == "name":
             return variable(self.ring, tok)
         if kind == "op" and tok == "(":
+            self.nest()
             value = self.expr()
+            self.depth -= 1
             ckind, close = self.take()
             if ckind != "op" or close != ")":
                 self.fail("unbalanced parenthesis")
@@ -653,7 +668,8 @@ def ring_from_doc(doc) -> Ring:
             raise ValueError("ring: GF needs a field 'p'")
         return prime_field(doc["p"])
     if kind == "poly":
-        if "vars" not in doc:
-            raise ValueError("ring: poly needs a field 'vars'")
-        return polynomial_ring(doc["vars"])
+        names = doc.get("vars")
+        if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+            raise ValueError("ring: poly needs a field 'vars' holding a list of names")
+        return polynomial_ring(names)
     raise ValueError(f"ring: unknown kind {kind!r}")

@@ -205,16 +205,25 @@ def test_paper_replay_unwritable_out_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_jobs_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("TRIALG_JOBS", "2")
-    code, out, _ = run_cli(capsys, "iso", "--a", "A4(a1=1,b2=1)",
-                           "--b", "A4(a1=1,b2=-1)", "--prime", "5")
-    assert code == 1
+def test_deeply_nested_scalar_exits_2(capsys, tmp_path):
+    doc = msc_to_doc(catalog_get("A12"))
+    doc["entries"][0][0] = "(" * 5000 + "1" + ")" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "assoc", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "nesting" in err
 
 
-def test_bad_jobs_exits_2(capsys):
-    code, _, err = run_cli(capsys, "--jobs", "0", "catalog")
-    assert code == 2
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("express", "--name", "Cstar", "--primes", "4294967311", "--no-groebner"),
+    ("iso", "--a", "Cstar", "--b", "Cdagger", "--prime", "4294967311"),
+])
+def test_too_large_modulus_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "too large" in err
 
 
 def test_unknown_input_name_exits_2(capsys):

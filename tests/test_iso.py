@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
+from trialg import polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get
 from trialg.identities import is_totally_associative
 from trialg.iso import iso_report, iso_search, iso_verify
-from trialg.msc import BasisChange, Msc, transform
+from trialg.msc import BasisChange, Matrix, Msc, transform
 
 from conftest import rand_basis_change, rand_msc
 
@@ -132,10 +134,14 @@ def test_small_characteristic_warns(gf5):
         iso_search(A, A, 3, find_all=False)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bad_prime_rejected(gf5, rng):
     A = rand_msc(gf5, 2, 2, rng)
     with pytest.raises(ValueError):
         iso_search(A, A, 4)
+    for p in (3037000507, 4294967311):  # residue products (p - 1)^2 >= 2^63
+        with pytest.raises(ValueError, match="too large"):
+            iso_search(a4(1, 1), a4(1, -1), p)
 
 
 def test_shape_mismatch_rejected(gf5, rng):
@@ -143,12 +149,54 @@ def test_shape_mismatch_rejected(gf5, rng):
         iso_search(rand_msc(gf5, 2, 3, rng), rand_msc(gf5, 2, 2, rng), 5)
 
 
-def test_jobs_partitioning_is_deterministic(gf5, rng):
-    A = rand_msc(gf5, 2, 2, rng)
-    B = transform(A, rand_basis_change(gf5, 2, rng))
-    serial = [w.g.mat.to_strings() for w in iso_search(A, B, 5)]
-    parallel = [w.g.mat.to_strings() for w in iso_search(A, B, 5, jobs=2)]
-    assert serial == parallel
+def brute_force_iso(A, B, p):
+    """Every invertible g over GF(p), in row-major lexicographic order, that
+    iso_verify accepts; independent of the search's polynomial system."""
+    gf = rg.prime_field(p)
+    m = A.dim
+    found = []
+    for values in iter_product(range(p), repeat=m * m):
+        mat = Matrix(gf, [
+            [rg.RingElem(gf, x) for x in values[r * m:(r + 1) * m]] for r in range(m)
+        ])
+        try:
+            g = BasisChange(mat)
+        except ValueError:  # singular
+            continue
+        if iso_verify(A, B, g):
+            found.append(mat.to_strings())
+    return found
+
+
+def oracle_pairs(ring, dim, arity, rng):
+    """A random pair, an isomorphic pair and a self pair of a sparse algebra."""
+    A = rand_msc(ring, dim, arity, rng)
+    sparse = Msc(dim, arity, Matrix(ring, [
+        [x if rng.random() < 0.2 else rg.zero(ring) for x in row] for row in A.mat.rows
+    ]))
+    return [
+        (A, rand_msc(ring, dim, arity, rng)),
+        (A, transform(A, rand_basis_change(ring, dim, rng))),
+        (sparse, sparse),
+    ]
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("arity", [2, 3])
+def test_search_matches_brute_force_oracle_dim_2(gf5, rng, monkeypatch, arity, rows):
+    if rows is not None:
+        monkeypatch.setattr(polysolve, "_MAX_ROWS", rows)
+    for A, B in oracle_pairs(gf5, 2, arity, rng):
+        got = [w.g.mat.to_strings() for w in iso_search(A, B, 5)]
+        assert got == brute_force_iso(A, B, 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_search_matches_brute_force_oracle_dim_3(gf3, rng):
+    A = rand_msc(gf3, 3, 2, rng)
+    B = transform(A, rand_basis_change(gf3, 3, rng))
+    got = [w.g.mat.to_strings() for w in iso_search(A, B, 3)]
+    assert got and got == brute_force_iso(A, B, 3)
 
 
 def test_iso_report_document(gf5, rng):

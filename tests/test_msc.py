@@ -206,6 +206,12 @@ def test_codec_rejects_bad_documents():
         msc_from_doc(bad)
     with pytest.raises(ValueError, match="dim"):
         msc_from_doc({**good, "dim": 0})
+    with pytest.raises(ValueError, match="dim"):
+        msc_from_doc({**good, "dim": True})
+    with pytest.raises(ValueError, match="arity"):
+        msc_from_doc({**good, "arity": True})
+    with pytest.raises(ValueError, match="vars"):
+        msc_from_doc({**good, "ring": {"kind": "poly", "vars": "ab"}})
     with pytest.raises(ValueError, match="missing"):
         msc_from_doc({"dim": 2, "arity": 2, "ring": {"kind": "Q"}})
     with pytest.raises(ValueError, match="entry"):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from trialg import polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get
 from trialg.generate import expressibility_residual, symbolic_system
@@ -72,7 +73,7 @@ def test_sweep_no_solution_is_exhaustive():
     assert out.effort["assignments"] == 5
 
 
-def test_sweep_matches_reference_evaluator_on_random_systems():
+def _check_sweep_against_reference():
     rng = random.Random(4242)
     names_pool = (["x", "y"], ["x", "y", "z"], ["w", "x", "y", "z"])
     for trial in range(50):
@@ -101,6 +102,18 @@ def test_sweep_matches_reference_evaluator_on_random_systems():
             assert as_tuples == ref_tuples
 
 
+def test_sweep_matches_reference_evaluator_on_random_systems():
+    _check_sweep_against_reference()
+
+
+@pytest.mark.parametrize("rows", [3, 12])
+def test_sweep_matches_reference_evaluator_with_split_expansions(monkeypatch, rows):
+    # 3 rows split the values of each variable (3 + 2 of 5); 12 rows take
+    # two prefixes at a time, splitting the frontier instead
+    monkeypatch.setattr(polysolve, "_MAX_ROWS", rows)
+    _check_sweep_against_reference()
+
+
 def test_sweep_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_ff_exhaustive(sys_of(["x"], ["x"]), 6)
@@ -109,20 +122,23 @@ def test_sweep_rejects_bad_inputs():
     wide = sys_of([f"x{i}" for i in range(10)], ["x0"])
     with pytest.raises(ValueError):
         solve_ff_exhaustive(wide, 5)
+    for p in (3037000507, 4294967311):  # residue products (p - 1)^2 >= 2^63
+        with pytest.raises(ValueError, match="too large"):
+            solve_ff_exhaustive(sys_of(["x"], ["x^2 - 4"]), p)
+
+
+def test_sweep_is_exact_at_the_largest_modulus():
+    p = 3037000493  # the largest prime with (p - 1)^2 < 2^63
+    root = 60000  # root^2 exceeds p, so -x^2 multiplies two large residues
+    out = solve_ff_exhaustive(sys_of(["x"], [f"{root ** 2 % p} - x^2"]), p)
+    assert out.status == "witness"
+    assert out.witness["x"].v == root
 
 
 def test_sweep_constant_obstruction():
     out = solve_ff_exhaustive(sys_of(["x"], ["5*x + 1"]), 5)
     assert out.status == "no_solution_mod_p"
     assert out.effort.get("constant_obstruction") is True
-
-
-def test_sweep_jobs_deterministic():
-    system = sys_of(["x", "y", "z"], ["x*y - z", "x + y + z"])
-    serial = solve_ff_exhaustive(system, 5, all_witnesses=True, chunk=8)
-    parallel = solve_ff_exhaustive(system, 5, all_witnesses=True, chunk=8, jobs=2)
-    key = lambda out: [[w[n].v for n in system.vars] for w in out.witnesses]
-    assert key(serial) == key(parallel)
 
 
 def test_sweep_b9_system_contains_a9_mod_7():

@@ -57,6 +57,15 @@ def test_parse_malformed(text):
         rg.parse_scalar(text, Q)
 
 
+def test_parse_nesting_is_capped():
+    assert rg.parse_scalar("(" * 100 + "1" + ")" * 100, Q).v == 1
+    assert rg.parse_scalar("-" * 100 + "1", Q).v == 1
+    for text in ("(" * 5000 + "1" + ")" * 5000, "-" * 5000 + "1",
+                 "-(" * 51 + "1" + ")" * 51):
+        with pytest.raises(ScalarParseError, match="nesting"):
+            rg.parse_scalar(text, Q)
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF5", "poly"])
 def test_parse_serialize_roundtrip(ring):
     rng = random.Random(101)
@@ -187,6 +196,9 @@ def test_ring_codec_roundtrip():
     assert rg.ring_to_doc(POLY3) == {"kind": "poly", "vars": ["a1", "a2", "b1"]}
     with pytest.raises(ValueError):
         rg.ring_from_doc({"kind": "R"})
+    for names in ("ab", ["a", 1], None):
+        with pytest.raises(ValueError, match="vars"):
+            rg.ring_from_doc({"kind": "poly", "vars": names})
 
 
 def test_reduce_mod():
