@@ -59,7 +59,11 @@ def _load_algebra(source: str | None, params: str | None = None) -> Msc:
         if params:
             raise ValueError("--params only applies to catalog names")
         with open(source, "r", encoding="utf-8") as fh:
-            return msc_from_doc(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{source}: JSON nested too deeply") from None
+        return msc_from_doc(doc)
     m = _INLINE_RE.match(source)
     if m and m.group(1) in cat.FAMILIES:
         inline = m.group(2)

@@ -1,8 +1,8 @@
 """Building n-ary algebras from binary ones.
 
 The n-ary product generated by a binary product mu is the right-nested
-composition f(x1, ..., xn) = mu(x1, mu(x2, ..., mu(x_{n-1}, xn)...)).  In
-matrix form this is the recursion C_2 = M and C_k = M . (I tensor C_{k-1}).
+composition f(x1, ..., xn) = mu(x1, mu(x2, ..., mu(x_{n-1}, xn)...)), so
+C_2 = M and C_k = M with C_{k-1} nested into its second slot (msc.nest).
 Given a target ternary algebra C, asking which binary M generate it yields
 a quadratic system in the m^3 unknown binary structure constants; for
 dimension 2 that is 16 equations in the 8 unknowns h{k}{r}{s}.
@@ -11,7 +11,7 @@ dimension 2 that is 16 equations in the 8 unknowns h{k}{r}{s}.
 from __future__ import annotations
 
 from . import ring as rg
-from .msc import Matrix, Msc
+from .msc import Matrix, Msc, nest
 
 __all__ = [
     "generate_nary",
@@ -32,10 +32,9 @@ def generate_nary(M: Msc, n: int) -> Msc:
         raise ValueError(f"generator must be binary, got arity {M.arity}")
     if n < 2:
         raise ValueError(f"target arity must be at least 2, got {n}")
-    ident = Matrix.identity(M.ring, M.dim)
     mat = M.mat
     for _ in range(n - 2):
-        mat = M.mat * ident.kron(mat)
+        mat = nest(M.mat, 2, 2, mat)
     return Msc(M.dim, n, mat)
 
 

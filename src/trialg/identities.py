@@ -1,13 +1,12 @@
 """Associativity checkers.
 
 A ternary algebra A is totally associative when the three ways of nesting
-two products agree on all quintuples, which in matrix form is
+two products agree on all quintuples,
 
-    A (A x I x I - I x A x I) = 0
-    A (A x I x I - I x I x A) = 0
-    A (I x A x I - I x I x A) = 0
+    A(A(u, v, w), x, y) = A(u, A(v, w, x), y) = A(u, v, A(w, x, y)),
 
-with I the m x m identity.  The binary analogue is M (M x I) - M (I x M).
+each side being A nested into slot 1, 2 or 3 of A (msc.nest), an m x m^5
+matrix.  The binary analogue is M(M(u, v), w) - M(u, M(v, w)).
 Residuals are returned in full (not just verdicts) so that parameter scans
 can treat their entries as polynomials in the family parameters.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .msc import Matrix, Msc, basis_vector, eval_product
+from .msc import Matrix, Msc, basis_vector, eval_product, nest
 
 __all__ = [
     "total_assoc_residuals",
@@ -33,14 +32,8 @@ def total_assoc_residuals(A: Msc):
     """The three total-associativity residual matrices, each m x m^5."""
     if A.arity != 3:
         raise ValueError(f"total associativity is defined for arity 3, got {A.arity}")
-    ident = Matrix.identity(A.ring, A.dim)
-    a_i_i = A.mat.kron(ident).kron(ident)
-    i_a_i = ident.kron(A.mat).kron(ident)
-    i_i_a = ident.kron(ident.kron(A.mat))
-    r_a = A.mat * (a_i_i - i_a_i)
-    r_b = A.mat * (a_i_i - i_i_a)
-    r_c = A.mat * (i_a_i - i_i_a)
-    return r_a, r_b, r_c
+    left, mid, right = (nest(A.mat, 3, slot, A.mat) for slot in (1, 2, 3))
+    return left - mid, left - right, mid - right
 
 
 def is_totally_associative(A: Msc) -> bool:
@@ -69,11 +62,10 @@ def quintuple_oracle(A: Msc):
 
 
 def binary_assoc_residual(M: Msc) -> Matrix:
-    """M (M x I) - M (I x M); the zero matrix iff M is associative."""
+    """M(M(u, v), w) - M(u, M(v, w)); the zero matrix iff M is associative."""
     if M.arity != 2:
         raise ValueError(f"binary associativity is defined for arity 2, got {M.arity}")
-    ident = Matrix.identity(M.ring, M.dim)
-    return M.mat * M.mat.kron(ident) - M.mat * ident.kron(M.mat)
+    return nest(M.mat, 2, 1, M.mat) - nest(M.mat, 2, 2, M.mat)
 
 
 def binary_triple_oracle(M: Msc):

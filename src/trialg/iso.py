@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 
 from . import ring as rg
-from .msc import BasisChange, Matrix, Msc, kron_power, transform
+from .msc import BasisChange, Matrix, Msc, nest, transform
 from .polysolve import PolySystem, _compile_mod_p, _enumerate
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
@@ -79,9 +79,10 @@ def _iso_system(Ap: Msc, Bp: Msc) -> PolySystem:
         [rg.variable(ring, names[r * m + c]) for c in range(m)] for r in range(m)
     ])
     a, b = (X.mat.map_entries(lambda x: rg.from_int(ring, x.v), ring) for X in (Ap, Bp))
-    eqs = b * kron_power(g, Ap.arity) - g * a
+    for slot in range(1, Ap.arity + 1):
+        b = nest(b, Ap.arity, slot, g)
     unit = rg.variable(ring, "t") * _det(g.rows) - rg.one(ring)
-    return PolySystem(ring, [x for row in eqs.rows for x in row] + [unit])
+    return PolySystem(ring, [x for row in (b - g * a).rows for x in row] + [unit])
 
 
 def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):

@@ -186,11 +186,29 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
 
 
-def kron_power(a: Matrix, n: int) -> Matrix:
-    out = a
-    for _ in range(n - 1):
-        out = out.kron(a)
-    return out
+_MAX_ENTRIES = 1 << 18  # largest matrix nest() builds: ~100 MB of exact scalars
+
+
+def nest(outer: Matrix, arity: int, slot: int, inner: Matrix) -> Matrix:
+    """Structure matrix of outer(x1, ..., inner(y1, ..., yb), ..., x_arity).
+
+    outer is m x m^arity, inner m x m^b (b = 1: a linear map on that slot); the
+    m x m^(arity + b - 1) result has inner's indices in the slot's place."""
+    m, width = inner.nrows, inner.ncols
+    if outer.ncols != m ** arity or not 1 <= slot <= arity:
+        raise ValueError(f"cannot nest into slot {slot} of arity {arity} in dimension {m}")
+    tail, ncols = m ** (arity - slot), outer.ncols // m * width
+    if outer.nrows * ncols > _MAX_ENTRIES:
+        raise ValueError(f"a {outer.nrows}x{ncols} matrix exceeds {_MAX_ENTRIES} entries")
+    parts = [[(y, c) for y, c in enumerate(row) if c] for row in inner.rows]
+    out = [[rg.zero(outer.ring)] * ncols for _ in outer.rows]
+    for acc, row in zip(out, outer.rows):
+        for j, a in enumerate(row):
+            if a:
+                pre, k, post = j // (m * tail), j // tail % m, j % tail
+                for y, c in parts[k]:
+                    acc[(pre * width + y) * tail + post] += a * c
+    return Matrix(outer.ring, out)
 
 
 def column_index(dim: int, indices) -> int:
@@ -364,7 +382,10 @@ def transform(A: Msc, g: BasisChange) -> Msc:
         raise ValueError(f"basis change of dim {g.dim} cannot act on dim {A.dim}")
     if g.mat.ring != A.ring:
         raise ValueError("basis change and algebra must share one field")
-    return Msc(A.dim, A.arity, (g.mat * A.mat) * kron_power(g.inv_mat, A.arity))
+    mat = g.mat * A.mat
+    for slot in range(1, A.arity + 1):
+        mat = nest(mat, A.arity, slot, g.inv_mat)
+    return Msc(A.dim, A.arity, mat)
 
 
 # ---------------------------------------------------------------------------

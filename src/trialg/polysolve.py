@@ -608,12 +608,6 @@ def groebner_selfcheck(basis_elems) -> bool:
 # rational lifting and the expressibility pipeline
 # ---------------------------------------------------------------------------
 
-def _eval_exact(system: PolySystem, assignment) -> bool:
-    """Exact check over Q that an assignment zeroes every polynomial."""
-    vals = [Fraction(assignment[name]) for name in system.vars]
-    return all(_poly_eval(poly.v, vals) == 0 for poly in system.polys)
-
-
 def _lift_candidates(residues, modulus, bound):
     """Common-denominator rational reconstructions of a residue vector."""
     half = modulus // 2

@@ -200,12 +200,6 @@ def _poly_sub(a, b):
     return _poly_add(a, _poly_neg(b))
 
 
-def _poly_scale(a, c):
-    if not c:
-        return {}
-    return {m: k * c for m, k in a.items()}
-
-
 def _poly_mul_term(a, c, mono):
     """a * (c * x^mono); used heavily by polynomial reduction."""
     if not c:

@@ -1,10 +1,18 @@
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
 
 from trialg import ring as rg
 from trialg.msc import BasisChange, Matrix, Msc
+
+# Hypothesis caches the constants it reads from source files under its home
+# directory while collecting, even with no example database; keep that cache
+# out of the working tree.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "trialg-hypothesis"))
 
 
 def rand_elem(ring, rng):

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from trialg import ring as rg
 from trialg.cli import main
-from trialg.msc import msc_to_doc
+from trialg.msc import Msc, msc_to_doc
 from trialg.catalog import catalog_get
 
 
@@ -213,6 +214,25 @@ def test_deeply_nested_scalar_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "assoc", "--input", str(path))
     assert code == 2 and out == ""
     assert "nesting" in err
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli(capsys, "assoc", "--input", str(path))
+    assert code == 2 and out == ""
+    assert "nested too deeply" in err
+
+
+def test_oversized_products_exit_2(capsys, tmp_path):
+    # 2 x 2^40 generated entries; three 10 x 10^5 residuals
+    path = tmp_path / "dim10.json"
+    path.write_text(json.dumps(msc_to_doc(Msc.zero(rg.QQ, 10, 3))))
+    for argv in (("generate", "--name", "A4(a1=1,b2=1)", "--arity", "40"),
+                 ("assoc", "--input", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exceeds 262144 entries" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
