@@ -13,7 +13,7 @@ replay whose findings match those sets exactly is considered clean.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iter_product
+from math import prod
 
 from . import ring as rg
 from .generate import expressibility_residual, generate_nary
@@ -498,20 +498,43 @@ def totassoc_constraints(family: str):
     return PolySystem(entry.msc.ring, constraints)
 
 
+_MAX_SCAN_POINTS = 10 ** 5  # grid points a scan may span, counted before pruning
+
+
 def totassoc_scan(family: str, grid=None):
     """Grid points at which a parametric ternary family is totally associative.
 
-    The family's symbolic residuals are computed once; each grid point is
-    then tested by exact substitution into the nonzero residual entries.
-    Points are returned in lexicographic order over the sorted grid axes.
+    The family's symbolic residuals are computed once and each nonzero entry
+    is filed under the last parameter it uses (a constant under the first).
+    The grid is walked depth first over the sorted axes, first parameter
+    most significant; an entry is tested by exact substitution as soon as
+    its last parameter is assigned, and a prefix that fails one is dropped
+    with every completion below it.  Points are returned in lexicographic
+    order over the sorted grid axes, once per repeated grid value, exactly
+    as a test of every grid point would list them.  A grid of more than
+    _MAX_SCAN_POINTS points is refused with ValueError before any test.
     """
     entry = _parametric_ternary(family)
     axes = _scan_axes(entry, grid)
-    constraints = [e.v for e in totassoc_constraints(family).polys]
-    hits = []
-    for point in iter_product(*axes):
-        if all(rg._poly_eval(t, point) == 0 for t in constraints):
-            hits.append(tuple(point))
+    size = prod(len(axis) for axis in axes)
+    if size > _MAX_SCAN_POINTS:
+        raise ValueError(f"a grid of {size} points exceeds the scan budget of {_MAX_SCAN_POINTS}")
+    buckets = [[] for _ in axes]
+    for e in totassoc_constraints(family).polys:
+        last = max((i for mono in e.v for i, x in enumerate(mono) if x), default=0)
+        buckets[last].append(e.v)
+    point, hits = [None] * len(axes), []
+
+    def descend(k):
+        for x in axes[k]:
+            point[k] = x
+            if all(rg._poly_eval(t, point) == 0 for t in buckets[k]):
+                if k + 1 < len(axes):
+                    descend(k + 1)
+                else:
+                    hits.append(tuple(point))
+
+    descend(0)
     return hits
 
 

@@ -86,7 +86,10 @@ def _parse_primes(text: str, allow_empty: bool = False):
 
 
 def _parse_grid(text: str):
-    return [rg.parse_scalar(x.strip(), rg.QQ).v for x in text.split(",") if x.strip()]
+    grid = [rg.parse_scalar(x.strip(), rg.QQ).v for x in text.split(",") if x.strip()]
+    if not grid:
+        raise ValueError("empty grid")
+    return grid
 
 
 def _cmd_generate(args) -> int:
@@ -142,7 +145,7 @@ def _cmd_table1_verify(args) -> int:
 
 
 def _cmd_totassoc_scan(args) -> int:
-    grid = _parse_grid(args.grid) if args.grid else None
+    grid = _parse_grid(args.grid) if args.grid is not None else None
     points = cat.totassoc_scan(args.family, grid)
     _emit({
         "family": args.family,

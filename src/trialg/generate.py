@@ -10,6 +10,7 @@ dimension 2 that is 16 equations in the 8 unknowns h{k}{r}{s}.
 
 from __future__ import annotations
 
+from . import msc
 from . import ring as rg
 from .msc import Matrix, Msc, nest
 
@@ -32,6 +33,12 @@ def generate_nary(M: Msc, n: int) -> Msc:
         raise ValueError(f"generator must be binary, got arity {M.arity}")
     if n < 2:
         raise ValueError(f"target arity must be at least 2, got {n}")
+    # C_n has m * m^n entries (arity 2 builds nothing); for m >= 2 and n at
+    # least the budget's bit length that is always over, so m^n is formed
+    # only for small n
+    m, budget = M.dim, msc._MAX_ENTRIES
+    if n > 2 and m > 1 and (n >= budget.bit_length() or m ** (n + 1) > budget):
+        raise ValueError(f"a {m}x{m}^{n} matrix exceeds {budget} entries")
     mat = M.mat
     for _ in range(n - 2):
         mat = nest(M.mat, 2, 2, mat)

@@ -177,6 +177,17 @@ def test_totassoc_scan_cli(capsys):
     assert load(out)["points"] == [["0", "0", "0"], ["1/2", "0", "-1/2"], ["1/2", "0", "1/2"]]
 
 
+@pytest.mark.parametrize("family, grid, message", [
+    ("B4", "--grid=,", "empty grid"),
+    ("B4", "--grid=", "empty grid"),
+    ("B1", "--grid=" + ",".join(map(str, range(18))), "exceeds the scan budget"),
+])
+def test_totassoc_scan_bad_grid_exits_2(capsys, family, grid, message):
+    code, out, err = run_cli(capsys, "totassoc-scan", "--family", family, grid)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_paper_replay_deterministic(capsys, tmp_path):
     args = ("paper-replay", "--primes", "5", "--collision-primes", "5",
             "--no-groebner")

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from trialg import generate
 from trialg import ring as rg
 from trialg.catalog import FAMILIES, catalog_get
 from trialg.generate import (
@@ -37,6 +38,23 @@ def test_generate_rejects_bad_arities(gf5, rng):
         generate_nary(M, 1)
     with pytest.raises(ValueError):
         generate_nary(rand_msc(gf5, 2, 3, rng), 3)
+
+
+def test_generate_refuses_an_oversized_arity_before_any_product(monkeypatch):
+    dense = Msc(2, 2, Matrix(Q, [[rg.from_fraction(Q, Fraction(x)) for x in row]
+                                 for row in (("1", "2", "3", "1/2"), ("-1", "5", "7", "2"))]))
+    unit = Msc(2, 2, Matrix(Q, [[rg.one(Q), rg.zero(Q), rg.zero(Q), rg.zero(Q)],
+                                [rg.zero(Q)] * 4]))
+    # 2 x 2^17 is exactly the nest budget
+    assert generate_nary(unit, 17).mat.ncols == 2 ** 17
+
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(generate, "nest", refuse)
+    for n in (18, 40, 10 ** 12):
+        with pytest.raises(ValueError, match="exceeds 262144 entries"):
+            generate_nary(dense, n)
 
 
 def test_generate_arity_two_is_identity(gf5, rng):

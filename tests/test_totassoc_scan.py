@@ -1,0 +1,73 @@
+"""The pruned total-associativity scan against a test of every grid point.
+
+catalog.totassoc_scan walks the grid depth first and drops a prefix as soon
+as a residual entry whose parameters are all assigned fails.  The oracle
+below is the plain loop over the full Cartesian product; both must return
+the same points in the same order, repeated grid values included.
+"""
+
+from fractions import Fraction
+from itertools import product as iter_product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trialg import catalog
+from trialg import ring as rg
+from trialg.catalog import FAMILIES, totassoc_scan
+from trialg.polysolve import PolySystem
+
+F = Fraction
+SCAN_FAMILIES = tuple(f"B{i}" for i in range(1, 9))
+VALUES = (F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(2))
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15)
+
+
+def brute_force_scan(family, grid=None):
+    axes = catalog._scan_axes(FAMILIES[family], grid)
+    constraints = [e.v for e in catalog.totassoc_constraints(family).polys]
+    return [point for point in iter_product(*axes)
+            if all(rg._poly_eval(t, point) == 0 for t in constraints)]
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_scan_matches_brute_force_on_the_default_grid(family):
+    assert totassoc_scan(family) == brute_force_scan(family)
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+@SETTINGS
+@given(data=st.data())
+def test_scan_matches_brute_force_on_drawn_grids(family, data):
+    values = st.lists(st.sampled_from(VALUES), max_size=5)
+    if data.draw(st.booleans(), label="flat"):
+        grid = data.draw(values, label="grid")
+    else:
+        n = len(FAMILIES[family].params)
+        grid = data.draw(st.lists(values, min_size=n, max_size=n), label="axes")
+    assert totassoc_scan(family, grid) == brute_force_scan(family, grid)
+
+
+@pytest.mark.parametrize("family", ["B2", "B5"])
+@pytest.mark.parametrize("kind", ["constant", "first", "both"])
+def test_scan_tests_constants_and_first_parameter_entries(monkeypatch, family, kind):
+    ring = FAMILIES[family].msc.ring
+    first = rg.variable(ring, ring.vars[0]) - rg.from_fraction(ring, F(1, 2))
+    polys = {"constant": [rg.one(ring)], "first": [first], "both": [first, rg.one(ring)]}[kind]
+    monkeypatch.setattr(catalog, "totassoc_constraints", lambda _: PolySystem(ring, polys))
+    hits = totassoc_scan(family)
+    assert hits == brute_force_scan(family)
+    assert bool(hits) == (kind == "first")
+
+
+def test_scan_budget_is_checked_exactly():
+    one = F(1)
+    # B1's entries free of b1 reject every (1, 1, 1) prefix, so the
+    # 10^5-point grid at the limit is cheap to walk
+    assert catalog._MAX_SCAN_POINTS == 10 ** 5
+    assert totassoc_scan("B1", [[one] * 10, [one] * 10, [one] * 10, [one] * 100]) == []
+    with pytest.raises(ValueError, match="grid of 100001 points exceeds the scan budget"):
+        totassoc_scan("B1", [[one] * 11, [one], [one], [one] * 9091])
+    with pytest.raises(ValueError, match="exceeds the scan budget"):
+        totassoc_scan("B1", list(range(100)))
