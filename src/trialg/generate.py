@@ -2,7 +2,10 @@
 
 The n-ary product generated by a binary product mu is the right-nested
 composition f(x1, ..., xn) = mu(x1, mu(x2, ..., mu(x_{n-1}, xn)...)), so
-C_2 = M and C_k = M with C_{k-1} nested into its second slot (msc.nest).
+C_2 = M and C_k = M with C_{k-1} nested into its second slot (msc.nest); the
+C_k stay integer rows (over Q, numerators over den(M)^(k-1)) until the last
+step.  Every dimension, 1 included, obeys one arity bound: C_n must fit
+the contraction's entry budget, and n stays below that budget's bit length.
 Given a target ternary algebra C, asking which binary M generate it yields
 a quadratic system in the m^3 unknown binary structure constants; for
 dimension 2 that is 16 equations in the 8 unknowns h{k}{r}{s}.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 from . import msc
 from . import ring as rg
-from .msc import Matrix, Msc, nest
+from .msc import Matrix, Msc
 
 __all__ = [
     "generate_nary",
@@ -33,16 +36,17 @@ def generate_nary(M: Msc, n: int) -> Msc:
         raise ValueError(f"generator must be binary, got arity {M.arity}")
     if n < 2:
         raise ValueError(f"target arity must be at least 2, got {n}")
-    # C_n has m * m^n entries (arity 2 builds nothing); for m >= 2 and n at
-    # least the budget's bit length that is always over, so m^n is formed
-    # only for small n
+    # C_n has m * m^n entries (arity 2 builds nothing); n at least the
+    # budget's bit length is over for every m >= 2, so that is the arity
+    # bound for m = 1 too, and m^n is formed only for small n
     m, budget = M.dim, msc._MAX_ENTRIES
-    if n > 2 and m > 1 and (n >= budget.bit_length() or m ** (n + 1) > budget):
+    if n > 2 and (n >= budget.bit_length() or m ** (n + 1) > budget):
         raise ValueError(f"a {m}x{m}^{n} matrix exceeds {budget} entries")
-    mat = M.mat
+    ring, raw = M.ring, msc._to_ints(M.mat)
+    out = raw
     for _ in range(n - 2):
-        mat = nest(M.mat, 2, 2, mat)
-    return Msc(M.dim, n, mat)
+        out = msc._nest_ints(ring, raw, 2, 2, out)
+    return Msc(M.dim, n, msc._from_ints(ring, *out))
 
 
 def expressibility_residual(M: Msc, C: Msc) -> Matrix:

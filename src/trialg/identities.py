@@ -6,7 +6,9 @@ two products agree on all quintuples,
     A(A(u, v, w), x, y) = A(u, A(v, w, x), y) = A(u, v, A(w, x, y)),
 
 each side being A nested into slot 1, 2 or 3 of A (msc.nest), an m x m^5
-matrix.  The binary analogue is M(M(u, v), w) - M(u, M(v, w)).
+matrix.  The binary analogue is M(M(u, v), w) - M(u, M(v, w)).  Over Q all
+sides share the denominator den(A)^2, so the residuals subtract integer
+numerators and build each entry once.
 Residuals are returned in full (not just verdicts) so that parameter scans
 can treat their entries as polynomials in the family parameters.
 """
@@ -15,7 +17,8 @@ from __future__ import annotations
 
 from itertools import product as iter_product
 
-from .msc import Matrix, Msc, basis_vector, eval_product, nest
+from . import msc
+from .msc import Matrix, Msc, basis_vector, eval_product
 
 __all__ = [
     "total_assoc_residuals",
@@ -28,12 +31,20 @@ __all__ = [
 ]
 
 
+def _sub_rows(x, y):
+    return [[a - b for a, b in zip(r, s)] for r, s in zip(x, y)]
+
+
 def total_assoc_residuals(A: Msc):
     """The three total-associativity residual matrices, each m x m^5."""
     if A.arity != 3:
         raise ValueError(f"total associativity is defined for arity 3, got {A.arity}")
-    left, mid, right = (nest(A.mat, 3, slot, A.mat) for slot in (1, 2, 3))
-    return left - mid, left - right, mid - right
+    ring, raw = A.ring, msc._to_ints(A.mat)
+    # all three share the denominator den(A)^2, so their numerators subtract
+    (left, den), (mid, _), (right, _) = (
+        msc._nest_ints(ring, raw, 3, slot, raw) for slot in (1, 2, 3))
+    return tuple(msc._from_ints(ring, _sub_rows(x, y), den)
+                 for x, y in ((left, mid), (left, right), (mid, right)))
 
 
 def is_totally_associative(A: Msc) -> bool:
@@ -65,7 +76,9 @@ def binary_assoc_residual(M: Msc) -> Matrix:
     """M(M(u, v), w) - M(u, M(v, w)); the zero matrix iff M is associative."""
     if M.arity != 2:
         raise ValueError(f"binary associativity is defined for arity 2, got {M.arity}")
-    return nest(M.mat, 2, 1, M.mat) - nest(M.mat, 2, 2, M.mat)
+    ring, raw = M.ring, msc._to_ints(M.mat)
+    (left, den), (right, _) = (msc._nest_ints(ring, raw, 2, slot, raw) for slot in (1, 2))
+    return msc._from_ints(ring, _sub_rows(left, right), den)
 
 
 def binary_triple_oracle(M: Msc):

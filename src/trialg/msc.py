@@ -7,9 +7,21 @@ index most significant: the tuple (i1, ..., in) sits in column
 1 + sum((i_t - 1) * m^(n - t)).
 
 A basis change g in GL(m) acts by A |-> g . A . (g^-1 tensor ... tensor g^-1).
+
+Composite products are built by one contraction, nest, which puts a product
+or a linear map into one argument slot of another: n-ary generation, the
+associativity residuals, transform and the isomorphism system all use it.
+Over Q and GF(p) it runs on plain ints (_nest_ints): a rational matrix is
+scaled to integer numerators by the lcm of its denominators, and each result
+entry becomes one Fraction, or is reduced mod p once.  Chains of nests stay
+in ints between steps.  Polynomial rings contract in RingElem arithmetic.
+A result of more than _MAX_ENTRIES entries is refused before it is built.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from . import ring as rg
 from .ring import Ring, RingElem
@@ -186,7 +198,75 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
 
 
-_MAX_ENTRIES = 1 << 18  # largest matrix nest() builds: ~100 MB of exact scalars
+_MAX_ENTRIES = 1 << 18  # largest matrix a contraction builds: ~100 MB of exact scalars
+
+
+def _to_ints(mat: Matrix):
+    """mat as the pair (rows, den) that _nest_ints works on: mat = rows / den.
+
+    Over Q the rows hold integer numerators over the least common
+    denominator of the entries; over GF(p) they hold the residues, den 1.
+    Over Q[vars] they keep their RingElems, den 1: polynomial rings contract
+    in RingElem arithmetic."""
+    kind = mat.ring.kind
+    if kind == "poly":
+        return [list(row) for row in mat.rows], 1
+    if kind == "GF":
+        return [[x.v for x in row] for row in mat.rows], 1
+    den = math.lcm(*(x.v.denominator for row in mat.rows for x in row))
+    return [[x.v.numerator * (den // x.v.denominator) for x in row] for row in mat.rows], den
+
+
+def _from_ints(ring: Ring, rows, den: int) -> Matrix:
+    """The Matrix rows / den over ring, in canonical form: one Fraction (or
+    one residue mod p) per nonzero entry, and the ring's zero elsewhere."""
+    if ring.kind == "poly":
+        return Matrix(ring, rows)
+    z = rg.zero(ring)
+    if ring.kind == "GF":
+        p = ring.p
+        return Matrix(ring, [[RingElem(ring, r) if (r := v % p) else z for v in row]
+                             for row in rows])
+    if den == 1:  # Fraction(v) skips the gcd
+        return Matrix(ring, [[RingElem(ring, Fraction(v)) if v else z for v in row]
+                             for row in rows])
+    return Matrix(ring, [[RingElem(ring, Fraction(v, den)) if v else z for v in row]
+                         for row in rows])
+
+
+def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
+    """nest() on (rows, den) pairs made by _to_ints; returns another one.
+
+    Over Q the numerators are contracted as plain ints, never reduced, over
+    the product of the two denominators; over GF(p) the residues are
+    contracted as plain ints and each result entry is reduced once.  The
+    shape and the _MAX_ENTRIES budget are checked before anything is
+    allocated, so every caller gets both checks."""
+    (orows, oden), (irows, iden) = outer, inner
+    m, width = len(irows), len(irows[0])
+    if len(orows[0]) != m ** arity or not 1 <= slot <= arity:
+        raise ValueError(f"cannot nest into slot {slot} of arity {arity} in dimension {m}")
+    tail, ncols = m ** (arity - slot), len(orows[0]) // m * width
+    if len(orows) * ncols > _MAX_ENTRIES:
+        raise ValueError(f"a {len(orows)}x{ncols} matrix exceeds {_MAX_ENTRIES} entries")
+    # column j of outer holds (pre, k, post) around the slot index k; inner's
+    # column y replaces k, landing y * tail columns after the block's base
+    parts = [[(y * tail, c) for y, c in enumerate(row) if c] for row in irows]
+    zero = rg.zero(ring) if ring.kind == "poly" else 0
+    out = []
+    for row in orows:
+        acc = [zero] * ncols
+        for j, a in enumerate(row):
+            if a:
+                pre, k = divmod(j, m * tail)
+                k, post = divmod(k, tail)
+                base = pre * width * tail + post
+                for off, c in parts[k]:
+                    acc[base + off] += a * c
+        out.append(acc)
+    if ring.kind == "GF":
+        out = [[v % ring.p for v in acc] for acc in out]
+    return out, oden * iden
 
 
 def nest(outer: Matrix, arity: int, slot: int, inner: Matrix) -> Matrix:
@@ -194,21 +274,9 @@ def nest(outer: Matrix, arity: int, slot: int, inner: Matrix) -> Matrix:
 
     outer is m x m^arity, inner m x m^b (b = 1: a linear map on that slot); the
     m x m^(arity + b - 1) result has inner's indices in the slot's place."""
-    m, width = inner.nrows, inner.ncols
-    if outer.ncols != m ** arity or not 1 <= slot <= arity:
-        raise ValueError(f"cannot nest into slot {slot} of arity {arity} in dimension {m}")
-    tail, ncols = m ** (arity - slot), outer.ncols // m * width
-    if outer.nrows * ncols > _MAX_ENTRIES:
-        raise ValueError(f"a {outer.nrows}x{ncols} matrix exceeds {_MAX_ENTRIES} entries")
-    parts = [[(y, c) for y, c in enumerate(row) if c] for row in inner.rows]
-    out = [[rg.zero(outer.ring)] * ncols for _ in outer.rows]
-    for acc, row in zip(out, outer.rows):
-        for j, a in enumerate(row):
-            if a:
-                pre, k, post = j // (m * tail), j // tail % m, j % tail
-                for y, c in parts[k]:
-                    acc[(pre * width + y) * tail + post] += a * c
-    return Matrix(outer.ring, out)
+    outer._same_ring(inner)
+    ring = outer.ring
+    return _from_ints(ring, *_nest_ints(ring, _to_ints(outer), arity, slot, _to_ints(inner)))
 
 
 def column_index(dim: int, indices) -> int:
@@ -382,10 +450,11 @@ def transform(A: Msc, g: BasisChange) -> Msc:
         raise ValueError(f"basis change of dim {g.dim} cannot act on dim {A.dim}")
     if g.mat.ring != A.ring:
         raise ValueError("basis change and algebra must share one field")
-    mat = g.mat * A.mat
+    ring, inv = A.ring, _to_ints(g.inv_mat)
+    raw = _to_ints(g.mat * A.mat)
     for slot in range(1, A.arity + 1):
-        mat = nest(mat, A.arity, slot, g.inv_mat)
-    return Msc(A.dim, A.arity, mat)
+        raw = _nest_ints(ring, raw, A.arity, slot, inv)
+    return Msc(A.dim, A.arity, _from_ints(ring, *raw))
 
 
 # ---------------------------------------------------------------------------

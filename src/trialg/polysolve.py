@@ -28,8 +28,6 @@ import math
 from fractions import Fraction
 from itertools import product as iter_product
 
-import numpy as np
-
 from . import ring as rg
 from .ring import (
     Ring,
@@ -187,8 +185,9 @@ def _vec_pow(col, e, p):
     return out
 
 
-def _eval_mod_p(terms, cols, p):
-    """Values mod p of one compiled polynomial on every row of ``cols``."""
+def _eval_mod_p(np, terms, cols, p):
+    """Values mod p of one compiled polynomial on every row of ``cols``
+    (``np`` is numpy, imported by _enumerate)."""
     acc = np.zeros(cols.shape[1], dtype=np.int64)
     for c, factors in terms:
         t = np.full(cols.shape[1], c, dtype=np.int64)
@@ -211,6 +210,10 @@ def _enumerate(compiled, p, nvars, cap):
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {p} is too large for 64-bit residue products")
+    # imported here, once per enumeration, so that commands which never
+    # enumerate do not pay numpy's import time
+    import numpy as np
+
     buckets = [[] for _ in range(nvars)]
     for terms in compiled:
         buckets[max(i for _, factors in terms for i, _ in factors)].append(terms)
@@ -233,7 +236,7 @@ def _enumerate(compiled, p, nvars, cap):
                     np.tile(values, block.shape[1]),
                 ])
                 for terms in buckets[level]:
-                    cols = cols[:, _eval_mod_p(terms, cols, p) == 0]
+                    cols = cols[:, _eval_mod_p(np, terms, cols, p) == 0]
                     if not cols.shape[1]:
                         break
                 if cols.shape[1]:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from trialg import msc
 from trialg import ring as rg
 from trialg.cli import main
 from trialg.msc import Msc, msc_to_doc
@@ -246,6 +247,22 @@ def test_oversized_products_exit_2(capsys, tmp_path):
         assert "exceeds 262144 entries" in err
 
 
+def test_generate_dimension_1_huge_arity_exits_2(capsys, tmp_path, monkeypatch):
+    # a 1 x 1 result never exceeds the entry budget, so only the arity bound
+    # stops this; refusing the kernel shows that no product is built first
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(msc, "_nest_ints", refuse)
+    path = tmp_path / "dim1.json"
+    path.write_text(json.dumps({"dim": 1, "arity": 2, "ring": {"kind": "Q"},
+                                "entries": [["2"]]}))
+    code, out, err = run_cli(capsys, "generate", "--input", str(path),
+                             "--arity", "100000000")
+    assert code == 2 and out == ""
+    assert "exceeds 262144 entries" in err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("express", "--name", "Cstar", "--primes", "4294967311", "--no-groebner"),
@@ -282,3 +299,20 @@ def test_console_entry_point_smoke():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"] == [["0", "0", "0", "0"],
                                                   ["1", "0", "0", "0"]]
+
+
+def test_numpy_is_imported_only_to_enumerate():
+    # building the parser (what every command pays) leaves numpy out; the
+    # first sweep imports it
+    code = (
+        "import sys\n"
+        "from trialg import cli\n"
+        "cli.build_parser()\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
+        "status = cli.main(['express', '--name', 'Cdagger'])\n"
+        "assert 'numpy' in sys.modules\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "witness"

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from trialg import generate
+from trialg import msc
 from trialg import ring as rg
 from trialg.catalog import FAMILIES, catalog_get
 from trialg.generate import (
@@ -51,10 +51,25 @@ def test_generate_refuses_an_oversized_arity_before_any_product(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product was built")
 
-    monkeypatch.setattr(generate, "nest", refuse)
+    monkeypatch.setattr(msc, "_nest_ints", refuse)
     for n in (18, 40, 10 ** 12):
         with pytest.raises(ValueError, match="exceeds 262144 entries"):
             generate_nary(dense, n)
+
+
+def test_generate_dimension_1_obeys_the_same_arity_bound(monkeypatch):
+    c = Fraction(-3, 2)
+    M = Msc(1, 2, Matrix(Q, [[rg.from_fraction(Q, c)]]))
+    # C_n(e1, ..., e1) = c^(n-1) e1; 18 is the largest arity below the bound
+    assert generate_nary(M, 18).mat == Matrix(Q, [[rg.from_fraction(Q, c ** 17)]])
+
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(msc, "_nest_ints", refuse)
+    for n in (19, 10 ** 8):
+        with pytest.raises(ValueError, match="exceeds 262144 entries"):
+            generate_nary(M, n)
 
 
 def test_generate_arity_two_is_identity(gf5, rng):

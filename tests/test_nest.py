@@ -7,6 +7,8 @@ written out here with the public kron and compared entry by entry with
 the nest-based results over GF(5), Q and a small polynomial ring.
 """
 
+import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
@@ -232,3 +234,199 @@ def test_total_associativity_is_invariant_under_transform(field, dim, data):
     A = data.draw(st.one_of(st.sampled_from(examples), algebras(field, dim, 3)))
     g = data.draw(basis_changes(field, dim))
     assert is_totally_associative(transform(A, g)) == is_totally_associative(A)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel: Q operands are scaled to integers by the lcm of their
+# denominators, GF(p) residues are reduced once per result entry
+# ---------------------------------------------------------------------------
+
+# denominators are pairwise-coprime prime powers up to 97, so a matrix's
+# common denominator is huge; numerators go far beyond the +-2 of scalars()
+COPRIME_DENOMINATORS = (1, 64, 81, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                        47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+BIG_GF = rg.prime_field(3037000493)  # the largest modulus the enumerator accepts
+WIDE_FIELDS = (Q, BIG_GF)
+
+
+@st.composite
+def wide_scalars(draw, ring, denominators=COPRIME_DENOMINATORS):
+    if draw(st.booleans()):
+        return rg.zero(ring)
+    if ring.kind == "GF":
+        top = (1, ring.p - 2, ring.p - 1)
+        return rg.RingElem(ring, draw(st.one_of(st.sampled_from(top),
+                                                st.integers(0, ring.p - 1))))
+    return rg.RingElem(ring, Fraction(draw(st.integers(-10 ** 6, 10 ** 6)),
+                                      draw(st.sampled_from(denominators))))
+
+
+@st.composite
+def wide_matrices(draw, ring, nrows, ncols):
+    """Over Q, sometimes all-integer (common denominator 1)."""
+    denominators = draw(st.sampled_from((COPRIME_DENOMINATORS, (1,))))
+    flat = draw(st.lists(wide_scalars(ring, denominators),
+                         min_size=nrows * ncols, max_size=nrows * ncols))
+    return Matrix(ring, [flat[r * ncols:(r + 1) * ncols] for r in range(nrows)])
+
+
+def wide_algebras(ring, dim, arity):
+    return wide_matrices(ring, dim, dim ** arity).map(lambda mat: Msc(dim, arity, mat))
+
+
+def assert_canonical(mat: Matrix):
+    """Every entry reads back from its own string, and has the payload type
+    of its ring (a Fraction over Q, a residue in [0, p) over GF(p)), zeros
+    included."""
+    zero = rg.zero(mat.ring)
+    for row in mat.rows:
+        for x in row:
+            assert rg.parse_scalar(str(x), mat.ring) == x
+            assert type(x.v) is type(zero.v)
+            if mat.ring.kind == "GF":
+                assert 0 <= x.v < mat.ring.p
+
+
+def assert_nest_is_its_definition(outer: Msc, slot: int, inner: Matrix):
+    dim, arity, ring = outer.dim, outer.arity, outer.ring
+    b = {dim ** k: k for k in range(1, 4)}[inner.ncols]
+    out = nest(outer.mat, arity, slot, inner)
+    assert (out.nrows, out.ncols) == (dim, dim ** (arity + b - 1))
+    basis = [basis_vector(ring, dim, i) for i in range(1, dim + 1)]
+    for col, tup in enumerate(iter_product(range(dim), repeat=arity + b - 1)):
+        ys = tup[slot - 1:slot - 1 + b]
+        inner_value = tuple(inner.rows[l][msc.column_index(dim, [y + 1 for y in ys])]
+                            for l in range(dim))
+        args = ([basis[i] for i in tup[:slot - 1]] + [inner_value]
+                + [basis[i] for i in tup[slot - 1 + b:]])
+        assert tuple(row[col] for row in out.rows) == eval_product(outer, args)
+    assert_canonical(out)
+    return out
+
+
+@pytest.mark.parametrize("ring", WIDE_FIELDS, ids=str)
+@settings(SETTINGS, max_examples=12)
+@given(data=st.data())
+def test_nest_matches_its_definition_on_wide_scalars(ring, data):
+    dim = data.draw(st.sampled_from(DIMS))
+    arity = data.draw(st.sampled_from((2, 3)))
+    slot = data.draw(st.integers(1, arity))
+    b = data.draw(st.sampled_from((1, 2, 3) if dim < 3 else (1, 2)))
+    outer = Msc(dim, arity, data.draw(wide_matrices(ring, dim, dim ** arity)))
+    assert_nest_is_its_definition(outer, slot, data.draw(wide_matrices(ring, dim, dim ** b)))
+
+
+@pytest.mark.parametrize("ring", WIDE_FIELDS, ids=str)
+@settings(SETTINGS, max_examples=12)
+@given(data=st.data())
+def test_nest_cancels_to_exact_zero(ring, data):
+    # row 1 of outer holds a and c at the columns whose slot index is e1 and
+    # e2 (same other indices, nothing at e3), and inner's row 2 is -a/c times
+    # its row 1, so that block of the result's row 1 cancels exactly
+    dim = data.draw(st.sampled_from((2, 3)))
+    arity = data.draw(st.sampled_from((2, 3)))
+    slot = data.draw(st.integers(1, arity))
+    b = data.draw(st.sampled_from((1, 2)))
+    tail = dim ** (arity - slot)
+    pre = data.draw(st.integers(0, dim ** (slot - 1) - 1))
+    post = data.draw(st.integers(0, tail - 1))
+    a, c = (data.draw(wide_scalars(ring).filter(bool)) for _ in range(2))
+    outer = [list(row) for row in data.draw(wide_matrices(ring, dim, dim ** arity)).rows]
+    inner = [list(row) for row in data.draw(wide_matrices(ring, dim, dim ** b)).rows]
+    for k, value in enumerate([a, c] + [rg.zero(ring)] * (dim - 2)):
+        outer[0][(pre * dim + k) * tail + post] = value
+    inner[1] = [-(a * c.inv()) * x for x in inner[0]]
+    out = assert_nest_is_its_definition(Msc(dim, arity, Matrix(ring, outer)), slot,
+                                        Matrix(ring, inner))
+    width = dim ** b
+    for y in range(width):
+        assert out.rows[0][(pre * width + y) * tail + post] == rg.zero(ring)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("ring", WIDE_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_callers_match_kronecker_forms_on_wide_scalars(ring, dim, data):
+    M = data.draw(wide_algebras(ring, dim, 2))
+    A = data.draw(wide_algebras(ring, dim, 3))
+    g = data.draw(wide_matrices(ring, dim, dim))
+    try:
+        g = BasisChange(g)
+    except ValueError:
+        assume(False)
+    i = identity(M)
+    results = [
+        (generate_nary(M, 4).mat, generate_by_kron(M, 4)),
+        (binary_assoc_residual(M), M.mat * kron(M.mat, i) - M.mat * kron(i, M.mat)),
+        (transform(A, g).mat, transform_by_kron(A, g)),
+    ]
+    results += list(zip(total_assoc_residuals(A), residuals_by_kron(A)))
+    for got, expected in results:
+        assert got == expected
+        assert_canonical(got)
+
+
+@pytest.mark.parametrize("ring", WIDE_FIELDS, ids=str)
+@SETTINGS
+@given(data=st.data())
+def test_residuals_cancel_exactly_after_a_wide_basis_change(ring, data):
+    examples = [A if ring == Q else A.reduce_mod(ring.p)
+                for A in TOTALLY_ASSOCIATIVE if A.ring == Q]
+    A = data.draw(st.sampled_from(examples))
+    g = data.draw(wide_matrices(ring, A.dim, A.dim))
+    try:
+        g = BasisChange(g)
+    except ValueError:
+        assume(False)
+    for residual in total_assoc_residuals(transform(A, g)):
+        assert residual.is_zero()
+        assert_canonical(residual)
+    M = transform(truncated_polynomial_algebra(ring, A.dim), g)
+    assert binary_assoc_residual(M).is_zero()
+    assert_canonical(binary_assoc_residual(M))
+
+
+def sparse_algebra(dim, arity, seed):
+    rnd = random.Random(seed)
+    return Msc(dim, arity, Matrix(Q, [
+        [rg.from_int(Q, rnd.choice((-2, -1, 1, 3))) if rnd.random() < 0.1 else rg.zero(Q)
+         for _ in range(dim ** arity)] for _ in range(dim)]))
+
+
+def peak_bytes(fn):
+    """Peak traced allocation while fn runs, and the ValueError it raised."""
+    tracemalloc.start()
+    try:
+        fn()
+        error = None
+    except ValueError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak, error
+
+
+# (caller, its operand, the call, the operand conversions it makes, result
+# shape): every result row is far larger than the conversions' row copies
+BUDGET_CASES = {
+    "nest": (sparse_algebra(5, 3, 1), lambda A: nest(A.mat, 3, 2, A.mat), 2, (5, 5 ** 5)),
+    "generate_nary": (sparse_algebra(5, 2, 2), lambda M: generate_nary(M, 5), 1, (5, 5 ** 5)),
+    "total_assoc_residuals": (sparse_algebra(5, 3, 3), total_assoc_residuals, 1, (5, 5 ** 5)),
+    "binary_assoc_residual": (sparse_algebra(12, 2, 4), binary_assoc_residual, 1,
+                              (12, 12 ** 3)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(BUDGET_CASES))
+def test_budget_holds_on_every_path_into_the_kernel(caller, monkeypatch):
+    A, call, conversions, (nrows, ncols) = BUDGET_CASES[caller]
+    monkeypatch.setattr(msc, "_MAX_ENTRIES", nrows * ncols)
+    call(A)
+    monkeypatch.setattr(msc, "_MAX_ENTRIES", nrows * ncols - 1)
+    baseline, _ = peak_bytes(lambda: [msc._to_ints(A.mat) for _ in range(conversions)])
+    peak, error = peak_bytes(lambda: call(A))
+    assert error is not None and f"exceeds {nrows * ncols - 1} entries" in str(error)
+    # refused before allocating even one result row (8 bytes per slot)
+    assert peak < baseline + 8 * ncols // 2, (peak, baseline)
