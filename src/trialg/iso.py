@@ -9,27 +9,37 @@ characteristic zero.
 The search writes the equivalent identity B . g^(tensor n) = g . A, together
 with t . det(g) = 1 for invertibility, as one polynomial system in the
 entries of g and t, and hands it to the pruned finite-field enumerator of
-polysolve.py.  Candidates g therefore come out in row-major lexicographic
-order of their entries over 0..p-1, so results are reproducible bit for
-bit; every witness is re-verified through the exact transform path before
-it is returned.
+polysolve.py.  The system is expanded straight from the integer residues
+of A and B: each entry of B . g^(tensor n) is a sum of products of entries
+of g, collected by monomial in plain ints, and det(g) is the permutation
+expansion.  An algebra whose expansion would form more than msc's
+_MAX_ENTRIES products is refused before anything is built, and the
+enumerator refuses a search past its work budget (polysolve's
+_MAX_TOTAL_ROWS), so no input runs without end.  Candidates g come out in
+row-major lexicographic order of their entries over 0..p-1, so results
+are reproducible bit for bit; every witness is re-verified through the
+exact transform path before it is returned.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
+from collections import Counter
+from itertools import permutations
+from itertools import product as iter_product
 
+from . import msc
 from . import ring as rg
-from .msc import BasisChange, Matrix, Msc, nest, transform
-from .polysolve import PolySystem, _compile_mod_p, _enumerate
+from .msc import BasisChange, Matrix, Msc, _to_ints, transform
+from .polysolve import _enumerate
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
            "DEFAULT_EVIDENCE_PRIMES"]
 
 # avoids the excluded characteristics 2 and 3; keeps 2x2 searches instant
 DEFAULT_EVIDENCE_PRIMES = (5, 7, 11)
-
-_SEARCH_SPACE_WARN = 10_000_000
 
 
 class IsoWitness:
@@ -55,34 +65,75 @@ def iso_verify(A: Msc, B: Msc, g: BasisChange) -> bool:
     return transform(A, g) == B
 
 
-def _det(rows):
-    """Determinant by cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = rg.zero(rows[0][0].ring)
-    for j, a in enumerate(rows[0]):
-        term = a * _det([row[:j] + row[j + 1:] for row in rows[1:]])
-        total = total - term if j % 2 else total + term
-    return total
+def _residues(A: Msc, p: int):
+    """A's structure constants as residues mod p.
 
-
-def _iso_system(Ap: Msc, Bp: Msc) -> PolySystem:
-    """B . g^(tensor n) - g . A = 0 and t . det(g) - 1 = 0 over Q[g, t].
-
-    The entries of the GF(p) algebras enter as their residues 0..p-1; the
-    variables are g's entries in row-major order, then t.
+    Over Q: the integer numerators of msc._to_ints times one inverse of
+    their common denominator.  Input that reduce_mod rejects (p dividing a
+    denominator, another field, a polynomial ring) fails as it does there.
     """
-    m = Ap.dim
-    names = [f"g{r}_{c}" for r in range(1, m + 1) for c in range(1, m + 1)]
-    ring = rg.polynomial_ring(names + ["t"])
-    g = Matrix(ring, [
-        [rg.variable(ring, names[r * m + c]) for c in range(m)] for r in range(m)
-    ])
-    a, b = (X.mat.map_entries(lambda x: rg.from_int(ring, x.v), ring) for X in (Ap, Bp))
-    for slot in range(1, Ap.arity + 1):
-        b = nest(b, Ap.arity, slot, g)
-    unit = rg.variable(ring, "t") * _det(g.rows) - rg.one(ring)
-    return PolySystem(ring, [x for row in (b - g * a).rows for x in row] + [unit])
+    if A.ring.kind == "Q":
+        rows, den = _to_ints(A.mat)
+        if den % p:
+            inv = pow(den, -1, p)
+            return [[v * inv % p for v in row] for row in rows]
+    A = A.reduce_mod(p)  # raises unless A already lives over GF(p)
+    return [[x.v for x in row] for row in A.mat.rows]
+
+
+@functools.lru_cache(maxsize=4)
+def _expansion(m: int, n: int):
+    """Per column I of B . g^(tensor n), the monomial g[j1, i1] ... g[jn, in]
+    that each column J of B contributes, as (variable, exponent) pairs.  It
+    depends on the shape alone, so one table serves every search of it."""
+    cols = list(iter_product(range(m), repeat=n))
+    return tuple(
+        tuple(tuple(sorted(Counter(j * m + i for j, i in zip(J, I)).items())) for J in cols)
+        for I in cols
+    )
+
+
+def _iso_polys(a, b, m: int, n: int):
+    """B . g^(tensor n) - g . A and t . det(g) - 1 for the integer rows a, b.
+
+    Each polynomial is a dict from a monomial, its (variable, exponent)
+    pairs in variable order, to an integer coefficient; variable r * m + c
+    is g's entry (r, c) and m * m is t.  Entry (k, I) of B . g^(tensor n) is
+    the sum over B's columns J of B[k, J] . g[j1, i1] ... g[jn, in].  The
+    polynomials come in row-major order of (k, I), then the determinant
+    equation; zero coefficients and polynomials that cancel are left out.
+    """
+    polys = []
+    for k, brow in enumerate(b):
+        terms = [(J, c) for J, c in enumerate(brow) if c]
+        linear = [((k * m + l, 1),) for l in range(m)]
+        for I, monomials in enumerate(_expansion(m, n)):
+            poly = {}
+            for J, c in terms:
+                mono = monomials[J]
+                poly[mono] = poly.get(mono, 0) + c
+            for mono, arow in zip(linear, a):
+                if arow[I]:
+                    poly[mono] = poly.get(mono, 0) - arow[I]
+            poly = {mono: c for mono, c in poly.items() if c}
+            if poly:
+                polys.append(poly)
+    unit = {(): -1}
+    for perm in permutations(range(m)):
+        inversions = sum(x > y for s, x in enumerate(perm) for y in perm[s + 1:])
+        mono = tuple((r * m + c, 1) for r, c in enumerate(perm)) + ((m * m, 1),)
+        unit[mono] = -1 if inversions % 2 else 1
+    polys.append(unit)
+    return polys
+
+
+def _iso_system_mod_p(A: Msc, B: Msc, p: int):
+    """The search's system as the (coeff, factors) terms _enumerate takes.
+
+    Never obstructed: no polynomial of it is a nonzero constant."""
+    polys = _iso_polys(_residues(A, p), _residues(B, p), A.dim, A.arity)
+    compiled = ([(c % p, mono) for mono, c in poly.items() if c % p] for poly in polys)
+    return [terms for terms in compiled if terms]
 
 
 def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
@@ -104,21 +155,21 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
             RuntimeWarning,
             stacklevel=2,
         )
+    m, n = A.dim, A.arity
+    # dense expansion: m^(n+1) entries, each a sum over m^n columns, and
+    # det(g)'s m! terms
+    size = m ** (2 * n + 1) + math.factorial(m)
+    if size > msc._MAX_ENTRIES:
+        raise ValueError(
+            f"the isomorphism system of a dimension-{m} arity-{n} algebra expands "
+            f"{size} products, more than {msc._MAX_ENTRIES}"
+        )
+    hits = _enumerate(_iso_system_mod_p(A, B, p), p, m * m + 1, None if find_all else 1)
+    if not hits:
+        return []
     Ap = A.reduce_mod(p)
     Bp = B.reduce_mod(p)
-    m = A.dim
-    space = p ** (m * m)
-    if space > _SEARCH_SPACE_WARN:
-        warnings.warn(
-            f"enumerating {space} candidate matrices in GL({m}, GF({p})); "
-            "this may take a long time",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    # never obstructed: no polynomial of the system is a nonzero constant
-    compiled, _ = _compile_mod_p(_iso_system(Ap, Bp), p)
-    hits = _enumerate(compiled, p, m * m + 1, None if find_all else 1)
-    gf = rg.prime_field(p)
+    gf = Ap.ring
     witnesses = []
     for values in hits:
         g = BasisChange(Matrix(gf, [

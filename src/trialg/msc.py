@@ -10,7 +10,8 @@ A basis change g in GL(m) acts by A |-> g . A . (g^-1 tensor ... tensor g^-1).
 
 Composite products are built by one contraction, nest, which puts a product
 or a linear map into one argument slot of another: n-ary generation, the
-associativity residuals, transform and the isomorphism system all use it.
+associativity residuals and transform all use its kernel, _nest_ints.  (The
+isomorphism search expands its polynomial system in iso.py instead.)
 Over Q and GF(p) it runs on plain ints (_nest_ints): a rational matrix is
 scaled to integer numerators by the lcm of its denominators, and each result
 entry becomes one Fraction, or is reduced mod p once.  Chains of nests stay

@@ -59,6 +59,8 @@ DEFAULT_CAPS = {"max_pairs": 20000, "max_degree": 12}
 MAX_FF_VARS = 9
 # rows built by one expansion step of the finite-field enumerator
 _MAX_ROWS = 1 << 16
+# rows built by one whole enumeration: past this it is refused, not finished
+_MAX_TOTAL_ROWS = 1 << 27
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -207,6 +209,8 @@ def _enumerate(compiled, p, nvars, cap):
     builds at most ``_MAX_ROWS`` rows, splitting both the prefixes taken and
     the values tried for the next variable, so memory stays bounded for
     every accepted p.  Stops after ``cap`` assignments (None: no cap).
+    Raises ValueError once the rows built in all exceed ``_MAX_TOTAL_ROWS``,
+    so time stays bounded too.
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {p} is too large for 64-bit residue products")
@@ -218,8 +222,10 @@ def _enumerate(compiled, p, nvars, cap):
     for terms in compiled:
         buckets[max(i for _, factors in terms for i, _ in factors)].append(terms)
     hits = []
+    built = 0
 
     def descend(prefixes):
+        nonlocal built
         # prefixes: one row per variable assigned so far, one column per prefix
         level = prefixes.shape[0]
         if level == nvars:
@@ -231,6 +237,11 @@ def _enumerate(compiled, p, nvars, cap):
             block = prefixes[:, lo:lo + take]
             for v0 in range(0, p, width):
                 values = np.arange(v0, min(v0 + width, p), dtype=np.int64)
+                built += len(values) * block.shape[1]
+                if built > _MAX_TOTAL_ROWS:
+                    raise ValueError(
+                        f"enumeration mod {p} passed {_MAX_TOTAL_ROWS} rows unfinished"
+                    )
                 cols = np.vstack([
                     np.repeat(block, len(values), axis=1),
                     np.tile(values, block.shape[1]),

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from trialg import msc
+from trialg import iso, msc, polysolve
 from trialg import ring as rg
 from trialg.cli import main
 from trialg.msc import Msc, msc_to_doc
@@ -263,7 +263,6 @@ def test_generate_dimension_1_huge_arity_exits_2(capsys, tmp_path, monkeypatch):
     assert "exceeds 262144 entries" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ("express", "--name", "Cstar", "--primes", "4294967311", "--no-groebner"),
     ("iso", "--a", "Cstar", "--b", "Cdagger", "--prime", "4294967311"),
@@ -272,6 +271,37 @@ def test_too_large_modulus_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "too large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("express", "--name", "Cstar", "--primes", "3037000493", "--no-groebner"),
+    ("iso", "--a", "Cstar", "--b", "Cdagger", "--prime", "3037000493"),
+])
+def test_enumeration_past_its_work_budget_exits_2(capsys, monkeypatch, argv):
+    # both used to run without end; at the default budget they are refused
+    # after some seconds, a smaller one takes the same path at once
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 1 << 20)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"passed {1 << 20} rows unfinished" in err
+
+
+def test_iso_on_a_dimension_10_ternary_algebra_exits_2_before_building(
+        capsys, tmp_path, monkeypatch):
+    # only 10 x 10^3 entries, but 10^7 products to expand
+    def refuse(*args):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(iso, "_residues", refuse)
+    monkeypatch.setattr(iso, "_iso_polys", refuse)
+    doc = msc_to_doc(Msc.zero(rg.QQ, 10, 3))
+    doc["entries"][0][0] = "1"
+    path = tmp_path / "dim10.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "iso", "--a", str(path), "--b", str(path),
+                             "--prime", "5")
+    assert code == 2 and out == ""
+    assert "more than 262144" in err
 
 
 def test_unknown_input_name_exits_2(capsys):

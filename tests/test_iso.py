@@ -1,14 +1,19 @@
+import random
+import warnings
 from fractions import Fraction
+from itertools import permutations
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
-from trialg import polysolve
+from trialg import iso, msc, polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get
 from trialg.identities import is_totally_associative
 from trialg.iso import iso_report, iso_search, iso_verify
-from trialg.msc import BasisChange, Matrix, Msc, transform
+from trialg.msc import BasisChange, Matrix, Msc, nest, transform
+from trialg.polysolve import PolySystem, _compile_mod_p
 
 from conftest import rand_basis_change, rand_msc
 
@@ -134,7 +139,6 @@ def test_small_characteristic_warns(gf5):
         iso_search(A, A, 3, find_all=False)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bad_prime_rejected(gf5, rng):
     A = rand_msc(gf5, 2, 2, rng)
     with pytest.raises(ValueError):
@@ -207,3 +211,185 @@ def test_iso_report_document(gf5, rng):
     assert doc["witness_count"] == len(doc["witnesses"]) > 0
     empty = iso_report(a4(1, 1), a4(1, -1), 5)
     assert empty == {"prime": 5, "witness_count": 0, "witnesses": [], "exhaustive": True}
+
+
+# ---------------------------------------------------------------------------
+# the integer builder of the search's system against the Q[g, t] construction
+# ---------------------------------------------------------------------------
+
+def _cofactor_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rg.zero(rows[0][0].ring)
+    for j, a in enumerate(rows[0]):
+        term = a * _cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def oracle_iso_system(A, B, p):
+    """B . g^(x n) - g . A = 0 and t . det(g) - 1 = 0 built over Q[g, t] (g
+    nested into each slot of B, a cofactor determinant) and compiled mod p."""
+    Ap, Bp = A.reduce_mod(p), B.reduce_mod(p)
+    m = A.dim
+    names = [f"g{r}_{c}" for r in range(1, m + 1) for c in range(1, m + 1)]
+    ring = rg.polynomial_ring(names + ["t"])
+    g = Matrix(ring, [
+        [rg.variable(ring, names[r * m + c]) for c in range(m)] for r in range(m)
+    ])
+    a, b = (X.mat.map_entries(lambda x: rg.from_int(ring, x.v), ring) for X in (Ap, Bp))
+    for slot in range(1, A.arity + 1):
+        b = nest(b, A.arity, slot, g)
+    unit = rg.variable(ring, "t") * _cofactor_det(g.rows) - rg.one(ring)
+    system = PolySystem(ring, [x for row in (b - g * a).rows for x in row] + [unit])
+    compiled, obstructed = _compile_mod_p(system, p)
+    assert not obstructed
+    return compiled
+
+
+def canonical(compiled):
+    return [sorted(terms) for terms in compiled]
+
+
+def _coprime_fraction(rng):
+    # denominators prime to every modulus the oracle tests use
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 11, 13)))
+
+
+def _alternating_msc(ring, dim, arity, rng):
+    """mu(e_sigma(J)) = sign(sigma) mu(e_J), zero on repeated indices: every
+    polynomial of the self system at a column with a repeated index cancels."""
+    rows = [[rg.zero(ring)] * dim ** arity for _ in range(dim)]
+    for J in iter_product(range(dim), repeat=arity):
+        if list(J) != sorted(set(J)):
+            continue
+        for k in range(dim):
+            c = rg.from_fraction(ring, rng.randint(1, 9))
+            for perm in permutations(range(arity)):
+                inversions = sum(x > y for s, x in enumerate(perm) for y in perm[s + 1:])
+                col = msc.column_index(dim, [J[s] + 1 for s in perm])
+                rows[k][col] = -c if inversions % 2 else c
+    return Msc(dim, arity, Matrix(ring, rows))
+
+
+def builder_pairs(dim, arity, p, rng):
+    gf = rg.prime_field(p)
+    A = rand_msc(gf, dim, arity, rng)
+    sparse = Msc(dim, arity, Matrix(gf, [
+        [x if rng.random() < 0.2 else rg.zero(gf) for x in row] for row in A.mat.rows
+    ]))
+    rational, other = (Msc(dim, arity, Matrix(Q, [
+        [rg.from_fraction(Q, _coprime_fraction(rng)) for _ in row] for row in A.mat.rows
+    ])) for _ in range(2))
+    zero = Msc.zero(gf, dim, arity)
+    alternating = _alternating_msc(gf, dim, arity, rng)
+    return {
+        "random": (A, rand_msc(gf, dim, arity, rng)),
+        "isomorphic": (A, transform(A, rand_basis_change(gf, dim, rng))),
+        "sparse": (sparse, sparse),
+        "rational": (rational, other),
+        "rational-self": (rational, rational),
+        "zero": (zero, zero),
+        "zero-vs-random": (zero, A),
+        "alternating": (alternating, alternating),
+    }
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 3037000493])
+@pytest.mark.parametrize("arity", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_builder_matches_the_polynomial_ring_oracle(dim, arity, p):
+    rng = random.Random(f"{dim}:{arity}:{p}")
+    for kind, (A, B) in builder_pairs(dim, arity, p, rng).items():
+        got = iso._iso_system_mod_p(A, B, p)
+        assert canonical(got) == canonical(oracle_iso_system(A, B, p)), kind
+        assert all(0 < c < p for terms in got for c, _ in terms), kind
+        if kind == "zero":
+            assert len(got) == 1  # only t . det(g) - 1 is left
+
+
+def test_builder_leaves_out_polynomials_that_cancel():
+    # over the integers the alternating self system does not cancel; mod p it
+    # does, at every column with a repeated index
+    p = 7
+    A = _alternating_msc(rg.prime_field(p), 2, 2, random.Random(3))
+    polys = iso._iso_polys(iso._residues(A, p), iso._residues(A, p), 2, 2)
+    compiled = iso._iso_system_mod_p(A, A, p)
+    assert len(compiled) < len(polys) == 2 * 4 + 1
+    assert canonical(compiled) == canonical(oracle_iso_system(A, A, p))
+
+
+def test_builder_reduces_rationals_once_and_keeps_the_zero_division():
+    a9 = catalog_get("A9")
+    assert canonical(iso._iso_system_mod_p(a9, a9, 5)) == canonical(
+        oracle_iso_system(a9, a9, 5))
+    with pytest.raises(ZeroDivisionError, match="mod 3"):
+        iso._iso_system_mod_p(a9, a9, 3)
+    with pytest.raises(ValueError):
+        iso._iso_system_mod_p(Msc.zero(rg.prime_field(7), 2, 2), a9, 5)
+
+
+def test_gf_algebras_are_built_only_for_a_hit(monkeypatch):
+    def refuse(self, p):
+        raise AssertionError("reduce_mod called without a hit to re-check")
+
+    monkeypatch.setattr(Msc, "reduce_mod", refuse)
+    assert iso_search(catalog_get("Cstar"), catalog_get("B11"), 5) == []
+
+
+def test_a_large_search_space_does_not_warn():
+    zero = Msc.zero(rg.prime_field(7), 3, 2)  # 7^9 candidates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(iso_search(zero, zero, 7, find_all=False)) == 1
+
+
+def test_expansion_budget_boundary(monkeypatch):
+    A = Msc.zero(rg.prime_field(5), 2, 3)
+    size = 2 ** 7 + 2  # 2^(2n+1) products and 2! determinant terms
+    monkeypatch.setattr(msc, "_MAX_ENTRIES", size)
+    assert iso_search(A, A, 5, find_all=False)
+    monkeypatch.setattr(msc, "_MAX_ENTRIES", size - 1)
+    with pytest.raises(ValueError, match="more than"):
+        iso_search(A, A, 5, find_all=False)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a search for transform(A, g) finds g
+# ---------------------------------------------------------------------------
+
+@st.composite
+def basis_changes(draw, dim, p):
+    """An integer g = P . L . D . U, invertible mod p (D's entries are 1..p-1)."""
+    ints = st.integers(-3, 3)
+    lower = [[draw(ints) if c < r else int(c == r) for c in range(dim)] for r in range(dim)]
+    diag = [draw(st.integers(1, p - 1)) for _ in range(dim)]
+    upper = [[draw(ints) if c > r else int(c == r) for c in range(dim)] for r in range(dim)]
+    perm = draw(st.permutations(range(dim)))
+    lu = [[sum(lower[r][k] * diag[k] * upper[k][c] for k in range(dim)) for c in range(dim)]
+          for r in range(dim)]
+    return [lu[perm[r]] for r in range(dim)]
+
+
+# no shrinking: a dimension-3 search takes up to 0.4 s, so shrinking a
+# failure would take minutes
+@settings(derandomize=True, database=None, deadline=None, max_examples=16,
+          phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_search_finds_the_basis_change_that_made_the_target(data):
+    dim = data.draw(st.sampled_from((2, 3)), label="dim")
+    arity = data.draw(st.sampled_from((2, 3)), label="arity")
+    p = data.draw(st.sampled_from((3, 5, 7)), label="p")
+    fracs = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 4, 11)))
+    A = Msc(dim, arity, Matrix(Q, [
+        [rg.from_fraction(Q, data.draw(fracs)) for _ in range(dim ** arity)]
+        for _ in range(dim)
+    ]))
+    g_rows = data.draw(basis_changes(dim, p), label="g")
+    g = BasisChange(Matrix(Q, [[rg.from_fraction(Q, x) for x in row] for row in g_rows]))
+    B = transform(A, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # p = 3 is weak evidence
+        found = [w.g.mat.to_strings() for w in iso_search(A, B, p)]
+    assert [[str(x % p) for x in row] for row in g_rows] in found

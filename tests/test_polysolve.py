@@ -135,6 +135,26 @@ def test_sweep_is_exact_at_the_largest_modulus():
     assert out.witness["x"].v == root
 
 
+def test_enumeration_work_budget_is_exact(monkeypatch):
+    # with no polynomial every prefix survives: 5 + 25 + 125 rows for three
+    # variables mod 5
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 155)
+    assert len(polysolve._enumerate([], 5, 3, None)) == 125
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 154)
+    with pytest.raises(ValueError, match="passed 154 rows"):
+        polysolve._enumerate([], 5, 3, None)
+
+
+def test_enumeration_work_budget_counts_split_expansions(monkeypatch):
+    # split into expansions of at most 3 rows, the count is the same
+    monkeypatch.setattr(polysolve, "_MAX_ROWS", 3)
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 155)
+    assert len(polysolve._enumerate([], 5, 3, None)) == 125
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 154)
+    with pytest.raises(ValueError, match="passed 154 rows"):
+        polysolve._enumerate([], 5, 3, None)
+
+
 def test_sweep_constant_obstruction():
     out = solve_ff_exhaustive(sys_of(["x"], ["5*x + 1"]), 5)
     assert out.status == "no_solution_mod_p"
