@@ -5,8 +5,8 @@ two products agree on all quintuples,
 
     A(A(u, v, w), x, y) = A(u, A(v, w, x), y) = A(u, v, A(w, x, y)),
 
-each side being A nested into slot 1, 2 or 3 of A (msc.nest), an m x m^5
-matrix.  The binary analogue is M(M(u, v), w) - M(u, M(v, w)).  Over Q all
+each side being A nested into slot 1, 2 or 3 of A (the contraction kernel
+msc._nest_ints), an m x m^5 matrix.  The binary analogue is M(M(u, v), w) - M(u, M(v, w)).  Over Q all
 sides share the denominator den(A)^2, so the residuals subtract integer
 numerators and build each entry once.
 Residuals are returned in full (not just verdicts) so that parameter scans

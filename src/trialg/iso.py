@@ -13,9 +13,10 @@ polysolve.py.  The system is expanded straight from the integer residues
 of A and B: each entry of B . g^(tensor n) is a sum of products of entries
 of g, collected by monomial in plain ints, and det(g) is the permutation
 expansion.  An algebra whose expansion would form more than msc's
-_MAX_ENTRIES products is refused before anything is built, and the
-enumerator refuses a search past its work budget (polysolve's
-_MAX_TOTAL_ROWS), so no input runs without end.  Candidates g come out in
+_MAX_ENTRIES products, or whose arity reaches that budget's bit length
+(19), is refused before anything is built, and the enumerator refuses a
+search past its work budget (polysolve's _MAX_TOTAL_ROWS), so no input
+runs without end.  Candidates g come out in
 row-major lexicographic order of their entries over 0..p-1, so results
 are reproducible bit for bit; every witness is re-verified through the
 exact transform path before it is returned.
@@ -157,12 +158,20 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
         )
     m, n = A.dim, A.arity
     # dense expansion: m^(n+1) entries, each a sum over m^n columns, and
-    # det(g)'s m! terms
+    # det(g)'s m! terms.  An arity at least the budget's bit length is over
+    # it from m = 2 on, and is refused at m = 1 too, where each of the two
+    # products still has n factors; m^(2n+1) is formed only below that.
+    budget = msc._MAX_ENTRIES
+    if n >= budget.bit_length():
+        raise ValueError(
+            f"isomorphism search of a dimension-{m} algebra refuses arity {n}: "
+            f"arities below {budget.bit_length()} are allowed"
+        )
     size = m ** (2 * n + 1) + math.factorial(m)
-    if size > msc._MAX_ENTRIES:
+    if size > budget:
         raise ValueError(
             f"the isomorphism system of a dimension-{m} arity-{n} algebra expands "
-            f"{size} products, more than {msc._MAX_ENTRIES}"
+            f"{size} products, more than {budget}"
         )
     hits = _enumerate(_iso_system_mod_p(A, B, p), p, m * m + 1, None if find_all else 1)
     if not hits:

@@ -8,14 +8,15 @@ index most significant: the tuple (i1, ..., in) sits in column
 
 A basis change g in GL(m) acts by A |-> g . A . (g^-1 tensor ... tensor g^-1).
 
-Composite products are built by one contraction, nest, which puts a product
-or a linear map into one argument slot of another: n-ary generation, the
-associativity residuals and transform all use its kernel, _nest_ints.  (The
-isomorphism search expands its polynomial system in iso.py instead.)
-Over Q and GF(p) it runs on plain ints (_nest_ints): a rational matrix is
-scaled to integer numerators by the lcm of its denominators, and each result
-entry becomes one Fraction, or is reduced mod p once.  Chains of nests stay
-in ints between steps.  Polynomial rings contract in RingElem arithmetic.
+Composite products are built by one contraction kernel, _nest_ints, which
+puts a product or a linear map into one argument slot of another: n-ary
+generation, the associativity residuals and transform call it directly,
+and nest is the same kernel wrapped into a Matrix.  (The isomorphism
+search expands its polynomial system in iso.py instead.)  Over Q and GF(p)
+the kernel runs on plain ints: a rational matrix is scaled to integer
+numerators by the lcm of its denominators, and each result entry becomes
+one Fraction, or is reduced mod p once.  Chains of contractions stay in
+ints between steps.  Polynomial rings contract in RingElem arithmetic.
 A result of more than _MAX_ENTRIES entries is refused before it is built.
 """
 
@@ -487,10 +488,21 @@ def msc_from_doc(doc) -> Msc:
     if (
         not isinstance(entries, list)
         or len(entries) != dim
-        or any(not isinstance(row, list) or len(row) != dim ** arity for row in entries)
+        or any(not isinstance(row, list) for row in entries)
     ):
+        raise ValueError(f"msc: field 'entries' must be a list of {dim} rows")
+    # dim ** arity is formed only once it can be a row length: from dim 2 on
+    # it exceeds every row when arity reaches the longest row's bit length
+    longest = max(len(row) for row in entries)
+    if dim > 1 and arity >= longest.bit_length():
         raise ValueError(
-            f"msc: field 'entries' must be a {dim}x{dim ** arity} array of scalar strings"
+            f"msc: field 'arity' {arity} asks for rows of {dim}^{arity} entries; "
+            f"the longest row of 'entries' has {longest}"
+        )
+    width = dim ** arity
+    if any(len(row) != width for row in entries):
+        raise ValueError(
+            f"msc: field 'entries' must be a {dim}x{width} array of scalar strings"
         )
     try:
         mat = Matrix.from_strings(ring, entries)

@@ -5,9 +5,16 @@ Two engines back every verdict:
 * an exhaustive finite-field sweep: the p^k assignments of the k variables
   are enumerated depth first in lexicographic order (first variable most
   significant), and a partial assignment is dropped as soon as it fails a
-  polynomial whose variables are all assigned.  The same enumerator decides
-  isomorphism over GF(p) (see iso.py).  A separate straightforward
-  per-assignment evaluator exists purely as an independent cross-check.
+  polynomial whose variables are all assigned.  The polynomials tested at
+  one level share one monomial table: each expansion forms the values of
+  the level's distinct monomials once and evaluates the level as integer
+  products, coefficient matrix x monomial values, first for the level's
+  first polynomial alone and then for all the others on its survivors.
+  The products run in int64 with lazy reduction: an array is reduced mod p
+  only when the next product or sum could pass 2^63 - 1.  The same
+  enumerator decides isomorphism over GF(p) (see iso.py).  A separate
+  straightforward per-assignment evaluator exists purely as an
+  independent cross-check.
 
 * a bounded Buchberger engine over Q in graded reverse lexicographic
   order, with the normal selection strategy, coprime-lead and chain
@@ -23,6 +30,7 @@ evidence attached.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
@@ -178,25 +186,99 @@ def _compile_mod_p(system: PolySystem, p: int):
     return compiled, False
 
 
-def _vec_pow(col, e, p):
-    if e == 1:
-        return col
-    out = col
-    for _ in range(e - 1):
-        out = out * col % p
-    return out
+class EnumerationBudgetError(ValueError):
+    """An enumeration built more than _MAX_TOTAL_ROWS rows and was stopped."""
 
 
-def _eval_mod_p(np, terms, cols, p):
-    """Values mod p of one compiled polynomial on every row of ``cols``
-    (``np`` is numpy, imported by _enumerate)."""
-    acc = np.zeros(cols.shape[1], dtype=np.int64)
-    for c, factors in terms:
-        t = np.full(cols.shape[1], c, dtype=np.int64)
-        for i, e in factors:
-            t = t * _vec_pow(cols[i], e, p) % p
-        acc = (acc + t) % p
-    return acc
+_INT64_MAX = (1 << 63) - 1
+# monomial values one product forms at once (256 KB of int64): it bounds the
+# memory of a product, and larger arrays measured slower
+_MAX_VALUES = 1 << 15
+
+
+@functools.lru_cache(maxsize=256)
+def _gather(np, monos):
+    """Row k: per monomial of ``monos``, the index of its k-th variable
+    factor (a variable of exponent e counted e times) among the rows of the
+    evaluation array, or -1, its last row, which holds ones, past the
+    monomial's degree.  It depends on the monomials alone, so searches of
+    one shape share it."""
+    flats = [tuple(i for i, e in factors for _ in range(e)) for factors in monos]
+    degree = max(map(len, flats)) or 1
+    pad = (-1,) * degree
+    gather = np.array([flat + pad[len(flat):] for flat in flats], dtype=np.intp).T.copy()
+    gather.flags.writeable = False  # one cached array serves every caller
+    return gather
+
+
+def _level_table(np, polys, p):
+    """One level's polynomials as (gather, coeff) for _level_residues:
+    ``coeff`` holds their residues mod p, one row each, over the distinct
+    monomials of all of them; the coefficients of a monomial repeated in
+    one polynomial (the same factors tuple) are summed."""
+    monos = {}
+    for terms in polys:
+        for _, factors in terms:
+            monos.setdefault(factors, len(monos))
+    width = len(monos)
+    coeff = [0] * (len(polys) * width)
+    for r, terms in enumerate(polys):
+        for c, factors in terms:
+            j = r * width + monos[factors]
+            coeff[j] = (coeff[j] + c) % p
+    return _gather(np, tuple(monos)), np.array(coeff, dtype=np.int64).reshape(len(polys), width)
+
+
+def _level_residues(table, cols, p):
+    """The residues mod p of a _level_table's polynomials, one row each, at
+    every assignment of ``cols`` (one row per variable, then a row of ones;
+    one column per assignment).
+
+    Reduction is lazy: ``bound`` is a Python-int bound on every entry of
+    the array it belongs to, and an array is reduced mod p only when the
+    next product or sum could pass 2^63 - 1, so int64 never wraps.  The
+    monomial values start from entries of ``cols``, at most p - 1, and
+    each further factor multiplies the bound by p - 1.  A sum of ``step``
+    products coefficient x value, each at most (p - 1) * bound, is added to
+    an accumulator already reduced to at most p - 1.  For every prime that
+    _enumerate accepts, (p - 1)^2 < 2^63 and even p * (p - 1) < 2^63 (the
+    largest, 3037000493, leaves about 4 * 10^10 to spare), so with reduced
+    values step is at least 1.  At p = 5 or 7 a quartic monomial and a sum
+    of thousands of monomials need no reduction until the end; at
+    p = 3037000493 each product is reduced and the sum is taken one
+    monomial at a time.
+    """
+    gather, coeff = table
+    values = cols[gather[0]]
+    bound = p - 1
+    for k in gather[1:]:
+        if bound * (p - 1) > _INT64_MAX:
+            values %= p
+            bound = p - 1
+        values *= cols[k]
+        bound *= p - 1
+    if (bound + 1) * (p - 1) > _INT64_MAX:
+        values %= p
+        bound = p - 1
+    step = (_INT64_MAX - (p - 1)) // ((p - 1) * bound)
+    acc = coeff[:, :step] @ values[:step]
+    for lo in range(step, coeff.shape[1], step):
+        acc %= p
+        acc += coeff[:, lo:lo + step] @ values[lo:lo + step]
+    return acc % p
+
+
+def _vanishing(np, table, cols, p):
+    """Mask of the assignments (columns) of ``cols`` at which every
+    polynomial of the table is 0 mod p, formed _MAX_VALUES monomial values
+    at a time."""
+    span = max(1, _MAX_VALUES // table[1].shape[1])
+    if cols.shape[1] <= span:
+        return ~_level_residues(table, cols, p).any(axis=0)
+    return np.concatenate([
+        ~_level_residues(table, cols[:, lo:lo + span], p).any(axis=0)
+        for lo in range(0, cols.shape[1], span)
+    ])
 
 
 def _enumerate(compiled, p, nvars, cap):
@@ -209,8 +291,14 @@ def _enumerate(compiled, p, nvars, cap):
     builds at most ``_MAX_ROWS`` rows, splitting both the prefixes taken and
     the values tried for the next variable, so memory stays bounded for
     every accepted p.  Stops after ``cap`` assignments (None: no cap).
-    Raises ValueError once the rows built in all exceed ``_MAX_TOTAL_ROWS``,
-    so time stays bounded too.
+    Raises EnumerationBudgetError once the rows built in all exceed
+    ``_MAX_TOTAL_ROWS``, so time stays bounded too.
+
+    The polynomials tested at one level are compiled, when the level is
+    first reached, into monomial tables (_level_table), and an expansion
+    evaluates them in two integer products: the level's first polynomial
+    alone, which drops about (1 - 1/p) of the rows, then all the others at
+    once on its survivors.
     """
     if (p - 1) ** 2 >= 1 << 63:
         raise ValueError(f"modulus {p} is too large for 64-bit residue products")
@@ -221,6 +309,7 @@ def _enumerate(compiled, p, nvars, cap):
     buckets = [[] for _ in range(nvars)]
     for terms in compiled:
         buckets[max(i for _, factors in terms for i, _ in factors)].append(terms)
+    tables = [None] * nvars
     hits = []
     built = 0
 
@@ -231,6 +320,9 @@ def _enumerate(compiled, p, nvars, cap):
         if level == nvars:
             hits.extend(zip(*prefixes.tolist()))
             return
+        if tables[level] is None:
+            polys = buckets[level]
+            tables[level] = [_level_table(np, part, p) for part in (polys[:1], polys[1:]) if part]
         take = max(1, _MAX_ROWS // p)
         width = min(p, _MAX_ROWS)
         for lo in range(0, prefixes.shape[1], take):
@@ -239,19 +331,21 @@ def _enumerate(compiled, p, nvars, cap):
                 values = np.arange(v0, min(v0 + width, p), dtype=np.int64)
                 built += len(values) * block.shape[1]
                 if built > _MAX_TOTAL_ROWS:
-                    raise ValueError(
+                    raise EnumerationBudgetError(
                         f"enumeration mod {p} passed {_MAX_TOTAL_ROWS} rows unfinished"
                     )
-                cols = np.vstack([
-                    np.repeat(block, len(values), axis=1),
-                    np.tile(values, block.shape[1]),
-                ])
-                for terms in buckets[level]:
-                    cols = cols[:, _eval_mod_p(np, terms, cols, p) == 0]
+                # the level + 1 assigned variables, then a row of ones; filled
+                # in place, as np.repeat and np.tile would build copies first
+                cols = np.empty((level + 2, block.shape[1] * len(values)), dtype=np.int64)
+                cols[:level].reshape(level, block.shape[1], len(values))[...] = block[:, :, None]
+                cols[level].reshape(block.shape[1], len(values))[...] = values
+                cols[level + 1] = 1
+                for table in tables[level]:
+                    cols = cols[:, _vanishing(np, table, cols, p)]
                     if not cols.shape[1]:
                         break
                 if cols.shape[1]:
-                    descend(cols)
+                    descend(cols[:-1])
                 if cap is not None and len(hits) >= cap:
                     return
 
@@ -666,7 +760,9 @@ def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 409
     rational lift, denominators up to 64, verified exactly over Q; a CRT
     combination across the first two witness-bearing primes is tried when
     per-prime lifting fails), then the Groebner run when no exact witness
-    was found.  The outcome's evidence list carries every stage.
+    was found.  A sweep stopped by the enumeration's row budget leaves an
+    "inconclusive" entry for its prime.  The outcome's evidence list
+    carries every stage.
     """
     from .generate import symbolic_system
 
@@ -683,9 +779,16 @@ def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 409
         )
 
     for p in primes:
-        out = solve_ff_exhaustive(
-            system, p, all_witnesses=True, max_witnesses=max_witnesses,
-        )
+        try:
+            out = solve_ff_exhaustive(
+                system, p, all_witnesses=True, max_witnesses=max_witnesses,
+            )
+        except EnumerationBudgetError:
+            # a refused prime is no evidence either way
+            out = SolveOutcome("inconclusive", prime=p, effort={
+                "prime": p, "assignments": p ** len(names), "exhaustive": False,
+                "row_budget_hit": True,
+            })
         evidence.append(out)
         if out.status != "witness":
             continue

@@ -11,6 +11,7 @@ leading terms, the Groebner engine).
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -527,6 +528,23 @@ def _tokenize(text):
 # limit: each nesting level costs the recursive-descent parser a few frames.
 _MAX_NESTING = 100
 
+# Bound on the size of one power a^k: the bits of a rational result, or for
+# a polynomial its possible terms times the bits of each coefficient.  Python
+# would otherwise spend minutes and gigabytes on an entry like "2^9999999999".
+_MAX_POWER_SIZE = 1 << 16
+
+
+def _power_size(value: RingElem, k: int) -> int:
+    """Upper bound on the size of value ** k, in the units of _MAX_POWER_SIZE."""
+    if value.ring.kind == "GF" or k < 2:
+        return 0
+    coeffs = [value.v] if value.ring.kind == "Q" else list(value.v.values())
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
+               default=1)
+    # a product of k of the t terms: at most comb(k + t - 1, k) monomials
+    terms = 1 if value.ring.kind == "Q" else math.comb(k + len(coeffs) - 1, k)
+    return terms * k * max(bits, 1)
+
 
 class _Parser:
     def __init__(self, text: str, ring: Ring):
@@ -602,6 +620,8 @@ class _Parser:
                 ekind, exp = self.take()
                 if ekind != "int":
                     self.fail("exponent must be a nonnegative integer")
+                if _power_size(value, exp) > _MAX_POWER_SIZE:
+                    self.fail(f"power too large (exponent {exp})")
                 value = value ** exp
             else:
                 return value

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -273,17 +274,37 @@ def test_too_large_modulus_exits_2(capsys, argv):
     assert "too large" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("express", "--name", "Cstar", "--primes", "3037000493", "--no-groebner"),
-    ("iso", "--a", "Cstar", "--b", "Cdagger", "--prime", "3037000493"),
-])
-def test_enumeration_past_its_work_budget_exits_2(capsys, monkeypatch, argv):
-    # both used to run without end; at the default budget they are refused
-    # after some seconds, a smaller one takes the same path at once
+def test_iso_past_its_work_budget_exits_2(capsys, monkeypatch):
+    # used to run without end; at the default budget it is refused after
+    # some seconds, a smaller one takes the same path at once
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 1 << 20)
-    code, out, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, "iso", "--a", "Cstar", "--b", "Cdagger",
+                             "--prime", "3037000493")
     assert code == 2 and out == ""
     assert f"passed {1 << 20} rows unfinished" in err
+
+
+@pytest.mark.parametrize("groebner, code, status", [
+    ("--no-groebner", 3, "inconclusive"),
+    ("--groebner", 1, "certified_empty_over_closure"),
+])
+def test_express_past_its_work_budget_is_inconclusive(capsys, monkeypatch,
+                                                       groebner, code, status):
+    # a sweep refused by the row budget is no evidence either way: it leaves
+    # an inconclusive entry for its prime and the pipeline goes on
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 1 << 20)
+    p = 3037000493
+    got, out, err = run_cli(capsys, "express", "--name", "Cstar", "--primes", f"5,{p}",
+                            groebner)
+    assert (got, err) == (code, "")
+    doc = load(out)
+    assert doc["status"] == status
+    sweeps = doc["evidence"][:2]
+    assert sweeps[0]["status"] == "no_solution_mod_p"
+    assert sweeps[1]["status"] == "inconclusive" and sweeps[1]["prime"] == p
+    assert sweeps[1]["effort"] == {"prime": p, "assignments": p ** 8,
+                                   "exhaustive": False, "row_budget_hit": True}
+    assert len(doc["evidence"]) == (3 if groebner == "--groebner" else 2)
 
 
 def test_iso_on_a_dimension_10_ternary_algebra_exits_2_before_building(
@@ -302,6 +323,45 @@ def test_iso_on_a_dimension_10_ternary_algebra_exits_2_before_building(
                              "--prime", "5")
     assert code == 2 and out == ""
     assert "more than 262144" in err
+
+
+@pytest.mark.parametrize("doc", [
+    # 80 bytes: 3^10000000 was formed (10 s) and printed (a 4300-digit error)
+    {"dim": 3, "arity": 10000000, "ring": {"kind": "Q"}, "entries": [[], [], []]},
+    # 2^10000000000 would take a 1.25 GB integer
+    {"dim": 2, "arity": 10000000000, "ring": {"kind": "Q"}, "entries": [[], []]},
+    {"dim": 2, "arity": 10000000000, "ring": {"kind": "Q"}, "entries": [["0"] * 64] * 2},
+    # dimension 1 loads: the commands refuse the arity
+    {"dim": 1, "arity": 10000000, "ring": {"kind": "Q"}, "entries": [["1"]]},
+])
+@pytest.mark.parametrize("command", ["assoc", "iso", "express"])
+def test_huge_arity_document_exits_2_at_once(capsys, tmp_path, doc, command):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "assoc": ("assoc", "--input", str(path)),
+        "iso": ("iso", "--a", str(path), "--b", str(path), "--prime", "5"),
+        "express": ("express", "--input", str(path)),
+    }[command]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert time.perf_counter() - start < 1
+    assert "arity" in err and "digits" not in err
+
+
+def test_documents_that_fit_their_arity_still_load():
+    for dim, arity in ((1, 2), (1, 18), (2, 2), (2, 3), (2, 5), (3, 3), (4, 2)):
+        doc = msc_to_doc(Msc.zero(rg.QQ, dim, arity))
+        assert msc.msc_from_doc(doc) == Msc.zero(rg.QQ, dim, arity)
+    for doc, field in (
+        ({"dim": 2, "arity": 3, "ring": {"kind": "Q"}, "entries": [["0"] * 4] * 2}, "arity"),
+        ({"dim": 2, "arity": 3, "ring": {"kind": "Q"}, "entries": [["0"] * 9] * 2}, "entries"),
+        ({"dim": 2, "arity": 3, "ring": {"kind": "Q"}, "entries": [["0"] * 8]}, "entries"),
+        ({"dim": 1, "arity": 3, "ring": {"kind": "Q"}, "entries": [["0"] * 2]}, "entries"),
+    ):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            msc.msc_from_doc(doc)
 
 
 def test_unknown_input_name_exits_2(capsys):

@@ -355,6 +355,18 @@ def test_expansion_budget_boundary(monkeypatch):
         iso_search(A, A, 5, find_all=False)
 
 
+def test_arity_bound_holds_in_dimension_1():
+    # a 1-dimensional system is two products whatever the arity, but each
+    # has n factors; arity 10^7 ran without end
+    for n in (18, 19, 10 ** 7):
+        A = Msc.from_strings(Q, 1, n, [["2"]])
+        if n < 19:
+            assert [w.g.mat.to_strings() for w in iso_search(A, A, 5)] == [[["1"]]]
+        else:
+            with pytest.raises(ValueError, match=f"refuses arity {n}"):
+                iso_search(A, A, 5)
+
+
 # ---------------------------------------------------------------------------
 # metamorphic: a search for transform(A, g) finds g
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
@@ -73,33 +76,47 @@ def test_sweep_no_solution_is_exhaustive():
     assert out.effort["assignments"] == 5
 
 
+def _random_system(rng, names, p):
+    """Polynomials drawing their terms from one small pool of monomials, so
+    they share monomials and crowd into the last variable's level; the pool
+    has exponents up to 4 and a constant, and coefficients in -2p..2p may
+    vanish or cancel mod p."""
+    ring = rg.polynomial_ring(names)
+    pool = [tuple(rng.randint(0, 4) if rng.random() < 0.5 else 0 for _ in names)
+            for _ in range(5)]
+    pool += [(0,) * len(names), (0,) * (len(names) - 1) + (1,)]
+    polys = []
+    for _ in range(rng.randint(1, 6)):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            mono = rng.choice(pool)
+            terms[mono] = terms.get(mono, F(0)) + rng.randint(-2 * p, 2 * p)
+        polys.append(rg.RingElem(ring, {m: c for m, c in terms.items() if c}))
+    return PolySystem(ring, polys)
+
+
 def _check_sweep_against_reference():
     rng = random.Random(4242)
-    names_pool = (["x", "y"], ["x", "y", "z"], ["w", "x", "y", "z"])
-    for trial in range(50):
-        names = names_pool[trial % 3]
-        ring = rg.polynomial_ring(names)
-        polys = []
-        for _ in range(rng.randint(1, 3)):
-            terms = {}
-            for _ in range(rng.randint(1, 4)):
-                mono = tuple(rng.randint(0, 2) for _ in names)
-                c = F(rng.randint(-4, 4))
-                if c:
-                    terms[mono] = terms.get(mono, F(0)) + c
-            polys.append(rg.RingElem(ring, {m: c for m, c in terms.items() if c}))
-        system = PolySystem(ring, polys)
-        expected = solve_ff_reference(system, 5)
-        got = solve_ff_exhaustive(system, 5, all_witnesses=True, max_witnesses=5 ** 4)
-        if not expected:
-            assert got.status == "no_solution_mod_p"
-        else:
+    for p, names_pool in ((5, (["x", "y"], ["x", "y", "z"], ["w", "x", "y", "z"])),
+                          (7, (["x", "y"], ["x", "y", "z"]))):
+        hit = 0
+        for trial in range(60):
+            names = names_pool[trial % len(names_pool)]
+            system = _random_system(rng, names, p)
+            expected = solve_ff_reference(system, p)
+            got = solve_ff_exhaustive(system, p, all_witnesses=True,
+                                      max_witnesses=p ** len(names))
+            if not expected:
+                assert got.status == "no_solution_mod_p"
+                continue
+            hit += 1
             assert got.status == "witness"
             as_tuples = [
                 tuple(w[n].v for n in names) for w in got.witnesses
             ]
             ref_tuples = [tuple(w[n].v for n in names) for w in expected]
             assert as_tuples == ref_tuples
+        assert 10 <= hit <= 50  # both outcomes are well represented
 
 
 def test_sweep_matches_reference_evaluator_on_random_systems():
@@ -112,6 +129,68 @@ def test_sweep_matches_reference_evaluator_with_split_expansions(monkeypatch, ro
     # two prefixes at a time, splitting the frontier instead
     monkeypatch.setattr(polysolve, "_MAX_ROWS", rows)
     _check_sweep_against_reference()
+
+
+def _python_residues(polys, rows, p):
+    return [
+        [sum(c * math.prod(row[i] ** e for i, e in factors) for c, factors in terms) % p
+         for row in rows]
+        for terms in polys
+    ]
+
+
+@pytest.mark.parametrize("rows", [None, 3, 12])
+def test_enumerator_sums_repeated_monomials(monkeypatch, rows):
+    # compiled terms as the enumerator takes them, with a monomial repeated
+    # inside one polynomial: the copies add up, cancel mod p, or leave a
+    # polynomial that is a nonzero constant
+    if rows:
+        monkeypatch.setattr(polysolve, "_MAX_ROWS", rows)
+    rng = random.Random(99)
+    for trial in range(40):
+        p, nvars = (5, 3) if trial % 2 else (7, 2)
+        polys = []
+        for _ in range(rng.randint(1, 5)):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                factors = tuple((i, rng.randint(1, 4)) for i in range(nvars) if rng.random() < 0.6)
+                c = rng.randint(1, p - 1)
+                terms.append((c, factors or ((nvars - 1, 1),)))
+                if rng.random() < 0.5:  # a repeat that cancels or adds up
+                    terms.append((p - c if rng.random() < 0.5 else c, terms[-1][1]))
+            if rng.random() < 0.2:
+                terms += [(2, ()), (p - 1, ()), (rng.randint(1, p - 1), ())]
+            polys.append(terms)
+        assignments = list(iter_product(range(p), repeat=nvars))
+        residues = _python_residues(polys, assignments, p)
+        expected = [a for k, a in enumerate(assignments) if not any(r[k] for r in residues)]
+        assert polysolve._enumerate(polys, p, nvars, None) == expected
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+@pytest.mark.parametrize("p", [7, 2097143, 2097169, 3037000493])
+def test_level_residues_match_python_integers(p, degree):
+    # below 2^21 a cubic monomial fits int64 but its product with a
+    # coefficient does not, and a quartic one does not; above 2^21 the cubic
+    # itself does not; at 3037000493, the largest accepted prime, every
+    # product is reduced and the sum is taken one monomial at a time
+    import numpy as np
+
+    rng = random.Random(p)
+    nvars = 4
+    polys = []
+    for _ in range(4):
+        terms = [(rng.choice([p - 1, rng.randrange(1, p)]),
+                  tuple(sorted(Counter(rng.randrange(nvars) for _ in range(degree)).items())))
+                 for _ in range(36)]
+        terms += [(p - 1, ()), (rng.randrange(1, p), ((rng.randrange(nvars), 1),))]
+        polys.append(terms)
+    rows = [[p - 1] * nvars, [0] * nvars] + [
+        [rng.choice([p - 1, p - 2, rng.randrange(p)]) for _ in range(nvars)] for _ in range(60)
+    ]
+    cols = np.array([list(col) for col in zip(*rows)] + [[1] * len(rows)], dtype=np.int64)
+    got = polysolve._level_residues(polysolve._level_table(np, polys, p), cols, p)
+    assert got.tolist() == _python_residues(polys, rows, p)
 
 
 def test_sweep_rejects_bad_inputs():

@@ -66,6 +66,22 @@ def test_parse_nesting_is_capped():
             rg.parse_scalar(text, Q)
 
 
+def test_parse_power_size_is_capped():
+    # each of these ran for minutes (2^9999999999 is a 1.25 GB integer)
+    poly = rg.polynomial_ring(list("abcdefgh"))
+    for text, ring in (("2^9999999999", Q), ("((2^100)^100)^100", Q),
+                       ("(a+b+c+d+e+f+g+h)^30", poly), ("a^100000", poly)):
+        with pytest.raises(ScalarParseError, match="power too large"):
+            rg.parse_scalar(text, ring)
+    # a bound of 2^16: bits of a rational power, terms x bits of a polynomial one
+    assert rg.parse_scalar("2^32768", Q).v == 2 ** 32768
+    with pytest.raises(ScalarParseError, match="power too large"):
+        rg.parse_scalar("2^32769", Q)
+    assert rg.parse_scalar("(a+b)^100", poly) == rg.parse_scalar("(a+b)^50", poly) ** 2
+    # residues stay small, so a prime field takes any exponent
+    assert rg.parse_scalar("3^99999999999", rg.prime_field(7)).v == pow(3, 99999999999, 7)
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF5", "poly"])
 def test_parse_serialize_roundtrip(ring):
     rng = random.Random(101)
