@@ -46,8 +46,10 @@ def _parse_params(text: str) -> dict:
     for item in text.split(","):
         if "=" not in item:
             raise ValueError(f"bad parameter {item!r}; expected name=value")
-        name, value = item.split("=", 1)
-        assignment[name.strip()] = rg.parse_scalar(value.strip(), rg.QQ)
+        name, value = (part.strip() for part in item.split("=", 1))
+        if name in assignment:
+            raise ValueError(f"parameter {name!r} given more than once")
+        assignment[name] = rg.parse_scalar(value, rg.QQ)
     return assignment
 
 
@@ -147,10 +149,11 @@ def _cmd_table1_verify(args) -> int:
 def _cmd_totassoc_scan(args) -> int:
     grid = _parse_grid(args.grid) if args.grid is not None else None
     points = cat.totassoc_scan(args.family, grid)
+    text = lambda q: str(rg.from_fraction(rg.QQ, q))  # RingElem names the digit limit
     _emit({
         "family": args.family,
-        "grid": [str(x) for x in (grid or cat.DEFAULT_SCAN_GRID)],
-        "points": [[str(x) for x in t] for t in points],
+        "grid": [text(x) for x in (grid or cat.DEFAULT_SCAN_GRID)],
+        "points": [[text(x) for x in t] for t in points],
     })
     return 0
 
@@ -246,6 +249,8 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
+        if [] in vars(args).values():  # argparse before Python 3.13 reads a value "--" as []
+            raise ValueError("'--' is not a value for any option")
         return args.fn(args)
     except (ValueError, OSError, ZeroDivisionError, json.JSONDecodeError) as exc:
         _diag(str(exc))

@@ -4,8 +4,9 @@ The n-ary product generated by a binary product mu is the right-nested
 composition f(x1, ..., xn) = mu(x1, mu(x2, ..., mu(x_{n-1}, xn)...)), so
 C_2 = M and C_k = M with C_{k-1} nested into its second slot (the
 contraction kernel msc._nest_ints); the C_k stay integer rows (over Q,
-numerators over den(M)^(k-1)) until the last step.  Every dimension, 1 included, obeys one arity bound: C_n must fit
-the contraction's entry budget, and n stays below that budget's bit length.
+numerators over den(M)^(k-1)) until the last step.  Every dimension, 1
+included, obeys one arity bound: C_n must fit the contraction's entry
+budget, and n stays below that budget's bit length.
 Given a target ternary algebra C, asking which binary M generate it yields
 a quadratic system in the m^3 unknown binary structure constants; for
 dimension 2 that is 16 equations in the 8 unknowns h{k}{r}{s}.

@@ -6,19 +6,21 @@ two products agree on all quintuples,
     A(A(u, v, w), x, y) = A(u, A(v, w, x), y) = A(u, v, A(w, x, y)),
 
 each side being A nested into slot 1, 2 or 3 of A (the contraction kernel
-msc._nest_ints), an m x m^5 matrix.  The binary analogue is M(M(u, v), w) - M(u, M(v, w)).  Over Q all
-sides share the denominator den(A)^2, so the residuals subtract integer
-numerators and build each entry once.
-Residuals are returned in full (not just verdicts) so that parameter scans
-can treat their entries as polynomials in the family parameters.
+msc._nest_ints), an m x m^5 matrix; the binary analogue compares M(M(u, v), w)
+with M(u, M(v, w)).  Over Q all sides share the denominator den(A)^2, so
+the residuals subtract integer numerators and build each entry once.
+Residuals are returned in full so that parameter scans can treat their
+entries as polynomials in the family parameters, and so that reports read
+the first violating tuple off them; the eval_product oracles are test
+references.
 """
 
 from __future__ import annotations
 
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 from . import msc
-from .msc import Matrix, Msc, basis_vector, eval_product
+from .msc import Matrix, Msc, basis_vector, column_tuple, eval_product
 
 __all__ = [
     "total_assoc_residuals",
@@ -31,20 +33,21 @@ __all__ = [
 ]
 
 
-def _sub_rows(x, y):
-    return [[a - b for a, b in zip(r, s)] for r, s in zip(x, y)]
+def _side_residuals(A: Msc):
+    """A nested into each slot, sides subtracted pairwise in slot order."""
+    ring, raw = A.ring, msc._to_ints(A.mat)
+    # every side has the denominator den(A)^2, so their numerators subtract
+    sides = [msc._nest_ints(ring, raw, A.arity, slot, raw) for slot in range(1, A.arity + 1)]
+    return tuple(
+        msc._from_ints(ring, [[a - b for a, b in zip(r, s)] for r, s in zip(x, y)], den)
+        for (x, den), (y, _) in combinations(sides, 2))
 
 
 def total_assoc_residuals(A: Msc):
     """The three total-associativity residual matrices, each m x m^5."""
     if A.arity != 3:
         raise ValueError(f"total associativity is defined for arity 3, got {A.arity}")
-    ring, raw = A.ring, msc._to_ints(A.mat)
-    # all three share the denominator den(A)^2, so their numerators subtract
-    (left, den), (mid, _), (right, _) = (
-        msc._nest_ints(ring, raw, 3, slot, raw) for slot in (1, 2, 3))
-    return tuple(msc._from_ints(ring, _sub_rows(x, y), den)
-                 for x, y in ((left, mid), (left, right), (mid, right)))
+    return _side_residuals(A)
 
 
 def is_totally_associative(A: Msc) -> bool:
@@ -76,9 +79,7 @@ def binary_assoc_residual(M: Msc) -> Matrix:
     """M(M(u, v), w) - M(u, M(v, w)); the zero matrix iff M is associative."""
     if M.arity != 2:
         raise ValueError(f"binary associativity is defined for arity 2, got {M.arity}")
-    ring, raw = M.ring, msc._to_ints(M.mat)
-    (left, den), (right, _) = (msc._nest_ints(ring, raw, 2, slot, raw) for slot in (1, 2))
-    return msc._from_ints(ring, _sub_rows(left, right), den)
+    return _side_residuals(M)[0]
 
 
 def binary_triple_oracle(M: Msc):
@@ -126,19 +127,17 @@ class AssocReport:
 
 
 def assoc_report(A: Msc) -> AssocReport:
-    """Run the appropriate associativity check for a binary or ternary algebra."""
-    if A.arity == 3:
-        residuals = total_assoc_residuals(A)
-        verdict = all(r.is_zero() for r in residuals)
-        tup = None
-        if not verdict and A.ring.kind != "poly":
-            _, tup = quintuple_oracle(A)
-        return AssocReport(A, residuals, verdict, tup)
-    if A.arity == 2:
-        residual = binary_assoc_residual(A)
-        verdict = residual.is_zero()
-        tup = None
-        if not verdict and A.ring.kind != "poly":
-            _, tup = binary_triple_oracle(A)
-        return AssocReport(A, (residual,), verdict, tup)
-    raise ValueError(f"associativity reports cover arity 2 and 3, got {A.arity}")
+    """Run the appropriate associativity check for a binary or ternary algebra.
+
+    Column j of a residual is the basis tuple column_tuple(m, 2n - 1, j); the
+    sides differ exactly where residual a or b is nonzero, as c = b - a."""
+    if A.arity not in (2, 3):
+        raise ValueError(f"associativity reports cover arity 2 and 3, got {A.arity}")
+    residuals = total_assoc_residuals(A) if A.arity == 3 else (binary_assoc_residual(A),)
+    verdict = all(r.is_zero() for r in residuals)
+    tup = None
+    if not verdict and A.ring.kind != "poly":
+        col = min(j for r in residuals[:2] for row in r.rows
+                  for j, x in enumerate(row) if not x.is_zero())
+        tup = column_tuple(A.dim, 2 * A.arity - 1, col)
+    return AssocReport(A, residuals, verdict, tup)

@@ -10,14 +10,15 @@ A basis change g in GL(m) acts by A |-> g . A . (g^-1 tensor ... tensor g^-1).
 
 Composite products are built by one contraction kernel, _nest_ints, which
 puts a product or a linear map into one argument slot of another: n-ary
-generation, the associativity residuals and transform call it directly,
-and nest is the same kernel wrapped into a Matrix.  (The isomorphism
-search expands its polynomial system in iso.py instead.)  Over Q and GF(p)
-the kernel runs on plain ints: a rational matrix is scaled to integer
-numerators by the lcm of its denominators, and each result entry becomes
-one Fraction, or is reduced mod p once.  Chains of contractions stay in
-ints between steps.  Polynomial rings contract in RingElem arithmetic.
-A result of more than _MAX_ENTRIES entries is refused before it is built.
+generation, the associativity residuals and transform (g . A with g as a
+unary outer map) call it; matrix products, kron and eval_product are test
+references.  (The isomorphism search expands its system in iso.py.)  Over
+Q and GF(p) the kernel runs on plain ints: a rational matrix is scaled to
+integer numerators by the lcm of its denominators, and each result entry
+becomes one Fraction, or is reduced mod p once.  Chains of contractions
+stay in ints between steps.  Polynomial rings contract in RingElem
+arithmetic.  A result of more than _MAX_ENTRIES entries is refused before
+it is built.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class Matrix:
             [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)
         ])
 
-    def __neg__(self):
-        return Matrix(self.ring, [[-a for a in row] for row in self.rows])
-
     def __mul__(self, other):
         """Matrix product, skipping zero entries of the left factor."""
         self._same_ring(other)
@@ -138,9 +136,6 @@ class Matrix:
                     if not b.is_zero():
                         acc[j] = acc[j] + a * b
         return Matrix(self.ring, out)
-
-    def scale(self, c: RingElem) -> "Matrix":
-        return Matrix(self.ring, [[c * a for a in row] for row in self.rows])
 
     def kron(self, other: "Matrix") -> "Matrix":
         self._same_ring(other)
@@ -237,7 +232,10 @@ def _from_ints(ring: Ring, rows, den: int) -> Matrix:
 
 
 def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
-    """nest() on (rows, den) pairs made by _to_ints; returns another one.
+    """outer(x1, ..., inner(y1, ..., yb), ..., x_arity) on (rows, den) pairs
+    made by _to_ints; returns another one.  outer is m x m^arity and inner
+    m x m^b (b = 1: a linear map on that slot); the m x m^(arity + b - 1)
+    result has inner's indices in the slot's place.
 
     Over Q the numerators are contracted as plain ints, never reduced, over
     the product of the two denominators; over GF(p) the residues are
@@ -269,16 +267,6 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     if ring.kind == "GF":
         out = [[v % ring.p for v in acc] for acc in out]
     return out, oden * iden
-
-
-def nest(outer: Matrix, arity: int, slot: int, inner: Matrix) -> Matrix:
-    """Structure matrix of outer(x1, ..., inner(y1, ..., yb), ..., x_arity).
-
-    outer is m x m^arity, inner m x m^b (b = 1: a linear map on that slot); the
-    m x m^(arity + b - 1) result has inner's indices in the slot's place."""
-    outer._same_ring(inner)
-    ring = outer.ring
-    return _from_ints(ring, *_nest_ints(ring, _to_ints(outer), arity, slot, _to_ints(inner)))
 
 
 def column_index(dim: int, indices) -> int:
@@ -453,7 +441,7 @@ def transform(A: Msc, g: BasisChange) -> Msc:
     if g.mat.ring != A.ring:
         raise ValueError("basis change and algebra must share one field")
     ring, inv = A.ring, _to_ints(g.inv_mat)
-    raw = _to_ints(g.mat * A.mat)
+    raw = _nest_ints(ring, _to_ints(g.mat), 1, 1, _to_ints(A.mat))
     for slot in range(1, A.arity + 1):
         raw = _nest_ints(ring, raw, A.arity, slot, inv)
     return Msc(A.dim, A.arity, _from_ints(ring, *raw))

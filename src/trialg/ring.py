@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -385,10 +386,11 @@ class RingElem:
         return hash((self.ring, v))
 
     def __str__(self):
-        r = self.ring
-        if r.kind == "poly":
-            return _poly_str(r, self.v)
-        return str(self.v)
+        try:
+            return _poly_str(self.ring, self.v) if self.ring.kind == "poly" else str(self.v)
+        except ValueError:  # an int with more digits than the interpreter converts
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"a scalar past {limit} digits is too long to print") from None
 
     def __repr__(self):
         return f"RingElem({self.ring!r}, {self})"
@@ -515,7 +517,11 @@ def _tokenize(text):
                 break
             raise ScalarParseError(f"unexpected character {tail[0]!r} in {text!r}")
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            try:
+                tokens.append(("int", int(m.group(1))))
+            except ValueError:  # more digits than the interpreter converts
+                raise ScalarParseError(f"integer literal of {len(m.group(1))} digits exceeds "
+                                       f"the limit of {sys.get_int_max_str_digits()}") from None
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
         else:

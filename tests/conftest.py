@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from trialg import msc
 from trialg import ring as rg
 from trialg.msc import BasisChange, Matrix, Msc
 
@@ -13,6 +14,12 @@ from trialg.msc import BasisChange, Matrix, Msc
 # out of the working tree.
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "trialg-hypothesis"))
+
+
+def nest(outer, arity, slot, inner):
+    """The contraction kernel msc._nest_ints on Matrix operands, as a Matrix."""
+    ints = msc._nest_ints(outer.ring, msc._to_ints(outer), arity, slot, msc._to_ints(inner))
+    return msc._from_ints(outer.ring, *ints)
 
 
 def rand_elem(ring, rng):

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from trialg import iso, msc, polysolve
+from trialg import identities, iso, msc, polysolve
 from trialg import ring as rg
 from trialg.cli import main
-from trialg.msc import Msc, msc_to_doc
+from trialg.msc import BasisChange, Msc, msc_to_doc, transform
 from trialg.catalog import catalog_get
 
 
@@ -406,3 +408,79 @@ def test_numpy_is_imported_only_to_enumerate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "witness"
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--name", "A4", "--params", "a1=1,a1=2,b2=3"],
+    ["assoc", "--name", "A4(a1=1, a1=2, b2=3)"],
+    ["iso", "--a", "A4", "--params-a", "a1=1,b2=3", "--b", "A4",
+     "--params-b", "a1=1,b2=3,a1 =2", "--prime", "5"],
+])
+def test_repeated_parameter_name_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "'a1' given more than once" in err
+
+
+NINES = "9" * 4000
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("entry, argv, message", [
+    # a literal past the limit, in an entry and in a scan grid
+    ("1" + "0" * 4999, ["assoc"], f"integer literal of 5000 digits exceeds the limit of {LIMIT}"),
+    ("1", ["totassoc-scan", "--family", "B4", "--grid=" + "1" * 5000],
+     f"integer literal of 5000 digits exceeds the limit of {LIMIT}"),
+    # results too long to print: a 16000-digit entry, an 8000-digit grid value
+    (f"{NINES}*{NINES}", ["generate", "--arity", "3"],
+     f"a scalar past {LIMIT} digits is too long to print"),
+    ("1", ["totassoc-scan", "--family", "B4", f"--grid={NINES}*{NINES}"],
+     f"a scalar past {LIMIT} digits is too long to print"),
+])
+def test_integers_past_the_digit_limit_exit_2_naming_it(capsys, tmp_path, entry, argv,
+                                                        message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 1, "arity": 2, "ring": {"kind": "Q"},
+                                "entries": [[entry]]}))
+    if argv[0] != "totassoc-scan":
+        argv = argv[:1] + ["--input", str(path)] + argv[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
+    # the golden commands, assoc binary and ternary over Q and GF(5) (clean,
+    # violating and symbolic), generate, totassoc-scan and iso --all with a
+    # witness; their bytes must not change when the references raise
+    argvs = [case["argv"] for case in
+             json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())]
+    algebras = {"b2": catalog_get("B2", {"a1": Fraction(1, 2), "b1": 0, "b2": Fraction(1, 2)}),
+                "b11": catalog_get("B11"), "a4": catalog_get("A4", {"a1": 1, "b2": 0}),
+                "a2": catalog_get("A2", {"a1": 0, "b1": 0, "b2": 0})}
+    for name, A in algebras.items():
+        for suffix, B in (("q", A), ("gf5", A.reduce_mod(5))):
+            path = tmp_path / f"{name}-{suffix}.json"
+            path.write_text(json.dumps(msc_to_doc(B)))
+            argvs.append(["assoc", "--input", str(path)])
+    argvs += [["assoc", "--name", "B4"], ["assoc", "--name", "A2"],
+              ["generate", "--name", "A4", "--params", "a1=1,b2=1", "--arity", "4"],
+              ["totassoc-scan", "--family", "B4", "--grid=0,1/2,1,-1/2"],
+              ["iso", "--a", "A2", "--params-a", "a1=1,b1=1,b2=1", "--b", "A2",
+               "--params-b", "a1=1,b1=-1,b2=1", "--prime", "7", "--all"],
+              ["iso", "--a", str(tmp_path / "b11-q.json"), "--b", str(tmp_path / "b11-g.json"),
+               "--prime", "7", "--all"]]
+    g = BasisChange.from_strings(rg.QQ, [["1", "1"], ["0", "2"]])
+    (tmp_path / "b11-g.json").write_text(json.dumps(msc_to_doc(transform(algebras["b11"], g))))
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+    assert {code for code, _, _ in expected} == {0, 1}
+    assert all(json.loads(out)["witness_count"] for _, out, _ in expected[-2:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command reached a reference path")
+
+    for owner, name in ((identities, "quintuple_oracle"), (identities, "binary_triple_oracle"),
+                        (msc, "eval_product"), (msc.Matrix, "__mul__"), (msc.Matrix, "kron")):
+        monkeypatch.setattr(owner, name, refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from trialg import ring as rg
 from trialg.catalog import TOTASSOC_ITEMS, catalog_get
@@ -13,7 +14,7 @@ from trialg.identities import (
     quintuple_oracle,
     total_assoc_residuals,
 )
-from trialg.msc import Msc, basis_vector, eval_product, transform
+from trialg.msc import Matrix, Msc, basis_vector, eval_product, transform
 
 from conftest import rand_basis_change, rand_msc
 
@@ -165,3 +166,57 @@ def test_assoc_report_symbolic_input():
 def test_assoc_report_arity_guard(gf5, rng):
     with pytest.raises(ValueError):
         assoc_report(rand_msc(gf5, 2, 4, rng))
+
+
+# ---------------------------------------------------------------------------
+# the report's violating tuple, read off the residuals, against the oracles
+# ---------------------------------------------------------------------------
+
+FIELDS = (Q, rg.prime_field(5), rg.prime_field(7))
+
+
+@st.composite
+def nonzero_scalars(draw, ring):
+    if ring.kind == "GF":
+        return rg.RingElem(ring, draw(st.integers(1, ring.p - 1)))
+    return rg.from_fraction(ring, F(draw(st.integers(-3, 3).filter(bool)),
+                                    draw(st.sampled_from((1, 2)))))
+
+
+@st.composite
+def sparse_algebras(draw, dim, arity):
+    """At most three nonzero entries a row, in any column, or only in the
+    columns whose first index is dim: then every product whose first
+    argument is another basis vector is 0, so no tuple before
+    (dim, 1, ..., 1) violates and the first violation comes late."""
+    ring = draw(st.sampled_from(FIELDS))
+    width = dim ** arity
+    first = draw(st.sampled_from((0, width - width // dim)))
+    rows = []
+    for _ in range(dim):
+        row = [rg.zero(ring)] * width
+        entries = st.dictionaries(st.integers(first, width - 1), nonzero_scalars(ring),
+                                  max_size=3)
+        for col, value in draw(entries).items():
+            row[col] = value
+        rows.append(row)
+    return Msc(dim, arity, Matrix(ring, rows))
+
+
+# (arity, dim, examples): the oracle expands every tuple up to the first
+# violation, 1.5-2.5 s for all 4^5 quintuples, so dimension 4 runs few
+ORACLE_CASES = [(3, 1, 10), (3, 2, 40), (3, 3, 15), (3, 4, 3)]
+ORACLE_CASES += [(2, dim, 20) for dim in range(1, 7)]
+
+
+@pytest.mark.parametrize("arity, dim, examples", ORACLE_CASES)
+def test_violating_tuple_is_the_oracles(arity, dim, examples):
+    oracle = quintuple_oracle if arity == 3 else binary_triple_oracle
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=examples,
+              phases=(Phase.explicit, Phase.generate))
+    @given(sparse_algebras(dim, arity))
+    def check(A):
+        assert assoc_report(A).violating_tuple == oracle(A)[1]
+
+    check()

@@ -12,10 +12,10 @@ from trialg import ring as rg
 from trialg.catalog import catalog_get
 from trialg.identities import is_totally_associative
 from trialg.iso import iso_report, iso_search, iso_verify
-from trialg.msc import BasisChange, Matrix, Msc, nest, transform
+from trialg.msc import BasisChange, Matrix, Msc, transform
 from trialg.polysolve import PolySystem, _compile_mod_p
 
-from conftest import rand_basis_change, rand_msc
+from conftest import nest, rand_basis_change, rand_msc
 
 Q = rg.QQ
 F = Fraction

@@ -1,10 +1,11 @@
-"""The nesting contraction msc.nest and its callers against Kronecker oracles.
+"""The nesting contraction msc._nest_ints and its callers against Kronecker oracles.
 
 Each composite product is also a matrix product with identity Kronecker
 factors: C_k = M . (I x C_{k-1}), the residuals A (A x I x I - I x A x I)
 etc., M (M x I) - M (I x M) and g . A . (g^-1)^(x n).  Those formulas are
 written out here with the public kron and compared entry by entry with
-the nest-based results over GF(5), Q and a small polynomial ring.
+the kernel's results over GF(5), Q and a small polynomial ring.  The
+kernel is reached through conftest.nest, which wraps it on Matrix operands.
 """
 
 import random
@@ -26,7 +27,9 @@ from trialg.identities import (
     is_totally_associative,
     total_assoc_residuals,
 )
-from trialg.msc import BasisChange, Matrix, Msc, basis_vector, eval_product, nest, transform
+from trialg.msc import BasisChange, Matrix, Msc, basis_vector, eval_product, transform
+
+from conftest import nest
 
 GF5 = rg.prime_field(5)
 Q = rg.QQ
