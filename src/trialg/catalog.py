@@ -13,7 +13,7 @@ replay whose findings match those sets exactly is considered clean.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 from . import ring as rg
 from .generate import expressibility_residual, generate_nary
@@ -507,35 +507,56 @@ def totassoc_scan(family: str, grid=None):
     The family's symbolic residuals are computed once and each nonzero entry
     is filed under the last parameter it uses (a constant under the first).
     The grid is walked depth first over the sorted axes, first parameter
-    most significant; an entry is tested by exact substitution as soon as
-    its last parameter is assigned, and a prefix that fails one is dropped
-    with every completion below it.  Points are returned in lexicographic
-    order over the sorted grid axes, once per repeated grid value, exactly
-    as a test of every grid point would list them.  A grid of more than
-    _MAX_SCAN_POINTS points is refused with ValueError before any test.
+    most significant; an entry is tested as soon as its last parameter is
+    assigned, and a prefix that fails one is dropped with every completion
+    below it.  Points are returned in lexicographic order over the sorted
+    grid axes, once per repeated grid value, exactly as a test of every grid
+    point would list them.  A grid of more than _MAX_SCAN_POINTS points is
+    refused with ValueError before any test.
+
+    The test is exact and in integers: axis i is written as numerators n
+    over its lcm denominator d_i, and each entry is scaled to integer
+    coefficients times d_i^D_i for every parameter, D_i the highest degree
+    of x_i among the entries.  A term c * x^e then evaluates to
+    c * prod(n_i^e_i * d_i^(D_i - e_i)), and an entry vanishes at a point
+    exactly when its integer sum is 0.
     """
     entry = _parametric_ternary(family)
     axes = _scan_axes(entry, grid)
     size = prod(len(axis) for axis in axes)
     if size > _MAX_SCAN_POINTS:
         raise ValueError(f"a grid of {size} points exceeds the scan budget of {_MAX_SCAN_POINTS}")
+    polys = [e.v for e in totassoc_constraints(family).polys]
+    top = [max((mono[i] for t in polys for mono in t), default=0) for i in range(len(axes))]
+    # level i pairs each value n / d_i of axis i with its powers n^e * d_i^(D_i - e)
+    levels = []
+    for axis, deg in zip(axes, top):
+        d = lcm(*(x.denominator for x in axis))
+        nums = [x.numerator * (d // x.denominator) for x in axis]
+        levels.append([(x, [n ** e * d ** (deg - e) for e in range(deg + 1)])
+                       for x, n in zip(axis, nums)])
     buckets = [[] for _ in axes]
-    for e in totassoc_constraints(family).polys:
-        last = max((i for mono in e.v for i, x in enumerate(mono) if x), default=0)
-        buckets[last].append(e.v)
-    point, hits = [None] * len(axes), []
+    for t in polys:
+        last = max((i for mono in t for i, e in enumerate(mono) if e), default=0)
+        scale = lcm(*(q.denominator for q in t.values()))
+        buckets[last].append([(q.numerator * (scale // q.denominator),
+                               tuple(enumerate(mono[:last + 1]))) for mono, q in t.items()])
+    return list(_walk(levels, buckets, [None] * len(axes), [None] * len(axes)))
 
-    def descend(k):
-        for x in axes[k]:
-            point[k] = x
-            if all(rg._poly_eval(t, point) == 0 for t in buckets[k]):
-                if k + 1 < len(axes):
-                    descend(k + 1)
-                else:
-                    hits.append(tuple(point))
 
-    descend(0)
-    return hits
+def _walk(levels, buckets, point, at, k=0):
+    """Yield, in walk order, the grid points that extend the prefix point[:k]
+    (whose powers are at[:k]) and make every entry of buckets[k:] vanish.
+    A module-level generator: a nested function that calls itself is a
+    reference cycle, which kept the scan's tables alive until a full
+    garbage collection."""
+    for point[k], at[k] in levels[k]:
+        if all(sum(c * prod(at[i][e] for i, e in factors) for c, factors in terms) == 0
+               for terms in buckets[k]):
+            if k + 1 < len(levels):
+                yield from _walk(levels, buckets, point, at, k + 1)
+            else:
+                yield tuple(point)
 
 
 # ---------------------------------------------------------------------------

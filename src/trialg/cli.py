@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import catalog as cat
 from . import ring as rg
@@ -31,8 +32,32 @@ from .polysolve import certify_expressibility
 _INLINE_RE = re.compile(r"([A-Za-z]\w*)(?:\((.*)\))?\Z")
 
 
+def _json(value, indent="\n") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True) for reports:
+    dicts with string keys, lists, tuples, strings, ints, bools and None
+    (anything else raises TypeError).  json.dumps with an indent runs the
+    pure-Python encoder, slower than this and with a larger chunk list."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        body = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(body) + indent + "}" if body else "{}"
+    if isinstance(value, (list, tuple)):
+        body = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(body) + indent + "]" if body else "[]"
+    raise TypeError(f"a report cannot hold {type(value).__name__}")
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json(doc) + "\n")
 
 
 def _diag(message: str) -> None:
@@ -78,13 +103,19 @@ def _load_algebra(source: str | None, params: str | None = None) -> Msc:
 
 
 def _parse_primes(text: str, allow_empty: bool = False):
-    primes = tuple(int(x) for x in text.split(",") if x.strip())
+    primes = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            primes.append(int(item))
+        except ValueError:  # not an integer, or more digits than the interpreter converts
+            raise ValueError(f"bad prime {rg._excerpt(item)}: expected an integer of at most "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     if not primes and not allow_empty:
         raise ValueError("empty prime list")
     for p in primes:
         if not rg.is_prime(p):
             raise ValueError(f"{p} is not prime")
-    return primes
+    return tuple(primes)
 
 
 def _parse_grid(text: str):
@@ -165,7 +196,7 @@ def _cmd_paper_replay(args) -> int:
         collision_primes=_parse_primes(args.collision_primes),
         caps=caps, groebner=args.groebner,
     )
-    text = json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
+    text = _json(report.to_doc()) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

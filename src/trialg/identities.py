@@ -7,8 +7,9 @@ two products agree on all quintuples,
 
 each side being A nested into slot 1, 2 or 3 of A (the contraction kernel
 msc._nest_ints), an m x m^5 matrix; the binary analogue compares M(M(u, v), w)
-with M(u, M(v, w)).  Over Q all sides share the denominator den(A)^2, so
-the residuals subtract integer numerators and build each entry once.
+with M(u, M(v, w)).  All sides share the denominator den(A)^2, so the
+residuals subtract integer numerators (over Q[vars], {monomial: int}
+dicts) and build each entry once.
 Residuals are returned in full so that parameter scans can treat their
 entries as polynomials in the family parameters, and so that reports read
 the first violating tuple off them; the eval_product oracles are test
@@ -17,6 +18,7 @@ references.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations, product as iter_product
 
 from . import msc
@@ -38,8 +40,12 @@ def _side_residuals(A: Msc):
     ring, raw = A.ring, msc._to_ints(A.mat)
     # every side has the denominator den(A)^2, so their numerators subtract
     sides = [msc._nest_ints(ring, raw, A.arity, slot, raw) for slot in range(1, A.arity + 1)]
+    if ring.kind == "poly":  # {monomial: int} numerators, subtracted term by term
+        minus = lambda a, b: {**a, **{mono: a.get(mono, 0) - c for mono, c in b.items()}}
+    else:
+        minus = operator.sub
     return tuple(
-        msc._from_ints(ring, [[a - b for a, b in zip(r, s)] for r, s in zip(x, y)], den)
+        msc._from_ints(ring, [list(map(minus, r, s)) for r, s in zip(x, y)], den)
         for (x, den), (y, _) in combinations(sides, 2))
 
 

@@ -12,18 +12,20 @@ Composite products are built by one contraction kernel, _nest_ints, which
 puts a product or a linear map into one argument slot of another: n-ary
 generation, the associativity residuals and transform (g . A with g as a
 unary outer map) call it; matrix products, kron and eval_product are test
-references.  (The isomorphism search expands its system in iso.py.)  Over
-Q and GF(p) the kernel runs on plain ints: a rational matrix is scaled to
-integer numerators by the lcm of its denominators, and each result entry
-becomes one Fraction, or is reduced mod p once.  Chains of contractions
-stay in ints between steps.  Polynomial rings contract in RingElem
-arithmetic.  A result of more than _MAX_ENTRIES entries is refused before
-it is built.
+references.  (The isomorphism search expands its system in iso.py.)  The
+kernel runs on plain ints for every ring: a rational matrix is scaled to
+integer numerators by the lcm of its denominators, a polynomial matrix to
+{monomial: int} numerator dicts by the lcm of every coefficient
+denominator, and GF(p) entries are their residues.  Each result entry
+becomes one Fraction (one per nonzero coefficient over Q[vars]), or is
+reduced mod p once.  Chains of contractions stay in ints between steps.  A
+result of more than _MAX_ENTRIES entries is refused before it is built.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import ring as rg
@@ -202,33 +204,36 @@ def _to_ints(mat: Matrix):
     """mat as the pair (rows, den) that _nest_ints works on: mat = rows / den.
 
     Over Q the rows hold integer numerators over the least common
-    denominator of the entries; over GF(p) they hold the residues, den 1.
-    Over Q[vars] they keep their RingElems, den 1: polynomial rings contract
-    in RingElem arithmetic."""
+    denominator of the entries; over Q[vars] each entry is a {monomial:
+    int} dict of numerators over the lcm of every coefficient denominator;
+    over GF(p) the rows hold the residues, den 1."""
     kind = mat.ring.kind
-    if kind == "poly":
-        return [list(row) for row in mat.rows], 1
     if kind == "GF":
         return [[x.v for x in row] for row in mat.rows], 1
-    den = math.lcm(*(x.v.denominator for row in mat.rows for x in row))
-    return [[x.v.numerator * (den // x.v.denominator) for x in row] for row in mat.rows], den
+    if kind == "Q":
+        den = math.lcm(*(x.v.denominator for row in mat.rows for x in row))
+        return [[x.v.numerator * (den // x.v.denominator) for x in row]
+                for row in mat.rows], den
+    den = math.lcm(*(q.denominator for row in mat.rows for x in row for q in x.v.values()))
+    return [[{mono: q.numerator * (den // q.denominator) for mono, q in x.v.items()}
+             for x in row] for row in mat.rows], den
 
 
 def _from_ints(ring: Ring, rows, den: int) -> Matrix:
     """The Matrix rows / den over ring, in canonical form: one Fraction (or
-    one residue mod p) per nonzero entry, and the ring's zero elsewhere."""
-    if ring.kind == "poly":
-        return Matrix(ring, rows)
+    one residue mod p) per nonzero entry or coefficient, no zero coefficient
+    kept, and the ring's zero elsewhere."""
     z = rg.zero(ring)
     if ring.kind == "GF":
         p = ring.p
         return Matrix(ring, [[RingElem(ring, r) if (r := v % p) else z for v in row]
                              for row in rows])
-    if den == 1:  # Fraction(v) skips the gcd
-        return Matrix(ring, [[RingElem(ring, Fraction(v)) if v else z for v in row]
+    frac = Fraction if den == 1 else lambda v: Fraction(v, den)  # Fraction(v) skips the gcd
+    if ring.kind == "Q":
+        return Matrix(ring, [[RingElem(ring, frac(v)) if v else z for v in row]
                              for row in rows])
-    return Matrix(ring, [[RingElem(ring, Fraction(v, den)) if v else z for v in row]
-                         for row in rows])
+    return Matrix(ring, [[RingElem(ring, t) if (t := {m: frac(v) for m, v in d.items() if v})
+                          else z for d in row] for row in rows])
 
 
 def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
@@ -237,11 +242,12 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     m x m^b (b = 1: a linear map on that slot); the m x m^(arity + b - 1)
     result has inner's indices in the slot's place.
 
-    Over Q the numerators are contracted as plain ints, never reduced, over
-    the product of the two denominators; over GF(p) the residues are
-    contracted as plain ints and each result entry is reduced once.  The
-    shape and the _MAX_ENTRIES budget are checked before anything is
-    allocated, so every caller gets both checks."""
+    The numerators are contracted as plain ints, never reduced, over the
+    product of the two denominators: over Q[vars] each product of two terms
+    is added straight into the result entry's dict (cancelled coefficients
+    stay as zeros until _from_ints), and over GF(p) each result entry is
+    reduced once.  The shape and the _MAX_ENTRIES budget are checked before
+    anything is allocated, so every caller gets both checks."""
     (orows, oden), (irows, iden) = outer, inner
     m, width = len(irows), len(irows[0])
     if len(orows[0]) != m ** arity or not 1 <= slot <= arity:
@@ -252,21 +258,33 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     # column j of outer holds (pre, k, post) around the slot index k; inner's
     # column y replaces k, landing y * tail columns after the block's base
     parts = [[(y * tail, c) for y, c in enumerate(row) if c] for row in irows]
-    zero = rg.zero(ring) if ring.kind == "poly" else 0
+    poly = ring.kind == "poly"
     out = []
     for row in orows:
-        acc = [zero] * ncols
+        acc = [{} for _ in range(ncols)] if poly else [0] * ncols
         for j, a in enumerate(row):
             if a:
                 pre, k = divmod(j, m * tail)
                 k, post = divmod(k, tail)
                 base = pre * width * tail + post
-                for off, c in parts[k]:
-                    acc[base + off] += a * c
+                if poly:
+                    for off, c in parts[k]:
+                        _add_product(acc[base + off], a, c)
+                else:
+                    for off, c in parts[k]:
+                        acc[base + off] += a * c
         out.append(acc)
     if ring.kind == "GF":
         out = [[v % ring.p for v in acc] for acc in out]
     return out, oden * iden
+
+
+def _add_product(acc: dict, a: dict, c: dict) -> None:
+    """acc += a * c on {monomial: int} dicts."""
+    for ma, ca in a.items():
+        for mc, cc in c.items():
+            mono = tuple(map(operator.add, ma, mc))
+            acc[mono] = acc.get(mono, 0) + ca * cc
 
 
 def column_index(dim: int, indices) -> int:

@@ -73,6 +73,14 @@ class ScalarParseError(ValueError):
     """Raised when a scalar string does not follow the scalar grammar."""
 
 
+def _excerpt(text: str, limit: int = 40) -> str:
+    """text quoted for a diagnostic: whole up to limit characters, else a
+    prefix and the length."""
+    if len(text) <= limit:
+        return repr(text)
+    return f"{text[:limit]!r}... ({len(text)} characters)"
+
+
 class Ring:
     """Descriptor of one of the three coefficient rings.
 
@@ -515,7 +523,7 @@ def _tokenize(text):
             tail = text[pos:].strip()
             if not tail:
                 break
-            raise ScalarParseError(f"unexpected character {tail[0]!r} in {text!r}")
+            raise ScalarParseError(f"unexpected character {tail[0]!r} in {_excerpt(text)}")
         if m.group(1) is not None:
             try:
                 tokens.append(("int", int(m.group(1))))
@@ -574,7 +582,7 @@ class _Parser:
         return tok
 
     def fail(self, why):
-        raise ScalarParseError(f"{why} in {self.text!r}")
+        raise ScalarParseError(f"{why} in {_excerpt(self.text)}")
 
     def parse(self) -> RingElem:
         if not self.tokens:

@@ -7,10 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trialg import identities, iso, msc, polysolve
 from trialg import ring as rg
-from trialg.cli import main
+from trialg.cli import _json, main
 from trialg.msc import BasisChange, Msc, msc_to_doc, transform
 from trialg.catalog import catalog_get
 
@@ -484,3 +485,25 @@ def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
                         (msc, "eval_product"), (msc.Matrix, "__mul__"), (msc.Matrix, "kron")):
         monkeypatch.setattr(owner, name, refuse)
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(JSON_VALUES)
+@example({"\u00e9\n\t\"\\\x00\ud800\U0001f600": [[], {}, (), True, False, None, -0, 10 ** 40]})
+@example([{"b": 1, "a": [2, {"c": None}]}, "", [[[]]]])
+def test_report_writer_gives_the_bytes_of_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "a"}, [{"a": {2}}], b"x"])
+def test_report_writer_refuses_what_no_report_holds(value):
+    with pytest.raises(TypeError):
+        _json(value)

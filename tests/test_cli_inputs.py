@@ -13,7 +13,9 @@ of a second.
 import contextlib
 import io
 import json
+import sys
 
+import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from trialg.cli import main
@@ -109,3 +111,33 @@ def test_scan_grid(text):
 @example("")
 def test_express_primes(text):
     run(["express", "--name", "Cstar", "--no-groebner", f"--primes={text}"])
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("text", ["5," + "7" * 5000, "7" * 5000], ids=["second", "only"])
+def test_a_prime_past_the_digit_limit_exits_2_naming_it(text):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["express", "--name", "Cstar", "--no-groebner", f"--primes={text}"])
+    assert code == 2
+    message = err.getvalue()
+    assert message.startswith("trialg: bad prime '7777") and "(5000 characters)" in message
+    assert f"at most {LIMIT} digits" in message and len(message) < 200
+
+
+@pytest.mark.parametrize("entry", ["9" * 4000 + "x", "9" * 4000 + "!", "(" + "9" * 4000],
+                         ids=["trailing-name", "bad-character", "unclosed"])
+def test_a_long_malformed_entry_gives_a_short_diagnostic(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 1, "arity": 2, "ring": {"kind": "Q"},
+                                "entries": [[entry]]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["assoc", "--input", str(path)])
+    assert code == 2 and out.getvalue() == ""
+    message = err.getvalue()
+    assert message.startswith("trialg: msc: bad entry: ") and message.count("\n") == 1
+    assert "9999'... " in message and f"({len(entry)} characters)" in message
+    assert len(message) < 200

@@ -250,6 +250,7 @@ COPRIME_DENOMINATORS = (1, 64, 81, 25, 49, 11, 13, 17, 19, 23, 29, 31, 37, 41, 4
                         47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 BIG_GF = rg.prime_field(3037000493)  # the largest modulus the enumerator accepts
 WIDE_FIELDS = (Q, BIG_GF)
+WIDE_RINGS = WIDE_FIELDS + (POLY,)
 
 
 @st.composite
@@ -260,8 +261,13 @@ def wide_scalars(draw, ring, denominators=COPRIME_DENOMINATORS):
         top = (1, ring.p - 2, ring.p - 1)
         return rg.RingElem(ring, draw(st.one_of(st.sampled_from(top),
                                                 st.integers(0, ring.p - 1))))
-    return rg.RingElem(ring, Fraction(draw(st.integers(-10 ** 6, 10 ** 6)),
-                                      draw(st.sampled_from(denominators))))
+    coefficients = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool),
+                             st.sampled_from(denominators))
+    if ring.kind == "poly":  # up to three terms of degree at most 2 in each variable
+        monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        return rg.RingElem(ring, draw(st.dictionaries(monomials, coefficients,
+                                                      min_size=1, max_size=3)))
+    return rg.RingElem(ring, draw(coefficients))
 
 
 @st.composite
@@ -279,8 +285,8 @@ def wide_algebras(ring, dim, arity):
 
 def assert_canonical(mat: Matrix):
     """Every entry reads back from its own string, and has the payload type
-    of its ring (a Fraction over Q, a residue in [0, p) over GF(p)), zeros
-    included."""
+    of its ring (a Fraction over Q, a residue in [0, p) over GF(p), a dict
+    of nonzero Fractions over Q[vars]), zeros included."""
     zero = rg.zero(mat.ring)
     for row in mat.rows:
         for x in row:
@@ -288,6 +294,8 @@ def assert_canonical(mat: Matrix):
             assert type(x.v) is type(zero.v)
             if mat.ring.kind == "GF":
                 assert 0 <= x.v < mat.ring.p
+            if mat.ring.kind == "poly":
+                assert all(type(c) is Fraction and c for c in x.v.values())
 
 
 def assert_nest_is_its_definition(outer: Msc, slot: int, inner: Matrix):
@@ -307,7 +315,7 @@ def assert_nest_is_its_definition(outer: Msc, slot: int, inner: Matrix):
     return out
 
 
-@pytest.mark.parametrize("ring", WIDE_FIELDS, ids=str)
+@pytest.mark.parametrize("ring", WIDE_RINGS, ids=str)
 @settings(SETTINGS, max_examples=12)
 @given(data=st.data())
 def test_nest_matches_its_definition_on_wide_scalars(ring, data):
@@ -319,13 +327,14 @@ def test_nest_matches_its_definition_on_wide_scalars(ring, data):
     assert_nest_is_its_definition(outer, slot, data.draw(wide_matrices(ring, dim, dim ** b)))
 
 
-@pytest.mark.parametrize("ring", WIDE_FIELDS, ids=str)
+@pytest.mark.parametrize("ring", WIDE_RINGS, ids=str)
 @settings(SETTINGS, max_examples=12)
 @given(data=st.data())
 def test_nest_cancels_to_exact_zero(ring, data):
     # row 1 of outer holds a and c at the columns whose slot index is e1 and
-    # e2 (same other indices, nothing at e3), and inner's row 2 is -a/c times
-    # its row 1, so that block of the result's row 1 cancels exactly
+    # e2 (same other indices, nothing at e3), and inner's rows 1 and 2 are
+    # c and -a times one row, so that block of the result's row 1 cancels
+    # exactly (over Q[a, b] term by term, leaving no zero coefficient)
     dim = data.draw(st.sampled_from((2, 3)))
     arity = data.draw(st.sampled_from((2, 3)))
     slot = data.draw(st.integers(1, arity))
@@ -338,7 +347,7 @@ def test_nest_cancels_to_exact_zero(ring, data):
     inner = [list(row) for row in data.draw(wide_matrices(ring, dim, dim ** b)).rows]
     for k, value in enumerate([a, c] + [rg.zero(ring)] * (dim - 2)):
         outer[0][(pre * dim + k) * tail + post] = value
-    inner[1] = [-(a * c.inv()) * x for x in inner[0]]
+    inner[0], inner[1] = [c * x for x in inner[0]], [-a * x for x in inner[0]]
     out = assert_nest_is_its_definition(Msc(dim, arity, Matrix(ring, outer)), slot,
                                         Matrix(ring, inner))
     width = dim ** b
@@ -370,6 +379,23 @@ def test_callers_match_kronecker_forms_on_wide_scalars(ring, dim, data):
         assert_canonical(got)
 
 
+@pytest.mark.parametrize("dim", DIMS)
+@SETTINGS
+@given(data=st.data())
+def test_callers_match_kronecker_forms_on_wide_polynomials(dim, data):
+    M = data.draw(wide_algebras(POLY, dim, 2))
+    A = data.draw(wide_algebras(POLY, dim, 3))
+    i = identity(M)
+    results = [
+        (generate_nary(M, 4).mat, generate_by_kron(M, 4)),
+        (binary_assoc_residual(M), M.mat * kron(M.mat, i) - M.mat * kron(i, M.mat)),
+    ]
+    results += list(zip(total_assoc_residuals(A), residuals_by_kron(A)))
+    for got, expected in results:
+        assert got == expected
+        assert_canonical(got)
+
+
 @pytest.mark.parametrize("ring", WIDE_FIELDS, ids=str)
 @SETTINGS
 @given(data=st.data())
@@ -390,11 +416,17 @@ def test_residuals_cancel_exactly_after_a_wide_basis_change(ring, data):
     assert_canonical(binary_assoc_residual(M))
 
 
-def sparse_algebra(dim, arity, seed):
+def sparse_algebra(dim, arity, seed, ring=Q):
+    """About one entry in ten nonzero: a small integer, times a or b over Q[a, b]."""
     rnd = random.Random(seed)
-    return Msc(dim, arity, Matrix(Q, [
-        [rg.from_int(Q, rnd.choice((-2, -1, 1, 3))) if rnd.random() < 0.1 else rg.zero(Q)
-         for _ in range(dim ** arity)] for _ in range(dim)]))
+
+    def entry():
+        x = rg.from_int(ring, rnd.choice((-2, -1, 1, 3)))
+        return x * rg.variable(ring, rnd.choice("ab")) if ring.kind == "poly" else x
+
+    return Msc(dim, arity, Matrix(ring, [
+        [entry() if rnd.random() < 0.1 else rg.zero(ring) for _ in range(dim ** arity)]
+        for _ in range(dim)]))
 
 
 def peak_bytes(fn):
@@ -417,6 +449,8 @@ BUDGET_CASES = {
     "nest": (sparse_algebra(5, 3, 1), lambda A: nest(A.mat, 3, 2, A.mat), 2, (5, 5 ** 5)),
     "generate_nary": (sparse_algebra(5, 2, 2), lambda M: generate_nary(M, 5), 1, (5, 5 ** 5)),
     "total_assoc_residuals": (sparse_algebra(5, 3, 3), total_assoc_residuals, 1, (5, 5 ** 5)),
+    "total_assoc_residuals over Q[a, b]": (sparse_algebra(5, 3, 5, POLY), total_assoc_residuals,
+                                           1, (5, 5 ** 5)),
     "binary_assoc_residual": (sparse_algebra(12, 2, 4), binary_assoc_residual, 1,
                               (12, 12 ** 3)),
 }

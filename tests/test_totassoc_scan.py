@@ -71,3 +71,45 @@ def test_scan_budget_is_checked_exactly():
         totassoc_scan("B1", [[one] * 11, [one], [one], [one] * 9091])
     with pytest.raises(ValueError, match="exceeds the scan budget"):
         totassoc_scan("B1", list(range(100)))
+
+
+# wide rationals: numerators up to 10^12 over denominators that are coprime
+# from axis to axis, mixed with values that hit B2 and B4 points
+AXIS_DENOMINATORS = ((1, 7, 49), (11, 121), (1, 13, 169), (17, 289))
+HIT_VALUES = (F(0), F(1, 2), F(-1, 2), F(1), F(-1))
+
+
+@st.composite
+def wide_axis(draw, denominators):
+    wide = st.builds(F, st.integers(-10 ** 12, 10 ** 12), st.sampled_from(denominators))
+    axis = draw(st.lists(st.one_of(st.sampled_from(HIT_VALUES), wide), max_size=4))
+    if axis:  # repeated values are listed once per repetition
+        axis += draw(st.lists(st.sampled_from(axis), max_size=2))
+    return axis
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+@SETTINGS
+@given(data=st.data())
+def test_scan_matches_brute_force_on_wide_rational_grids(family, data):
+    n = len(FAMILIES[family].params)
+    if data.draw(st.booleans(), label="flat"):
+        grid = data.draw(wide_axis(AXIS_DENOMINATORS[0] + AXIS_DENOMINATORS[1]), label="grid")
+    else:
+        grid = [data.draw(wide_axis(AXIS_DENOMINATORS[i]), label=f"axis {i}") for i in range(n)]
+    assert totassoc_scan(family, grid) == brute_force_scan(family, grid)
+
+
+def test_scan_walks_in_integers_and_returns_the_grid_values(monkeypatch):
+    grid = [[F(1, 2), F(10 ** 12, 7), F(-1, 2), F(1, 2)], [F(0), F(-3, 11), F(0)],
+            [F(1, 2), F(-1, 2), F(5, 13)]]
+    expected = brute_force_scan("B2", grid)
+    assert len(expected) == 8
+
+    def refuse(*args):
+        raise AssertionError("the scan substituted Fractions")
+
+    monkeypatch.setattr(rg, "_poly_eval", refuse)
+    hits = totassoc_scan("B2", grid)
+    assert hits == expected
+    assert all(type(x) is F for point in hits for x in point)
