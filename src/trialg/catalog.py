@@ -24,7 +24,7 @@ from .identities import (
 )
 from .iso import DEFAULT_EVIDENCE_PRIMES, iso_search
 from .msc import Msc, column_tuple, msc_to_doc
-from .polysolve import certify_expressibility
+from .polysolve import PolySystem, certify_expressibility
 
 __all__ = [
     "FamilyEntry",
@@ -399,8 +399,16 @@ class Report:
     def to_doc(self) -> dict:
         return {"claims": self.claims, "summary": self.summary}
 
-    def merge(self, other: "Report") -> "Report":
-        return Report(self.claims + other.claims)
+
+def _claim(claim_id, kind, ok, evidence, documented=False):
+    """One claim verdict as the replay reports it."""
+    return {
+        "id": claim_id,
+        "kind": kind,
+        "status": "pass" if ok else "fail",
+        "documented": documented,
+        "evidence": evidence,
+    }
 
 
 def _mismatch_records(table: Msc, computed: Msc):
@@ -432,25 +440,14 @@ def table1_verify() -> Report:
         computed = generate_nary(a_entry.msc, 3)
         records = _mismatch_records(b_entry.msc, computed)
         claim_id = f"table1:A{i}"
-        documented = DOCUMENTED_TABLE_MISMATCHES.get(claim_id, ())
-        claims.append({
-            "id": claim_id,
-            "kind": "table_row",
-            "status": "pass" if not records else "fail",
-            "documented": bool(records) and tuple(records) == documented,
-            "evidence": {
-                "provenance": b_entry.provenance,
-                "mismatches": _mismatch_docs(records),
-            },
-        })
-    generated = generate_nary(FAMILIES["A12"].msc, 3)
-    claims.append({
-        "id": "table1:A12",
-        "kind": "table_row",
-        "status": "pass" if generated.is_zero() else "fail",
-        "documented": False,
-        "evidence": {"generated_zero": generated.is_zero()},
-    })
+        pinned = DOCUMENTED_TABLE_MISMATCHES.get(claim_id, ())
+        claims.append(_claim(
+            claim_id, "table_row", not records,
+            {"provenance": b_entry.provenance, "mismatches": _mismatch_docs(records)},
+            documented=bool(records) and tuple(records) == pinned,
+        ))
+    zero = generate_nary(FAMILIES["A12"].msc, 3).is_zero()
+    claims.append(_claim("table1:A12", "table_row", zero, {"generated_zero": zero}))
     return Report(claims)
 
 
@@ -483,8 +480,6 @@ def _parametric_ternary(family: str) -> FamilyEntry:
 def totassoc_constraints(family: str):
     """The total-associativity residual entries of a parametric family, as
     a polynomial system in the family's parameters."""
-    from .polysolve import PolySystem
-
     entry = _parametric_ternary(family)
     seen = set()
     constraints = []
@@ -563,12 +558,14 @@ def _walk(levels, buckets, point, at, k=0):
 # claim replays
 # ---------------------------------------------------------------------------
 
-def _assignment(entry: FamilyEntry, values):
-    return dict(zip(entry.params, values))
+def _at(family: str, values) -> Msc:
+    """The catalog family specialized at ``values``, one per parameter in order."""
+    entry = FAMILIES[family]
+    return entry.specialize(dict(zip(entry.params, values)))
 
 
-def _point_doc(entry: FamilyEntry, values):
-    return {p: str(v) for p, v in zip(entry.params, values)}
+def _point_doc(family: str, values):
+    return {p: str(v) for p, v in zip(FAMILIES[family].params, values)}
 
 
 def _claim_inexpressible(primes, caps, groebner=True):
@@ -576,139 +573,93 @@ def _claim_inexpressible(primes, caps, groebner=True):
         catalog_get("Cstar"), primes=primes, caps=caps, groebner=groebner,
     )
     ok = outcome.status in ("no_solution_mod_p", "certified_empty_over_closure")
-    return {
-        "id": "bullet:inexpressible-Cstar",
-        "kind": "inexpressible",
-        "status": "pass" if ok else "fail",
-        "documented": False,
-        "evidence": outcome.to_doc(),
-    }
+    return _claim("bullet:inexpressible-Cstar", "inexpressible", ok, outcome.to_doc())
 
 
 def _claim_cstar_non_iso(primes):
     cstar = catalog_get("Cstar")
-    targets = [("B9", None), ("B10", None), ("B11", None)]
+    targets = [("B9", ()), ("B10", ()), ("B11", ())]
     for name in ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8"):
         for values in ISO_SAMPLE_POINTS[name]:
             targets.append((name, values))
     searches = []
     ok = True
     for name, values in targets:
-        entry = FAMILIES[name]
-        target = entry.specialize(_assignment(entry, values)) if values else entry.msc
+        target = _at(name, values)
         for p in primes:
             found = iso_search(cstar, target, p)
             ok = ok and not found
             searches.append({
                 "target": name,
-                "params": _point_doc(entry, values) if values else None,
+                "params": _point_doc(name, values) if values else None,
                 "prime": p,
                 "witnesses": len(found),
             })
-    return {
-        "id": "bullet:Cstar-not-isomorphic",
-        "kind": "non_iso",
-        "status": "pass" if ok else "fail",
-        "documented": False,
-        "evidence": {"searches": searches},
-    }
+    return _claim("bullet:Cstar-not-isomorphic", "non_iso", ok, {"searches": searches})
 
 
 def _claim_collision(claim_id, gen_a, gen_b, target, collision_primes):
-    name_a, values_a = gen_a
-    name_b, values_b = gen_b
-    entry_a, entry_b = FAMILIES[name_a], FAMILIES[name_b]
-    ma = entry_a.specialize(_assignment(entry_a, values_a))
-    mb = entry_b.specialize(_assignment(entry_b, values_b))
+    ma, mb = _at(*gen_a), _at(*gen_b)
     tgt = catalog_get(target)
     res_a = expressibility_residual(ma, tgt).is_zero()
     res_b = expressibility_residual(mb, tgt).is_zero()
     searches = {p: len(iso_search(ma, mb, p)) for p in collision_primes}
     ok = res_a and res_b and not any(searches.values())
-    return {
-        "id": claim_id,
-        "kind": "collision",
-        "status": "pass" if ok else "fail",
-        "documented": False,
-        "evidence": {
-            "generators": [
-                {"family": name_a, "params": _point_doc(entry_a, values_a)},
-                {"family": name_b, "params": _point_doc(entry_b, values_b)},
-            ],
-            "target": target,
-            "residual_zero": [res_a, res_b],
-            "iso_witnesses_by_prime": {str(p): n for p, n in searches.items()},
-        },
-    }
+    return _claim(claim_id, "collision", ok, {
+        "generators": [
+            {"family": name, "params": _point_doc(name, values)}
+            for name, values in (gen_a, gen_b)
+        ],
+        "target": target,
+        "residual_zero": [res_a, res_b],
+        "iso_witnesses_by_prime": {str(p): n for p, n in searches.items()},
+    })
 
 
 def _claim_totassoc_members():
     items = []
     ok = True
     for tag, family, values, _rows in TOTASSOC_ITEMS:
-        entry = FAMILIES[family]
-        spec = entry.specialize(_assignment(entry, values))
-        verdict = is_totally_associative(spec)
+        verdict = is_totally_associative(_at(family, values))
         ok = ok and verdict
         items.append({
             "item": tag,
             "family": family,
-            "params": _point_doc(entry, values),
+            "params": _point_doc(family, values),
             "totally_associative": verdict,
         })
-    return {
-        "id": "totassoc:members",
-        "kind": "tot_assoc_list",
-        "status": "pass" if ok else "fail",
-        "documented": False,
-        "evidence": {"items": items},
-    }
+    return _claim("totassoc:members", "tot_assoc_list", ok, {"items": items})
 
 
 def _claim_totassoc_display():
     records = []
     for tag, family, values, rows in TOTASSOC_ITEMS:
-        entry = FAMILIES[family]
-        spec = entry.specialize(_assignment(entry, values))
         displayed = Msc.from_strings(rg.QQ, 2, 3, rows)
-        for l, ijk, t, g in _mismatch_records(displayed, spec):
+        for l, ijk, t, g in _mismatch_records(displayed, _at(family, values)):
             records.append((tag, l, ijk, t, g))
-    documented = DOCUMENTED_DISPLAY_MISMATCHES["totassoc:display"]
-    return {
-        "id": "totassoc:display",
-        "kind": "tot_assoc_list",
-        "status": "pass" if not records else "fail",
-        "documented": bool(records) and tuple(records) == documented,
-        "evidence": {
-            "mismatches": [
-                {"item": tag, "l": l, "ijk": list(ijk), "displayed": t, "computed": g}
-                for tag, l, ijk, t, g in records
-            ]
-        },
-    }
+    pinned = DOCUMENTED_DISPLAY_MISMATCHES["totassoc:display"]
+    return _claim("totassoc:display", "tot_assoc_list", not records, {
+        "mismatches": [
+            {"item": tag, "l": l, "ijk": list(ijk), "displayed": t, "computed": g}
+            for tag, l, ijk, t, g in records
+        ]
+    }, documented=bool(records) and tuple(records) == pinned)
 
 
 def _claim_scan(family, expected):
     hits = totassoc_scan(family)
     ok = hits == [tuple(t) for t in expected]
-    return {
-        "id": f"totassoc:scan-{family}",
-        "kind": "tot_assoc_list",
-        "status": "pass" if ok else "fail",
-        "documented": False,
-        "evidence": {
-            "grid": [str(x) for x in DEFAULT_SCAN_GRID],
-            "found": [[str(x) for x in t] for t in hits],
-        },
-    }
+    return _claim(f"totassoc:scan-{family}", "tot_assoc_list", ok, {
+        "grid": [str(x) for x in DEFAULT_SCAN_GRID],
+        "found": [[str(x) for x in t] for t in hits],
+    })
 
 
 def _claim_assoc_binary():
     items = []
     ok = True
     for tag, family, values, rows in ASSOC_BINARY_ITEMS:
-        entry = FAMILIES[family]
-        spec = entry.specialize(_assignment(entry, values))
+        spec = _at(family, values)
         displayed = Msc.from_strings(rg.QQ, 2, 2, rows)
         matches = displayed == spec
         associative = binary_assoc_residual(spec).is_zero()
@@ -716,66 +667,43 @@ def _claim_assoc_binary():
         items.append({
             "item": tag,
             "family": family,
-            "params": _point_doc(entry, values),
+            "params": _point_doc(family, values),
             "displayed_matches": matches,
             "associative": associative,
         })
-    return {
-        "id": "assoc:binary-list",
-        "kind": "assoc_binary_list",
-        "status": "pass" if ok else "fail",
-        "documented": False,
-        "evidence": {"items": items},
-    }
+    return _claim("assoc:binary-list", "assoc_binary_list", ok, {"items": items})
 
 
 def _claim_nonassoc_generators():
     items = []
     ok = True
     for family, values, ternary_family in NONASSOC_GENERATOR_PAIRS:
-        entry = FAMILIES[family]
-        tern = FAMILIES[ternary_family]
-        binary = entry.specialize(_assignment(entry, values))
+        binary = _at(family, values)
         generated = generate_nary(binary, 3)
-        expected = tern.specialize(dict(zip(tern.params, values)))
         nonassoc = not binary_assoc_residual(binary).is_zero()
-        matches = generated == expected
+        matches = generated == _at(ternary_family, values)
         tot = is_totally_associative(generated)
         ok = ok and nonassoc and matches and tot
         items.append({
             "binary": family,
-            "params": _point_doc(entry, values),
+            "params": _point_doc(family, values),
             "binary_nonassociative": nonassoc,
             "generates": ternary_family,
             "generated_matches_family": matches,
             "generated_totally_associative": tot,
         })
-    return {
-        "id": "assoc:nonassociative-generators",
-        "kind": "nonassoc_generators",
-        "status": "pass" if ok else "fail",
-        "documented": False,
-        "evidence": {"items": items},
-    }
+    return _claim("assoc:nonassociative-generators", "nonassoc_generators", ok,
+                  {"items": items})
 
 
 def _claim_sign_pair(claim_id, family, values_plus, values_minus, prime):
-    entry = FAMILIES[family]
-    a = entry.specialize(_assignment(entry, values_plus))
-    b = entry.specialize(_assignment(entry, values_minus))
-    found = iso_search(a, b, prime)
-    return {
-        "id": claim_id,
-        "kind": "iso_pair",
-        "status": "pass" if found else "fail",
-        "documented": False,
-        "evidence": {
-            "family": family,
-            "prime": prime,
-            "witnesses": len(found),
-            "first_witness": found[0].g.mat.to_strings() if found else None,
-        },
-    }
+    found = iso_search(_at(family, values_plus), _at(family, values_minus), prime)
+    return _claim(claim_id, "iso_pair", found, {
+        "family": family,
+        "prime": prime,
+        "witnesses": len(found),
+        "first_witness": found[0].g.mat.to_strings() if found else None,
+    })
 
 
 def claims_verify(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
@@ -815,7 +743,6 @@ def paper_replay(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=N
     The replay is clean when every claim passes or fails exactly as pinned
     in the documented-mismatch sets.
     """
-    return table1_verify().merge(
-        claims_verify(primes=primes, collision_primes=collision_primes,
-                      caps=caps, groebner=groebner)
-    )
+    return Report(table1_verify().claims
+                  + claims_verify(primes=primes, collision_primes=collision_primes,
+                                  caps=caps, groebner=groebner).claims)

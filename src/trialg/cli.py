@@ -27,7 +27,7 @@ from .identities import assoc_report
 from .iso import iso_report
 from .generate import generate_nary
 from .msc import Msc, msc_from_doc, msc_to_doc
-from .polysolve import certify_expressibility
+from .polysolve import DEFAULT_CAPS, certify_expressibility
 
 _INLINE_RE = re.compile(r"([A-Za-z]\w*)(?:\((.*)\))?\Z")
 
@@ -91,15 +91,23 @@ def _load_algebra(source: str | None, params: str | None = None) -> Msc:
             except RecursionError:
                 raise ValueError(f"{source}: JSON nested too deeply") from None
         return msc_from_doc(doc)
+    M = _catalog_algebra(source, params)
+    if M is None:
+        raise ValueError(f"no such file or catalog name: {source!r}")
+    return M
+
+
+def _catalog_algebra(source: str, params: str | None):
+    """The catalog algebra named by ``source``, a bare name with --params
+    or the inline form "A4(a1=1,b2=-1)"; None when no catalog name fits."""
     m = _INLINE_RE.match(source)
-    if m and m.group(1) in cat.FAMILIES:
-        inline = m.group(2)
-        if inline and params:
-            raise ValueError("parameters given both inline and via --params")
-        text = inline if inline else params
-        assignment = _parse_params(text) if text else None
-        return cat.catalog_get(m.group(1), assignment)
-    raise ValueError(f"no such file or catalog name: {source!r}")
+    if not (m and m.group(1) in cat.FAMILIES):
+        return None
+    inline = m.group(2)
+    if inline and params:
+        raise ValueError("parameters given both inline and via --params")
+    text = inline if inline else params
+    return cat.catalog_get(m.group(1), _parse_params(text) if text else None)
 
 
 def _parse_primes(text: str, allow_empty: bool = False):
@@ -114,7 +122,7 @@ def _parse_primes(text: str, allow_empty: bool = False):
         raise ValueError("empty prime list")
     for p in primes:
         if not rg.is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ValueError(f"{rg._excerpt(str(p))} is not prime")
     return tuple(primes)
 
 
@@ -149,9 +157,8 @@ def _cmd_iso(args) -> int:
 
 def _cmd_express(args) -> int:
     C = _load_algebra(args.input or args.name, args.params)
-    caps = {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
     outcome = certify_expressibility(
-        C, primes=_parse_primes(args.primes, allow_empty=True), caps=caps,
+        C, primes=_parse_primes(args.primes, allow_empty=True), caps=_solver_caps(args),
         groebner=args.groebner,
     )
     _emit(outcome.to_doc())
@@ -164,8 +171,10 @@ def _cmd_express(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.name:
-        assignment = _parse_params(args.params) if args.params else None
-        _emit(msc_to_doc(cat.catalog_get(args.name, assignment)))
+        M = _catalog_algebra(args.name, args.params)
+        if M is None:
+            raise ValueError(f"unknown catalog name {args.name!r}")
+        _emit(msc_to_doc(M))
     else:
         _emit(cat.catalog_dump())
     return 0
@@ -190,11 +199,10 @@ def _cmd_totassoc_scan(args) -> int:
 
 
 def _cmd_paper_replay(args) -> int:
-    caps = {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
     report = cat.paper_replay(
         primes=_parse_primes(args.primes),
         collision_primes=_parse_primes(args.collision_primes),
-        caps=caps, groebner=args.groebner,
+        caps=_solver_caps(args), groebner=args.groebner,
     )
     text = _json(report.to_doc()) + "\n"
     if args.out:
@@ -210,6 +218,17 @@ def _add_algebra_input(sub):
     sub.add_argument("--input", help="path to an msc JSON document")
     sub.add_argument("--name", help="catalog name, e.g. A4 or Cstar")
     sub.add_argument("--params", help="comma-separated name=value parameters")
+
+
+def _add_solver_options(sub):
+    sub.add_argument("--primes", default="5,7")
+    sub.add_argument("--groebner", action=argparse.BooleanOptionalAction, default=True)
+    sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS["max_pairs"])
+    sub.add_argument("--max-degree", type=int, default=DEFAULT_CAPS["max_degree"])
+
+
+def _solver_caps(args) -> dict:
+    return {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,10 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("express", help="decide whether a ternary algebra is generated")
     _add_algebra_input(p)
-    p.add_argument("--primes", default="5,7")
-    p.add_argument("--groebner", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--max-pairs", type=int, default=20000)
-    p.add_argument("--max-degree", type=int, default=12)
+    _add_solver_options(p)
     p.set_defaults(fn=_cmd_express)
 
     p = sub.add_parser("catalog", help="dump the catalog or one entry")
@@ -262,11 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper-replay", help="replay every documented claim")
     p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--primes", default="5,7")
     p.add_argument("--collision-primes", default="5,7,11")
-    p.add_argument("--groebner", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--max-pairs", type=int, default=20000)
-    p.add_argument("--max-degree", type=int, default=12)
+    _add_solver_options(p)
     p.set_defaults(fn=_cmd_paper_replay)
 
     return parser

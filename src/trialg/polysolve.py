@@ -309,48 +309,54 @@ def _enumerate(compiled, p, nvars, cap):
     buckets = [[] for _ in range(nvars)]
     for terms in compiled:
         buckets[max(i for _, factors in terms for i, _ in factors)].append(terms)
-    tables = [None] * nvars
     hits = []
-    built = 0
-
-    def descend(prefixes):
-        nonlocal built
-        # prefixes: one row per variable assigned so far, one column per prefix
-        level = prefixes.shape[0]
-        if level == nvars:
-            hits.extend(zip(*prefixes.tolist()))
-            return
-        if tables[level] is None:
-            polys = buckets[level]
-            tables[level] = [_level_table(np, part, p) for part in (polys[:1], polys[1:]) if part]
-        take = max(1, _MAX_ROWS // p)
-        width = min(p, _MAX_ROWS)
-        for lo in range(0, prefixes.shape[1], take):
-            block = prefixes[:, lo:lo + take]
-            for v0 in range(0, p, width):
-                values = np.arange(v0, min(v0 + width, p), dtype=np.int64)
-                built += len(values) * block.shape[1]
-                if built > _MAX_TOTAL_ROWS:
-                    raise EnumerationBudgetError(
-                        f"enumeration mod {p} passed {_MAX_TOTAL_ROWS} rows unfinished"
-                    )
-                # the level + 1 assigned variables, then a row of ones; filled
-                # in place, as np.repeat and np.tile would build copies first
-                cols = np.empty((level + 2, block.shape[1] * len(values)), dtype=np.int64)
-                cols[:level].reshape(level, block.shape[1], len(values))[...] = block[:, :, None]
-                cols[level].reshape(block.shape[1], len(values))[...] = values
-                cols[level + 1] = 1
-                for table in tables[level]:
-                    cols = cols[:, _vanishing(np, table, cols, p)]
-                    if not cols.shape[1]:
-                        break
-                if cols.shape[1]:
-                    descend(cols[:-1])
-                if cap is not None and len(hits) >= cap:
-                    return
-
-    descend(np.zeros((0, 1), dtype=np.int64))
+    for block in _descend(np, p, buckets, [None] * nvars, np.zeros((0, 1), dtype=np.int64)):
+        hits.extend(block)
+        if cap is not None and len(hits) >= cap:
+            break
     return hits[:cap] if cap is not None else hits
+
+
+def _descend(np, p, buckets, tables, prefixes, built=0):
+    """Yield, in walk order, blocks of the assignments that extend the
+    columns of ``prefixes`` (one row per variable assigned so far, one
+    column per prefix) and zero every polynomial of buckets[len(prefixes):];
+    return the count of rows built, ``built`` included.  ``tables`` caches
+    each level's _level_table pair, compiled when the level is first
+    reached.  Module level, not nested: a nested function that calls itself
+    is a reference cycle, which would keep each enumeration's tables alive
+    until a full garbage collection."""
+    level = prefixes.shape[0]
+    if level == len(buckets):
+        yield zip(*prefixes.tolist())
+        return built
+    if tables[level] is None:
+        polys = buckets[level]
+        tables[level] = [_level_table(np, part, p) for part in (polys[:1], polys[1:]) if part]
+    take = max(1, _MAX_ROWS // p)
+    width = min(p, _MAX_ROWS)
+    for lo in range(0, prefixes.shape[1], take):
+        block = prefixes[:, lo:lo + take]
+        for v0 in range(0, p, width):
+            values = np.arange(v0, min(v0 + width, p), dtype=np.int64)
+            built += len(values) * block.shape[1]
+            if built > _MAX_TOTAL_ROWS:
+                raise EnumerationBudgetError(
+                    f"enumeration mod {p} passed {_MAX_TOTAL_ROWS} rows unfinished"
+                )
+            # the level + 1 assigned variables, then a row of ones; filled
+            # in place, as np.repeat and np.tile would build copies first
+            cols = np.empty((level + 2, block.shape[1] * len(values)), dtype=np.int64)
+            cols[:level].reshape(level, block.shape[1], len(values))[...] = block[:, :, None]
+            cols[level].reshape(block.shape[1], len(values))[...] = values
+            cols[level + 1] = 1
+            for table in tables[level]:
+                cols = cols[:, _vanishing(np, table, cols, p)]
+                if not cols.shape[1]:
+                    break
+            if cols.shape[1]:
+                built = yield from _descend(np, p, buckets, tables, cols[:-1], built)
+    return built
 
 
 def solve_ff_exhaustive(system: PolySystem, p: int, all_witnesses: bool = False,

@@ -1,6 +1,7 @@
 """The CLI's text inputs other than documents under generated input.
 
-Parameter lists (`catalog --params`, the inline `A4(...)` form), scan grids
+Parameter lists (`catalog --params`, the inline `A4(...)` form, also under
+`catalog --name`), scan grids
 (`totassoc-scan --grid`) and prime lists (`express --primes`) are built from
 digits, the operators of the scalar grammar, separators and parameter
 names, and given as --option=text, so that a text starting with "-" reaches
@@ -93,7 +94,9 @@ def test_catalog_params(text):
 @example("a1=1/2, b2=-1")
 @example(")(")
 def test_inline_params(text):
-    run(["assoc", "--name", f"A4({text})"])
+    # catalog --name refuses exactly the inline texts every other command refuses
+    assert (run(["assoc", "--name", f"A4({text})"]) == 2) == \
+        (run(["catalog", "--name", f"A4({text})"]) == 2)
 
 
 @SETTINGS
@@ -116,15 +119,20 @@ def test_express_primes(text):
 LIMIT = sys.get_int_max_str_digits()
 
 
-@pytest.mark.parametrize("text", ["5," + "7" * 5000, "7" * 5000], ids=["second", "only"])
+@pytest.mark.parametrize("text", ["5," + "7" * 5000, "7" * 5000, "5,1" + "0" * 4000 + "1"],
+                         ids=["second", "only", "composite-within-the-limit"])
 def test_a_prime_past_the_digit_limit_exits_2_naming_it(text):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["express", "--name", "Cstar", "--no-groebner", f"--primes={text}"])
     assert code == 2
     message = err.getvalue()
+    assert len(message) < 200
+    if text.endswith("1"):  # converts, and is refused as composite
+        assert message.startswith("trialg: '1000") and "(4002 characters) is not prime" in message
+        return
     assert message.startswith("trialg: bad prime '7777") and "(5000 characters)" in message
-    assert f"at most {LIMIT} digits" in message and len(message) < 200
+    assert f"at most {LIMIT} digits" in message
 
 
 @pytest.mark.parametrize("entry", ["9" * 4000 + "x", "9" * 4000 + "!", "(" + "9" * 4000],

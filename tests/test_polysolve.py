@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ from trialg import polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get
 from trialg.generate import expressibility_residual, symbolic_system
+from trialg.iso import iso_search
 from trialg.msc import Msc
 from trialg.polysolve import (
     DEFAULT_CAPS,
@@ -232,6 +234,22 @@ def test_enumeration_work_budget_counts_split_expansions(monkeypatch):
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 154)
     with pytest.raises(ValueError, match="passed 154 rows"):
         polysolve._enumerate([], 5, 3, None)
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # with the collector off, whatever an enumeration leaves unreachable is
+    # a cycle that would hold its numpy tables until a full collection
+    cstar = catalog_get("Cstar")
+    system = symbolic_system(cstar)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_ff_exhaustive(system, 7, all_witnesses=True)
+        assert gc.collect() == 0
+        iso_search(cstar, cstar, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sweep_constant_obstruction():
