@@ -486,8 +486,12 @@ def totassoc_constraints(family: str):
     for residual in total_assoc_residuals(entry.msc):
         for row in residual.rows:
             for x in row:
-                if not x.is_zero() and x not in seen:
-                    seen.add(x)
+                if x.is_zero():
+                    continue
+                # keyed on integer pairs: hashing a RingElem hashes each Fraction
+                key = frozenset((mono, q.numerator, q.denominator) for mono, q in x.v.items())
+                if key not in seen:
+                    seen.add(key)
                     constraints.append(x)
     constraints.sort(key=lambda e: (len(e.v), sorted(e.v)))
     return PolySystem(entry.msc.ring, constraints)

@@ -21,39 +21,56 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import catalog as cat
-from . import ring as rg
-from .identities import assoc_report
-from .iso import iso_report
-from .generate import generate_nary
-from .msc import Msc, msc_from_doc, msc_to_doc
-from .polysolve import DEFAULT_CAPS, certify_expressibility
+# Only the standard library here: each command imports the modules it runs.
 
 _INLINE_RE = re.compile(r"([A-Za-z]\w*)(?:\((.*)\))?\Z")
+
+
+# scalar encoders by exact type; bool has its own entry, so it never reads as int
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _json(value, indent="\n") -> str:
     """The text of json.dumps(value, indent=2, sort_keys=True) for reports:
     dicts with string keys, lists, tuples, strings, ints, bools and None
     (anything else raises TypeError).  json.dumps with an indent runs the
-    pure-Python encoder, slower than this and with a larger chunk list."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    pure-Python encoder, slower than this and with a larger chunk list.
+
+    Scalars are encoded through _SCALARS, inline in the loop over their
+    dict or list; subclasses of str, int, dict, list and tuple take the
+    isinstance path."""
+    scalar = _SCALARS.get
+    encode = scalar(type(value))
+    if encode is not None:
+        return encode(value)
     inner = indent + "  "
+    body = []
     if isinstance(value, dict):
-        body = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}"
-                for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(body) + indent + "}" if body else "{}"
-    if isinstance(value, (list, tuple)):
-        body = [_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(body) + indent + "]" if body else "[]"
-    raise TypeError(f"a report cannot hold {type(value).__name__}")
+        for k in sorted(value):
+            v = value[k]
+            encode = scalar(type(v))
+            text = encode(v) if encode else _json(v, inner)
+            body.append(f"{encode_basestring_ascii(k)}: {text}")
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            encode = scalar(type(v))
+            body.append(encode(v) if encode else _json(v, inner))
+        brackets = "[]"
+    elif isinstance(value, str):
+        return encode_basestring_ascii(value)
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"a report cannot hold {type(value).__name__}")
+    if not body:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(body) + indent + brackets[1]
 
 
 def _emit(doc) -> None:
@@ -65,6 +82,8 @@ def _diag(message: str) -> None:
 
 
 def _parse_params(text: str) -> dict:
+    from . import ring as rg
+
     assignment = {}
     if not text:
         return assignment
@@ -78,11 +97,14 @@ def _parse_params(text: str) -> dict:
     return assignment
 
 
-def _load_algebra(source: str | None, params: str | None = None) -> Msc:
-    """A path to an msc document, or an inline catalog name with params."""
+def _load_algebra(source: str | None, params: str | None = None):
+    """The Msc in the msc document at a path, or the catalog algebra named
+    inline, with params."""
     if not source:
         raise ValueError("an algebra is required: give --input PATH or --name NAME")
     if os.path.isfile(source):
+        from .msc import msc_from_doc
+
         if params:
             raise ValueError("--params only applies to catalog names")
         with open(source, "r", encoding="utf-8") as fh:
@@ -101,7 +123,11 @@ def _catalog_algebra(source: str, params: str | None):
     """The catalog algebra named by ``source``, a bare name with --params
     or the inline form "A4(a1=1,b2=-1)"; None when no catalog name fits."""
     m = _INLINE_RE.match(source)
-    if not (m and m.group(1) in cat.FAMILIES):
+    if not m:
+        return None
+    from . import catalog as cat
+
+    if m.group(1) not in cat.FAMILIES:
         return None
     inline = m.group(2)
     if inline and params:
@@ -111,6 +137,8 @@ def _catalog_algebra(source: str, params: str | None):
 
 
 def _parse_primes(text: str, allow_empty: bool = False):
+    from . import ring as rg
+
     primes = []
     for item in filter(str.strip, text.split(",")):
         try:
@@ -127,6 +155,8 @@ def _parse_primes(text: str, allow_empty: bool = False):
 
 
 def _parse_grid(text: str):
+    from . import ring as rg
+
     grid = [rg.parse_scalar(x.strip(), rg.QQ).v for x in text.split(",") if x.strip()]
     if not grid:
         raise ValueError("empty grid")
@@ -134,6 +164,9 @@ def _parse_grid(text: str):
 
 
 def _cmd_generate(args) -> int:
+    from .generate import generate_nary
+    from .msc import msc_to_doc
+
     M = _load_algebra(args.input or args.name, args.params)
     out = generate_nary(M, args.arity)
     _emit(msc_to_doc(out))
@@ -141,6 +174,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_assoc(args) -> int:
+    from .identities import assoc_report
+
     A = _load_algebra(args.input or args.name, args.params)
     report = assoc_report(A)
     _emit(report.to_doc())
@@ -148,6 +183,8 @@ def _cmd_assoc(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .iso import iso_report
+
     A = _load_algebra(args.a, args.params_a)
     B = _load_algebra(args.b, args.params_b)
     doc = iso_report(A, B, args.prime, find_all=args.all)
@@ -156,6 +193,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_express(args) -> int:
+    from .polysolve import certify_expressibility
+
     C = _load_algebra(args.input or args.name, args.params)
     outcome = certify_expressibility(
         C, primes=_parse_primes(args.primes, allow_empty=True), caps=_solver_caps(args),
@@ -170,23 +209,33 @@ def _cmd_express(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as cat
+    from .msc import msc_to_doc
+
     if args.name:
         M = _catalog_algebra(args.name, args.params)
         if M is None:
             raise ValueError(f"unknown catalog name {args.name!r}")
         _emit(msc_to_doc(M))
+    elif args.params:
+        raise ValueError("--params only applies with --name")
     else:
         _emit(cat.catalog_dump())
     return 0
 
 
 def _cmd_table1_verify(args) -> int:
+    from . import catalog as cat
+
     report = cat.table1_verify()
     _emit(report.to_doc())
     return 0 if report.clean else 1
 
 
 def _cmd_totassoc_scan(args) -> int:
+    from . import catalog as cat
+    from . import ring as rg
+
     grid = _parse_grid(args.grid) if args.grid is not None else None
     points = cat.totassoc_scan(args.family, grid)
     text = lambda q: str(rg.from_fraction(rg.QQ, q))  # RingElem names the digit limit
@@ -199,6 +248,8 @@ def _cmd_totassoc_scan(args) -> int:
 
 
 def _cmd_paper_replay(args) -> int:
+    from . import catalog as cat
+
     report = cat.paper_replay(
         primes=_parse_primes(args.primes),
         collision_primes=_parse_primes(args.collision_primes),
@@ -220,73 +271,107 @@ def _add_algebra_input(sub):
     sub.add_argument("--params", help="comma-separated name=value parameters")
 
 
+def _add_generate_options(sub):
+    _add_algebra_input(sub)
+    sub.add_argument("--arity", type=int, default=3)
+
+
+def _add_iso_options(sub):
+    sub.add_argument("--a", required=True, help="path or catalog name")
+    sub.add_argument("--b", required=True, help="path or catalog name")
+    sub.add_argument("--params-a", help="parameters for --a when it is a name")
+    sub.add_argument("--params-b", help="parameters for --b when it is a name")
+    sub.add_argument("--prime", type=int, required=True)
+    sub.add_argument("--all", action="store_true",
+                     help="collect every witness instead of stopping at the first")
+
+
 def _add_solver_options(sub):
+    # the caps default to None and _solver_caps fills them in, so that
+    # building a parser does not import polysolve
     sub.add_argument("--primes", default="5,7")
     sub.add_argument("--groebner", action=argparse.BooleanOptionalAction, default=True)
-    sub.add_argument("--max-pairs", type=int, default=DEFAULT_CAPS["max_pairs"])
-    sub.add_argument("--max-degree", type=int, default=DEFAULT_CAPS["max_degree"])
+    sub.add_argument("--max-pairs", type=int)
+    sub.add_argument("--max-degree", type=int)
+
+
+def _add_express_options(sub):
+    _add_algebra_input(sub)
+    _add_solver_options(sub)
+
+
+def _add_catalog_options(sub):
+    sub.add_argument("--name")
+    sub.add_argument("--params")
+
+
+def _add_totassoc_scan_options(sub):
+    sub.add_argument("--family", required=True)
+    sub.add_argument("--grid", help="comma-separated rationals, one shared axis")
+
+
+def _add_paper_replay_options(sub):
+    sub.add_argument("--out", help="write the report to this path")
+    sub.add_argument("--collision-primes", default="5,7,11")
+    _add_solver_options(sub)
 
 
 def _solver_caps(args) -> dict:
-    return {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
+    from .polysolve import DEFAULT_CAPS
+
+    caps = {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
+    return {key: DEFAULT_CAPS[key] if value is None else value for key, value in caps.items()}
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, adds the options, runs the command), in --help order
+COMMANDS = {
+    "generate": ("n-ary algebra generated by a binary one", _add_generate_options,
+                 _cmd_generate),
+    "assoc": ("associativity report (arity 2 or 3)", _add_algebra_input, _cmd_assoc),
+    "iso": ("search GL(m, GF(p)) for an isomorphism", _add_iso_options, _cmd_iso),
+    "express": ("decide whether a ternary algebra is generated", _add_express_options,
+                _cmd_express),
+    "catalog": ("dump the catalog or one entry", _add_catalog_options, _cmd_catalog),
+    "table1-verify": ("recompute every generated-table row", lambda sub: None,
+                      _cmd_table1_verify),
+    "totassoc-scan": ("scan a ternary family for total associativity",
+                      _add_totassoc_scan_options, _cmd_totassoc_scan),
+    "paper-replay": ("replay every documented claim", _add_paper_replay_options,
+                     _cmd_paper_replay),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only ``command``'s.  Both parse
+    an argument list that starts with ``command`` alike, and print the same
+    help, usage lines and errors for it."""
     parser = argparse.ArgumentParser(
         prog="trialg",
         description="Exact computations with 2-dimensional binary and ternary "
                     "algebras given by matrices of structure constants.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="n-ary algebra generated by a binary one")
-    _add_algebra_input(p)
-    p.add_argument("--arity", type=int, default=3)
-    p.set_defaults(fn=_cmd_generate)
-
-    p = sub.add_parser("assoc", help="associativity report (arity 2 or 3)")
-    _add_algebra_input(p)
-    p.set_defaults(fn=_cmd_assoc)
-
-    p = sub.add_parser("iso", help="search GL(m, GF(p)) for an isomorphism")
-    p.add_argument("--a", required=True, help="path or catalog name")
-    p.add_argument("--b", required=True, help="path or catalog name")
-    p.add_argument("--params-a", help="parameters for --a when it is a name")
-    p.add_argument("--params-b", help="parameters for --b when it is a name")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--all", action="store_true",
-                   help="collect every witness instead of stopping at the first")
-    p.set_defaults(fn=_cmd_iso)
-
-    p = sub.add_parser("express", help="decide whether a ternary algebra is generated")
-    _add_algebra_input(p)
-    _add_solver_options(p)
-    p.set_defaults(fn=_cmd_express)
-
-    p = sub.add_parser("catalog", help="dump the catalog or one entry")
-    p.add_argument("--name")
-    p.add_argument("--params")
-    p.set_defaults(fn=_cmd_catalog)
-
-    p = sub.add_parser("table1-verify", help="recompute every generated-table row")
-    p.set_defaults(fn=_cmd_table1_verify)
-
-    p = sub.add_parser("totassoc-scan", help="scan a ternary family for total associativity")
-    p.add_argument("--family", required=True)
-    p.add_argument("--grid", help="comma-separated rationals, one shared axis")
-    p.set_defaults(fn=_cmd_totassoc_scan)
-
-    p = sub.add_parser("paper-replay", help="replay every documented claim")
-    p.add_argument("--out", help="write the report to this path")
-    p.add_argument("--collision-primes", default="5,7,11")
-    _add_solver_options(p)
-    p.set_defaults(fn=_cmd_paper_replay)
-
+    if command is None:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # the metavar keeps the full usage line, which argparse prints with
+        # errors such as unrecognized arguments; the full parser goes
+        # without, as the metavar would rename "argument command" in its errors
+        names = [command]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+    for name in names:
+        help_text, add_options, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

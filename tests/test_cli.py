@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trialg import identities, iso, msc, polysolve
 from trialg import ring as rg
-from trialg.cli import _json, main
+from trialg.cli import COMMANDS, _json, build_parser, main
 from trialg.msc import BasisChange, Msc, msc_to_doc, transform
 from trialg.catalog import catalog_get
 
@@ -395,12 +397,14 @@ def test_console_entry_point_smoke():
 
 
 def test_numpy_is_imported_only_to_enumerate():
-    # building the parser (what every command pays) leaves numpy out; the
-    # first sweep imports it
+    # building the parser (what every command pays) loads only trialg and
+    # trialg.cli, and leaves numpy out; the first sweep imports numpy
     code = (
         "import sys\n"
         "from trialg import cli\n"
         "cli.build_parser()\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'trialg')\n"
+        "assert loaded == ['trialg', 'trialg.cli'], loaded\n"
         "assert 'numpy' not in sys.modules, 'numpy imported at start-up'\n"
         "status = cli.main(['express', '--name', 'Cdagger'])\n"
         "assert 'numpy' in sys.modules\n"
@@ -409,6 +413,123 @@ def test_numpy_is_imported_only_to_enumerate():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "witness"
+
+
+def fresh_process(code):
+    """stdout of ``code`` run in a new interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('trialg.'))"
+
+
+def test_import_trialg_loads_no_submodule():
+    assert fresh_process(f"import sys, trialg\nprint({LOADED})") == "[]\n"
+
+
+A4_11 = ("A4", {"a1": 1, "b2": 1})
+
+
+@pytest.mark.parametrize("command, algebra, runs, left_out", [
+    ("assoc", A4_11, "identities", {"catalog", "polysolve", "iso", "generate"}),
+    ("generate", A4_11, "generate", {"catalog", "polysolve", "iso", "identities"}),
+    ("express", ("Cdagger", None), "polysolve", {"catalog", "iso"}),
+])
+def test_a_command_on_a_file_loads_only_what_it_runs(tmp_path, command, algebra, runs,
+                                                     left_out):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(msc_to_doc(catalog_get(*algebra))))
+    code = ("import contextlib, io, json, sys\n"
+            "from trialg import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = cli.main([{command!r}, '--input', {str(path)!r}])\n"
+            f"print(json.dumps([status, {LOADED}]))\n")
+    status, loaded = json.loads(fresh_process(code))
+    loaded = {m.split(".")[1] for m in loaded}
+    assert status in (0, 1) and runs in loaded
+    assert not loaded & left_out
+
+
+# every name trialg exports, by the module that defines it
+EXPORTS = {
+    "ring": "Ring RingElem rationals prime_field polynomial_ring parse_scalar substitute",
+    "msc": "Matrix Msc BasisChange kron eval_product transform basis_vector msc_to_doc "
+           "msc_from_doc",
+    "generate": "generate_nary expressibility_residual symbolic_system",
+    "identities": "total_assoc_residuals is_totally_associative quintuple_oracle "
+                  "binary_assoc_residual assoc_report",
+    "iso": "iso_verify iso_search iso_report",
+    "polysolve": "PolySystem SolveOutcome solve_ff_exhaustive buchberger "
+                 "certify_expressibility",
+    "catalog": "catalog_get catalog_names table1_verify totassoc_scan claims_verify "
+               "paper_replay",
+}
+
+
+def test_every_export_and_submodule_resolves_after_a_bare_import():
+    code = (
+        "import importlib, trialg\n"
+        "assert trialg.catalog is importlib.import_module('trialg.catalog')\n"
+        f"for module, names in {EXPORTS!r}.items():\n"
+        "    owner = importlib.import_module('trialg.' + module)\n"
+        "    for name in names.split():\n"
+        "        scope = {}\n"
+        "        exec(f'from trialg import {name} as value', scope)\n"
+        "        assert scope['value'] is getattr(owner, name), name\n"
+        "        assert name in dir(trialg) and name in trialg.__all__, name\n"
+        "try:\n"
+        "    trialg.nope\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert fresh_process(code) == "module 'trialg' has no attribute 'nope'\n"
+    assert sum(len(names.split()) for names in EXPORTS.values()) == 38
+
+
+GOLDEN_ARGVS = [case["argv"] for case in
+                json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+def test_one_command_parser_parses_like_the_full_one(argv):
+    assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+
+def parse_output(parser, argv):
+    """(exit code, stdout, stderr) of a parse that argparse ends with exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_prints_the_full_help(command):
+    full = parse_output(build_parser(), [command, "--help"])
+    assert parse_output(build_parser(command), [command, "--help"]) == full
+    assert full[0] == 0 and full[1].startswith(f"usage: trialg {command} [-h]")
+
+
+CHOICES = "{" + ",".join(COMMANDS) + "}"
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (["assoc", "--input", "x", "extra"], CHOICES, "unrecognized arguments: extra"),
+    (["assoc", "--nope"], CHOICES, "unrecognized arguments: --nope"),
+    (["iso", "--a", "x"], "usage: trialg iso [-h]",
+     "the following arguments are required: --b, --prime"),
+    (["bogus"], CHOICES, "argument command: invalid choice: 'bogus'"),
+    ([], CHOICES, "the following arguments are required: command"),
+])
+def test_usage_errors_read_as_the_full_parser_gives_them(capsys, argv, usage, message):
+    # the full parser, which --help and unknown commands still get, is the reference
+    expected = parse_output(build_parser(), argv)
+    assert run_cli(capsys, *argv) == (2, "", expected[2])
+    assert expected[0] == 2 and usage in expected[2]
+    assert f"error: {message}" in expected[2]
 
 
 @pytest.mark.parametrize("argv", [
@@ -487,6 +608,14 @@ def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
 
 
+class Tag(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30), st.text())
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
@@ -499,6 +628,9 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 @example({"\u00e9\n\t\"\\\x00\ud800\U0001f600": [[], {}, (), True, False, None, -0, 10 ** 40]})
 @example([{"b": 1, "a": [2, {"c": None}]}, "", [[[]]]])
+@example({"residual_nonzeros": [{"which": "ab"[i % 2], "row": i % 3, "col": -i, "value": str(i),
+                                 "zero": None, "kept": i % 5 == 0} for i in range(300)]})
+@example({Tag("k\u00e9"): [Tag("v\n"), Count(7), {Tag("a"): Tag("")}], "b": Tag("x")})
 def test_report_writer_gives_the_bytes_of_json_dumps(value):
     assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
 

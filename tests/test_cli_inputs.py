@@ -1,7 +1,7 @@
 """The CLI's text inputs other than documents under generated input.
 
-Parameter lists (`catalog --params`, the inline `A4(...)` form, also under
-`catalog --name`), scan grids
+Parameter lists (`catalog --params`, refused without `--name`; the inline
+`A4(...)` form, also under `catalog --name`), scan grids
 (`totassoc-scan --grid`) and prime lists (`express --primes`) are built from
 digits, the operators of the scalar grammar, separators and parameter
 names, and given as --option=text, so that a text starting with "-" reaches
@@ -87,6 +87,15 @@ def run(argv):
 @example("a1=19^19^19^19,b2=1")
 def test_catalog_params(text):
     run(["catalog", "--name", "A4", f"--params={text}"])
+
+
+@pytest.mark.parametrize("text", ["zz", "a1=1"])
+def test_catalog_params_without_a_name_exits_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["catalog", "--params", text])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("trialg: ") and "--name" in err.getvalue()
 
 
 @SETTINGS

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from trialg import catalog
 from trialg import ring as rg
 from trialg.catalog import FAMILIES, totassoc_scan
+from trialg.identities import total_assoc_residuals
 from trialg.polysolve import PolySystem
 
 F = Fraction
@@ -34,6 +35,22 @@ def brute_force_scan(family, grid=None):
 @pytest.mark.parametrize("family", SCAN_FAMILIES)
 def test_scan_matches_brute_force_on_the_default_grid(family):
     assert totassoc_scan(family) == brute_force_scan(family)
+
+
+@pytest.mark.parametrize("family", SCAN_FAMILIES)
+def test_constraints_deduplicate_like_ring_elements(family):
+    # the reference dedupes on RingElem equality; totassoc_constraints keys
+    # on integer coefficient pairs and must keep the same entries in order
+    seen, reference = set(), []
+    for residual in total_assoc_residuals(FAMILIES[family].msc):
+        for row in residual.rows:
+            for x in row:
+                if not x.is_zero() and x not in seen:
+                    seen.add(x)
+                    reference.append(x)
+    reference.sort(key=lambda e: (len(e.v), sorted(e.v)))
+    assert [str(e) for e in catalog.totassoc_constraints(family).polys] == \
+        [str(e) for e in reference]
 
 
 @pytest.mark.parametrize("family", SCAN_FAMILIES)
