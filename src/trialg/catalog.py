@@ -620,11 +620,14 @@ def _claim_collision(claim_id, gen_a, gen_b, target, collision_primes):
     })
 
 
-def _claim_totassoc_members():
-    items = []
+def _claims_totassoc():
+    """The claims totassoc:members and totassoc:display, in that order, from
+    one specialization of each listed item."""
+    items, records = [], []
     ok = True
-    for tag, family, values, _rows in TOTASSOC_ITEMS:
-        verdict = is_totally_associative(_at(family, values))
+    for tag, family, values, rows in TOTASSOC_ITEMS:
+        spec = _at(family, values)
+        verdict = is_totally_associative(spec)
         ok = ok and verdict
         items.append({
             "item": tag,
@@ -632,22 +635,19 @@ def _claim_totassoc_members():
             "params": _point_doc(family, values),
             "totally_associative": verdict,
         })
-    return _claim("totassoc:members", "tot_assoc_list", ok, {"items": items})
-
-
-def _claim_totassoc_display():
-    records = []
-    for tag, family, values, rows in TOTASSOC_ITEMS:
         displayed = Msc.from_strings(rg.QQ, 2, 3, rows)
-        for l, ijk, t, g in _mismatch_records(displayed, _at(family, values)):
+        for l, ijk, t, g in _mismatch_records(displayed, spec):
             records.append((tag, l, ijk, t, g))
     pinned = DOCUMENTED_DISPLAY_MISMATCHES["totassoc:display"]
-    return _claim("totassoc:display", "tot_assoc_list", not records, {
-        "mismatches": [
-            {"item": tag, "l": l, "ijk": list(ijk), "displayed": t, "computed": g}
-            for tag, l, ijk, t, g in records
-        ]
-    }, documented=bool(records) and tuple(records) == pinned)
+    return [
+        _claim("totassoc:members", "tot_assoc_list", ok, {"items": items}),
+        _claim("totassoc:display", "tot_assoc_list", not records, {
+            "mismatches": [
+                {"item": tag, "l": l, "ijk": list(ijk), "displayed": t, "computed": g}
+                for tag, l, ijk, t, g in records
+            ]
+        }, documented=bool(records) and tuple(records) == pinned),
+    ]
 
 
 def _claim_scan(family, expected):
@@ -726,8 +726,7 @@ def claims_verify(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=
             ("A4", (_F(1), _F(1))), ("A4", (_F(1), _F(-1))),
             "Ex52", collision_primes,
         ),
-        _claim_totassoc_members(),
-        _claim_totassoc_display(),
+        *_claims_totassoc(),
         _claim_scan("B2", B2_TOTASSOC_POINTS),
         _claim_scan("B4", B4_TOTASSOC_POINTS),
         _claim_assoc_binary(),

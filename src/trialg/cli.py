@@ -148,9 +148,13 @@ def _parse_primes(text: str, allow_empty: bool = False):
                              f"{sys.get_int_max_str_digits()} digits") from None
     if not primes and not allow_empty:
         raise ValueError("empty prime list")
+    seen = set()
     for p in primes:
         if not rg.is_prime(p):
             raise ValueError(f"{rg._excerpt(str(p))} is not prime")
+        if p in seen:
+            raise ValueError(f"prime {rg._excerpt(str(p))} given more than once")
+        seen.add(p)
     return tuple(primes)
 
 

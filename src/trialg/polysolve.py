@@ -519,22 +519,55 @@ def _pair_key(lms, i, j):
     return (sum(L), _grevlex_key(L), i, j)
 
 
+def _skip_pair(lms, done, i, j) -> bool:
+    """Buchberger's criteria: whether the pair (i, j) can be left out.
+
+    A pair whose leading monomials are coprime has an S-polynomial that
+    reduces to zero (the coprime criterion), and so does a pair whose lcm
+    the leading monomial of a third element k divides once the pairs
+    (i, k) and (j, k) are done (the chain criterion).
+    """
+    lmi, lmj = lms[i], lms[j]
+    if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
+        return True
+    L = _mono_lcm(lmi, lmj)
+    for k in range(len(lms)):
+        if k in (i, j):
+            continue
+        if (
+            _mono_divides(lms[k], L)
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+        ):
+            return True
+    return False
+
+
+def _s_poly(f, g, lmf, lmg, lcf, lcg):
+    """The S-polynomial of f and g, given their leading monomials and
+    coefficients; f and g may also be cofactor rows carried along with
+    the basis elements whose leading data is given."""
+    L = _mono_lcm(lmf, lmg)
+    return _poly_sub(
+        _poly_mul_term(f, 1 / lcf, _mono_div(L, lmf)),
+        _poly_mul_term(g, 1 / lcg, _mono_div(L, lmg)),
+    )
+
+
 def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutcome:
     """Run Buchberger's algorithm with the normal selection strategy.
 
     The outcome carries the reduced basis (monic, sorted by leading
-    monomial).  A basis {1} gives "certified_empty_over_closure"; hitting
-    a cap gives "inconclusive" with the partial basis and effort counters;
-    a completed run with a nontrivial basis is also reported as
-    "inconclusive" (no witness is extracted) with effort["completed"]
-    set.  With ``track`` every basis element carries cofactors over the
-    input polynomials.
+    monomial).  A reduced basis {1} gives "certified_empty_over_closure",
+    capped or not; otherwise the outcome is "inconclusive" (no witness is
+    extracted), with the partial basis and effort counters when a cap was
+    hit and with effort["completed"] set when none was.  With ``track``
+    every basis element carries cofactors over the input polynomials.
     """
     caps = {**DEFAULT_CAPS, **(caps or {})}
     max_pairs, max_degree = caps["max_pairs"], caps["max_degree"]
     nin = len(system.polys)
-    nvars = len(system.vars)
-    zero_mono = (0,) * nvars
+    zero_mono = (0,) * len(system.vars)
 
     basis, lms, lcs = [], [], []
     reps = [] if track else None
@@ -561,7 +594,6 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
     done = set()
     processed = skipped = degree_skipped = 0
     max_deg_seen = max((sum(lm) for lm in lms), default=0)
-    certified = False
     pairs_capped = False
 
     while heap:
@@ -572,68 +604,43 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
         if deg > max_degree:
             degree_skipped += 1
             continue
-        lmi, lmj = lms[i], lms[j]
-        if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
-            done.add((i, j))
-            skipped += 1
-            continue
-        L = _mono_lcm(lmi, lmj)
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if (
-                _mono_divides(lms[k], L)
-                and (min(i, k), max(i, k)) in done
-                and (min(j, k), max(j, k)) in done
-            ):
-                chained = True
-                break
-        if chained:
-            done.add((i, j))
+        done.add((i, j))
+        if _skip_pair(lms, done, i, j):
             skipped += 1
             continue
 
         processed += 1
         max_deg_seen = max(max_deg_seen, deg)
-        ui, uj = _mono_div(L, lmi), _mono_div(L, lmj)
-        s_terms = _poly_sub(
-            _poly_mul_term(basis[i], 1 / lcs[i], ui),
-            _poly_mul_term(basis[j], 1 / lcs[j], uj),
-        )
+        s_terms = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j])
         s_rep = None
         if track:
             s_rep = [
-                _poly_sub(
-                    _poly_mul_term(reps[i][t], 1 / lcs[i], ui),
-                    _poly_mul_term(reps[j][t], 1 / lcs[j], uj),
-                )
+                _s_poly(reps[i][t], reps[j][t], lms[i], lms[j], lcs[i], lcs[j])
                 for t in range(nin)
             ]
         rem, s_rep = _normal_form(s_terms, basis, lms, lcs, s_rep, reps)
-        done.add((i, j))
         if not rem:
             continue
         rem, s_rep = _make_primitive(rem, s_rep)
         idx = len(basis)
         push_basis(rem, s_rep)
         if sum(lms[idx]) == 0:
-            certified = True
+            # a constant: the reduced basis is {1}, whatever pairs remain
             break
         for k in range(idx):
             heapq.heappush(heap, _pair_key(lms, k, idx))
 
-    degree_capped = degree_skipped > 0
-    completed = not pairs_capped and not degree_capped
-    red_basis, red_reps = _reduced_basis(basis, lms, lcs, reps, nvars)
+    caps_hit = pairs_capped or degree_skipped > 0
+    red_basis, red_reps = _reduced_basis(basis, lms, lcs, reps)
+    certified = red_basis == [{zero_mono: _F1}]
     effort = {
         "pairs_processed": processed,
         "pairs_skipped_by_criteria": skipped,
         "pairs_skipped_by_degree_cap": degree_skipped,
         "max_lcm_degree": max_deg_seen,
         "basis_size": len(red_basis),
-        "caps_hit": pairs_capped or degree_capped,
-        "completed": completed or certified,
+        "caps_hit": caps_hit,
+        "completed": certified or not caps_hit,
     }
     basis_elems = [RingElem(system.ring, t) for t in red_basis]
     cof_elems = None
@@ -641,22 +648,13 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
         cof_elems = [
             [RingElem(system.ring, r) for r in rep] for rep in red_reps
         ]
-    if certified or (completed and _basis_is_one(red_basis, nvars)):
-        return SolveOutcome(
-            "certified_empty_over_closure",
-            basis=basis_elems, effort=effort, cofactors=cof_elems,
-        )
     return SolveOutcome(
-        "inconclusive", basis=basis_elems, effort=effort, cofactors=cof_elems,
+        "certified_empty_over_closure" if certified else "inconclusive",
+        basis=basis_elems, effort=effort, cofactors=cof_elems,
     )
 
 
-def _basis_is_one(basis, nvars) -> bool:
-    zero_mono = (0,) * nvars
-    return len(basis) == 1 and list(basis[0]) == [zero_mono]
-
-
-def _reduced_basis(basis, lms, lcs, reps, nvars):
+def _reduced_basis(basis, lms, lcs, reps):
     """Minimalize, fully inter-reduce and make monic; deterministic order."""
     order = sorted(range(len(basis)), key=lambda i: (_grevlex_key(lms[i]), i))
     kept = []
@@ -688,30 +686,27 @@ def _reduced_basis(basis, lms, lcs, reps, nvars):
     )
 
 
+def _raw_basis(basis_elems):
+    """The nonzero polynomials of a list as term dicts, with their leading
+    monomials and leading coefficients: (terms, lms, lcs)."""
+    terms = [dict(b.v) for b in basis_elems if not b.is_zero()]
+    lms = [_lm(t) for t in terms]
+    lcs = [t[lm] for t, lm in zip(terms, lms)]
+    return terms, lms, lcs
+
+
 def reduce_poly(f: RingElem, basis_elems) -> RingElem:
     """Normal form of f modulo a list of polynomials in the same ring."""
-    basis = [dict(b.v) for b in basis_elems if not b.is_zero()]
-    lms = [_lm(t) for t in basis]
-    lcs = [t[lm] for t, lm in zip(basis, lms)]
-    rem, _ = _normal_form(dict(f.v), basis, lms, lcs)
+    rem, _ = _normal_form(dict(f.v), *_raw_basis(basis_elems))
     return RingElem(f.ring, rem)
 
 
 def groebner_selfcheck(basis_elems) -> bool:
     """Every S-polynomial of the basis reduces to zero modulo the basis."""
-    basis = [dict(b.v) for b in basis_elems if not b.is_zero()]
-    if not basis:
-        return True
-    lms = [_lm(t) for t in basis]
-    lcs = [t[lm] for t, lm in zip(basis, lms)]
-    ring = basis_elems[0].ring
+    basis, lms, lcs = _raw_basis(basis_elems)
     for j in range(len(basis)):
         for i in range(j):
-            L = _mono_lcm(lms[i], lms[j])
-            s = _poly_sub(
-                _poly_mul_term(basis[i], 1 / lcs[i], _mono_div(L, lms[i])),
-                _poly_mul_term(basis[j], 1 / lcs[j], _mono_div(L, lms[j])),
-            )
+            s = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j])
             rem, _ = _normal_form(s, basis, lms, lcs)
             if rem:
                 return False
@@ -773,17 +768,16 @@ def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 409
     from .generate import symbolic_system
 
     system = symbolic_system(C)
-    evidence = []
-    witness_data = []  # (prime, residue vectors)
     names = system.vars
+    effort = {"primes": list(primes)}
+    evidence = []
 
     if not system.polys:
+        effort["trivial"] = True
         witness = {n: rg.zero(rg.QQ) for n in names}
-        return SolveOutcome(
-            "witness", witness=witness,
-            effort={"primes": list(primes), "trivial": True}, evidence=evidence,
-        )
+        return SolveOutcome("witness", witness=witness, effort=effort, evidence=evidence)
 
+    witnessed = []  # (sweep, residue vectors) per witness-bearing prime
     for p in primes:
         try:
             out = solve_ff_exhaustive(
@@ -801,52 +795,37 @@ def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 409
         vectors = [
             [assignment[n].v for n in names] for assignment in out.witnesses
         ]
-        witness_data.append((p, vectors))
+        witnessed.append((out, vectors))
         lifted, attempts = _try_lift(system, vectors, p)
         if lifted is not None:
-            return SolveOutcome(
-                "witness", witness=lifted,
-                effort={
-                    "primes": list(primes), "lifted_from": p,
-                    "lift_attempts": attempts,
-                },
-                evidence=evidence,
-            )
+            effort.update(lifted_from=p, lift_attempts=attempts)
+            return SolveOutcome("witness", witness=lifted, effort=effort, evidence=evidence)
 
-    if len(witness_data) >= 2:
-        (p1, v1), (p2, v2) = witness_data[0], witness_data[1]
+    if len(witnessed) >= 2:
+        (s1, v1), (s2, v2) = witnessed[:2]
+        p1, p2 = s1.prime, s2.prime
         combined = (
             _crt_pair(a, p1, b, p2) for a in v1[:64] for b in v2[:64]
         )
         lifted, attempts = _try_lift(system, combined, p1 * p2)
         if lifted is not None:
-            return SolveOutcome(
-                "witness", witness=lifted,
-                effort={
-                    "primes": list(primes), "lifted_from": [p1, p2],
-                    "lift_attempts": attempts,
-                },
-                evidence=evidence,
-            )
+            effort.update(lifted_from=[p1, p2], lift_attempts=attempts)
+            return SolveOutcome("witness", witness=lifted, effort=effort, evidence=evidence)
 
-    sweeps = list(evidence)
-    groebner_out = None
     if groebner:
-        groebner_out = buchberger(system, caps=caps)
-        evidence.append(groebner_out)
-    effort = {"primes": list(primes)}
-    if groebner_out is not None and groebner_out.status == "certified_empty_over_closure":
+        evidence.append(buchberger(system, caps=caps))
+        if evidence[-1].status == "certified_empty_over_closure":
+            return SolveOutcome(
+                "certified_empty_over_closure", basis=evidence[-1].basis,
+                effort=effort, evidence=evidence,
+            )
+    if witnessed:
+        sweep = witnessed[0][0]
         return SolveOutcome(
-            "certified_empty_over_closure", basis=groebner_out.basis,
-            effort=effort, evidence=evidence,
+            "witness", witness=sweep.witness, prime=sweep.prime, effort=effort,
+            evidence=evidence,
         )
-    if witness_data:
-        p, vectors = witness_data[0]
-        gf = rg.prime_field(p)
-        witness = {n: RingElem(gf, v) for n, v in zip(names, vectors[0])}
-        return SolveOutcome(
-            "witness", witness=witness, prime=p, effort=effort, evidence=evidence,
-        )
-    if sweeps and all(e.status == "no_solution_mod_p" for e in sweeps):
+    # the sweeps lead the evidence; a Groebner run behind them is inconclusive
+    if primes and all(e.status == "no_solution_mod_p" for e in evidence[:len(primes)]):
         return SolveOutcome("no_solution_mod_p", effort=effort, evidence=evidence)
     return SolveOutcome("inconclusive", effort=effort, evidence=evidence)

@@ -461,7 +461,7 @@ def as_fraction(value) -> Fraction:
         return value.v
     if isinstance(value, str):
         return parse_scalar(value, QQ).v
-    return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def reduce_mod(elem: RingElem, p: int) -> RingElem:
@@ -663,6 +663,8 @@ class _Parser:
             if ckind != "op" or close != ")":
                 self.fail("unbalanced parenthesis")
             return value
+        if kind is None:
+            self.fail("unexpected end of input")
         self.fail(f"unexpected token {tok!r}")
 
 

@@ -574,8 +574,9 @@ def test_integers_past_the_digit_limit_exit_2_naming_it(capsys, tmp_path, entry,
 
 def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
     # the golden commands, assoc binary and ternary over Q and GF(5) (clean,
-    # violating and symbolic), generate, totassoc-scan and iso --all with a
-    # witness; their bytes must not change when the references raise
+    # violating and symbolic), generate, totassoc-scan, express with a lifted
+    # witness and iso --all with a witness; their bytes must not change when
+    # the references raise
     argvs = [case["argv"] for case in
              json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())]
     algebras = {"b2": catalog_get("B2", {"a1": Fraction(1, 2), "b1": 0, "b2": Fraction(1, 2)}),
@@ -589,6 +590,7 @@ def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
     argvs += [["assoc", "--name", "B4"], ["assoc", "--name", "A2"],
               ["generate", "--name", "A4", "--params", "a1=1,b2=1", "--arity", "4"],
               ["totassoc-scan", "--family", "B4", "--grid=0,1/2,1,-1/2"],
+              ["express", "--name", "Cdagger"],
               ["iso", "--a", "A2", "--params-a", "a1=1,b1=1,b2=1", "--b", "A2",
                "--params-b", "a1=1,b1=-1,b2=1", "--prime", "7", "--all"],
               ["iso", "--a", str(tmp_path / "b11-q.json"), "--b", str(tmp_path / "b11-g.json"),
@@ -603,7 +605,9 @@ def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
         raise AssertionError("a command reached a reference path")
 
     for owner, name in ((identities, "quintuple_oracle"), (identities, "binary_triple_oracle"),
-                        (msc, "eval_product"), (msc.Matrix, "__mul__"), (msc.Matrix, "kron")):
+                        (msc, "eval_product"), (msc.Matrix, "__mul__"), (msc.Matrix, "kron"),
+                        (polysolve, "solve_ff_reference"), (polysolve, "reduce_poly"),
+                        (polysolve, "groebner_selfcheck")):
         monkeypatch.setattr(owner, name, refuse)
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
 

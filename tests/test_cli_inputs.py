@@ -158,3 +158,19 @@ def test_a_long_malformed_entry_gives_a_short_diagnostic(tmp_path, entry):
     assert message.startswith("trialg: msc: bad entry: ") and message.count("\n") == 1
     assert "9999'... " in message and f"({len(entry)} characters)" in message
     assert len(message) < 200
+
+
+@pytest.mark.parametrize("argv, prime", [
+    (["express", "--name", "Cstar", "--no-groebner", "--primes=5,5"], 5),
+    (["express", "--name", "Cstar", "--primes=7,5,11,7"], 7),
+    (["paper-replay", "--primes=5,7,5"], 5),
+    (["paper-replay", "--collision-primes=5,5"], 5),
+], ids=["express", "express-apart", "replay", "replay-collision"])
+def test_a_repeated_prime_exits_2_naming_it(argv, prime):
+    # swept twice it would be reported twice, and a CRT lift of p with
+    # itself works modulo p^2, where p has no inverse
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == f"trialg: prime '{prime}' given more than once\n"

@@ -9,7 +9,7 @@ import pytest
 
 from trialg import polysolve
 from trialg import ring as rg
-from trialg.catalog import catalog_get
+from trialg.catalog import catalog_get, totassoc_constraints
 from trialg.generate import expressibility_residual, symbolic_system
 from trialg.iso import iso_search
 from trialg.msc import Msc
@@ -362,6 +362,20 @@ def test_degree_cap_marks_inconclusive():
     out = buchberger(sys_of(["x", "y"], ["x^2 - 1", "x*y - 1"]), caps={"max_degree": 1})
     assert out.status == "inconclusive"
     assert out.effort["caps_hit"] is True
+
+
+def test_a_constant_certifies_under_a_cap():
+    # B3's constraints hold the constants 2 and -2: the reduced basis is {1}
+    # though the degree cap leaves pairs unprocessed
+    system = totassoc_constraints("B3")
+    assert {"2", "-2"} <= {str(p) for p in system.polys}
+    out = buchberger(system, caps={"max_degree": 3})
+    assert [str(b) for b in out.basis] == ["1"]
+    assert out.status == "certified_empty_over_closure"
+    assert out.effort["caps_hit"] is True and out.effort["completed"] is True
+    out = buchberger(sys_of(["x", "y"], ["x^2*y - 1", "x*y^2 + 1", "3"]), caps={"max_pairs": 0})
+    assert out.status == "certified_empty_over_closure"
+    assert [str(b) for b in out.basis] == ["1"]
 
 
 def test_certified_empty_implies_no_solution_mod_p():

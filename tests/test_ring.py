@@ -51,10 +51,22 @@ def test_parse_division_rules():
         rg.parse_scalar("1/0", Q)
 
 
-@pytest.mark.parametrize("text", ["", "2+*3", "(1", "1)", "2^-1", "1 2"])
+ENDS_EARLY = ["1+", "(", "-", "2*", "a1 +"]
+
+
+@pytest.mark.parametrize("text", ["", "2+*3", "(1", "1)", "2^-1", "1 2"] + ENDS_EARLY)
 def test_parse_malformed(text):
-    with pytest.raises(ScalarParseError):
-        rg.parse_scalar(text, Q)
+    # a text cut short is refused at its end, which the message names
+    match = "end of input" if text in ENDS_EARLY else None
+    with pytest.raises(ScalarParseError, match=match):
+        rg.parse_scalar(text, POLY1 if "a1" in text else Q)
+
+
+def test_as_fraction_returns_a_fraction_unchanged():
+    q = Fraction(3, 7)
+    assert rg.as_fraction(q) is q
+    assert rg.as_fraction(3) == 3 and type(rg.as_fraction(3)) is Fraction
+    assert rg.as_fraction("-1/2") == Fraction(-1, 2)
 
 
 def test_parse_nesting_is_capped():
