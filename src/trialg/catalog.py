@@ -712,7 +712,12 @@ def _claim_sign_pair(claim_id, family, values_plus, values_minus, prime):
 
 def claims_verify(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
                   groebner: bool = True) -> Report:
-    """Replay the bullet and list claims about the catalog algebras."""
+    """Replay the bullet and list claims about the catalog algebras.
+
+    Each prime list must be nonempty and name each prime once (ValueError).
+    """
+    primes = rg._distinct_primes(primes)
+    collision_primes = rg._distinct_primes(collision_primes)
     claims = [
         _claim_inexpressible(primes, caps, groebner),
         _claim_cstar_non_iso(primes),
@@ -744,7 +749,8 @@ def paper_replay(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=N
     """Full replay: table rows, default scans, and every bullet/list claim.
 
     The replay is clean when every claim passes or fails exactly as pinned
-    in the documented-mismatch sets.
+    in the documented-mismatch sets.  The prime lists are checked as in
+    claims_verify.
     """
     return Report(table1_verify().claims
                   + claims_verify(primes=primes, collision_primes=collision_primes,

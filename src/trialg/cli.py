@@ -146,16 +146,7 @@ def _parse_primes(text: str, allow_empty: bool = False):
         except ValueError:  # not an integer, or more digits than the interpreter converts
             raise ValueError(f"bad prime {rg._excerpt(item)}: expected an integer of at most "
                              f"{sys.get_int_max_str_digits()} digits") from None
-    if not primes and not allow_empty:
-        raise ValueError("empty prime list")
-    seen = set()
-    for p in primes:
-        if not rg.is_prime(p):
-            raise ValueError(f"{rg._excerpt(str(p))} is not prime")
-        if p in seen:
-            raise ValueError(f"prime {rg._excerpt(str(p))} given more than once")
-        seen.add(p)
-    return tuple(primes)
+    return rg._distinct_primes(primes, allow_empty)
 
 
 def _parse_grid(text: str):

@@ -26,6 +26,15 @@ certify_expressibility chains both: per-prime sweeps (with a bounded
 rational-reconstruction lift of any witness found, verified exactly over
 Q) followed by the Groebner run, reporting the strongest outcome with all
 evidence attached.
+
+Witnesses are checked in integers.  A system is compiled once, when its
+first witness is checked, into its integer form: each polynomial times the
+lcm L of its coefficient denominators, each term an integer coefficient, its
+variable factors and its degree gap to the polynomial's degree.  A lift
+candidate n / d (one denominator d for all variables) zeroes a polynomial
+exactly when the sum of c * d^gap * prod n_i^e is 0; a sweep hit's scalar
+re-check, independent of the vectorized path, fails when p divides L and
+otherwise asks the sum of c * prod v^e to be 0 mod p.
 """
 
 from __future__ import annotations
@@ -46,7 +55,6 @@ from .ring import (
     _mono_lcm,
     _mono_mul,
     _poly_add,
-    _poly_eval,
     _poly_mul_term,
     _poly_sub,
 )
@@ -76,7 +84,7 @@ _F1 = Fraction(1)
 class PolySystem:
     """A finite set of polynomials over one Q[vars] ring; zero polys dropped."""
 
-    __slots__ = ("ring", "polys")
+    __slots__ = ("ring", "polys", "_ints")
 
     def __init__(self, ring: Ring, polys):
         if ring.kind != "poly":
@@ -89,6 +97,7 @@ class PolySystem:
                 kept.append(p)
         self.ring = ring
         self.polys = tuple(kept)
+        self._ints = None  # the integer form, built by _integer_form
 
     @property
     def vars(self):
@@ -408,22 +417,46 @@ def solve_ff_exhaustive(system: PolySystem, p: int, all_witnesses: bool = False,
     )
 
 
+def _integer_form(system: PolySystem):
+    """The system's polynomials as (L, terms) pairs, built on first use and
+    kept: L is the lcm of a polynomial's coefficient denominators and each
+    term of L times the polynomial is (integer coefficient, factors, degree
+    gap), ``factors`` the (variable index, exponent) pairs of its monomial
+    and the gap its degree's distance to the polynomial's degree.  Returns
+    (polys, top), ``top`` the largest degree, which bounds every gap."""
+    if system._ints is None:
+        polys, top = [], 0
+        for poly in system.polys:
+            L = math.lcm(*(q.denominator for q in poly.v.values()))
+            degree = max(map(sum, poly.v))
+            polys.append((L, tuple(
+                (q.numerator * (L // q.denominator),
+                 tuple((i, e) for i, e in enumerate(mono) if e),
+                 degree - sum(mono))
+                for mono, q in poly.v.items()
+            )))
+            top = max(top, degree)
+        system._ints = tuple(polys), top
+    return system._ints
+
+
+def _int_value(terms, values, dpows):
+    """The sum over ``terms`` of c * dpows[gap] * prod values[i]^e."""
+    total = 0
+    for c, factors, gap in terms:
+        for i, e in factors:
+            c *= values[i] ** e
+        total += c * dpows[gap]
+    return total
+
+
 def _check_assignment_mod_p(system: PolySystem, p: int, values) -> bool:
-    """Scalar re-check of one assignment, independent of the vectorized path."""
-    for poly in system.polys:
-        total = 0
-        for mono, q in poly.v.items():
-            den = q.denominator % p
-            if den == 0:
-                return False
-            t = q.numerator * pow(den, p - 2, p) % p
-            for v, e in zip(values, mono):
-                if e:
-                    t = t * pow(v, e, p) % p
-            total = (total + t) % p
-        if total:
-            return False
-    return True
+    """Scalar re-check of one assignment, independent of the vectorized path:
+    every polynomial's integer form is 0 mod p at ``values``, and p divides
+    none of its denominators."""
+    polys, top = _integer_form(system)
+    ones = (1,) * (top + 1)
+    return all(L % p and _int_value(terms, values, ones) % p == 0 for L, terms in polys)
 
 
 def solve_ff_reference(system: PolySystem, p: int):
@@ -718,32 +751,43 @@ def groebner_selfcheck(basis_elems) -> bool:
 # ---------------------------------------------------------------------------
 
 def _lift_candidates(residues, modulus, bound):
-    """Common-denominator rational reconstructions of a residue vector."""
+    """Common-denominator rational reconstructions of a residue vector, as
+    (numerators, d) for the candidate values n / d: for each d up to
+    ``bound`` prime to the modulus, n is r * d mod the modulus, centred."""
     half = modulus // 2
     for d in range(1, bound + 1):
         if math.gcd(d, modulus) != 1:
             continue
-        out = []
+        nums = []
         for r in residues:
             num = r * d % modulus
             if num > half:
                 num -= modulus
-            out.append(Fraction(num, d))
-        yield out
+            nums.append(num)
+        yield nums, d
 
 
 def _try_lift(system: PolySystem, residue_vectors, modulus, bound=64,
               max_attempts=4096):
-    """First exact rational witness reconstructed from mod-``modulus`` data."""
+    """First exact rational witness reconstructed from mod-``modulus`` data,
+    with the count of candidates tried.
+
+    A candidate n / d is tested in integers, exactly over Q: every
+    polynomial of the integer form, homogenized by d, sums to 0 at the
+    numerators (see _integer_form).  Only the accepted candidate becomes
+    Fractions.
+    """
     attempts = 0
-    names = system.vars
+    polys, top = _integer_form(system)
     for residues in residue_vectors:
-        for vals in _lift_candidates(residues, modulus, bound):
+        for nums, d in _lift_candidates(residues, modulus, bound):
             attempts += 1
             if attempts > max_attempts:
                 return None, attempts
-            if all(_poly_eval(poly.v, vals) == 0 for poly in system.polys):
-                return dict(zip(names, (RingElem(rg.QQ, v) for v in vals))), attempts
+            dpows = [d ** k for k in range(top + 1)]
+            if not any(_int_value(terms, nums, dpows) for _, terms in polys):
+                witness = (RingElem(rg.QQ, Fraction(n, d)) for n in nums)
+                return dict(zip(system.vars, witness)), attempts
     return None, attempts
 
 
@@ -758,15 +802,17 @@ def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 409
     by some binary algebra.
 
     Pipeline: per-prime exhaustive sweeps (witnesses trigger a bounded
-    rational lift, denominators up to 64, verified exactly over Q; a CRT
-    combination across the first two witness-bearing primes is tried when
-    per-prime lifting fails), then the Groebner run when no exact witness
-    was found.  A sweep stopped by the enumeration's row budget leaves an
-    "inconclusive" entry for its prime.  The outcome's evidence list
-    carries every stage.
+    rational lift, denominators up to 64, each candidate verified exactly
+    over Q in integer arithmetic; a CRT combination across the first two
+    witness-bearing primes is tried when per-prime lifting fails), then the
+    Groebner run when no exact witness was found.  A sweep stopped by the
+    enumeration's row budget leaves an "inconclusive" entry for its prime.
+    The outcome's evidence list carries every stage.  ``primes`` may be
+    empty but must name each prime once (ValueError).
     """
     from .generate import symbolic_system
 
+    primes = rg._distinct_primes(primes, allow_empty=True)
     system = symbolic_system(C)
     names = system.vars
     effort = {"primes": list(primes)}

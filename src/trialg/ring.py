@@ -69,6 +69,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _distinct_primes(primes, allow_empty: bool = False) -> tuple:
+    """``primes`` as a tuple, each checked prime and given once; an empty
+    list is refused unless ``allow_empty``."""
+    primes = tuple(primes)
+    if not primes and not allow_empty:
+        raise ValueError("empty prime list")
+    seen = set()
+    for p in primes:
+        if not is_prime(p):
+            raise ValueError(f"{_excerpt(str(p))} is not prime")
+        if p in seen:
+            raise ValueError(f"prime {_excerpt(str(p))} given more than once")
+        seen.add(p)
+    return primes
+
+
 class ScalarParseError(ValueError):
     """Raised when a scalar string does not follow the scalar grammar."""
 

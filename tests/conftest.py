@@ -1,7 +1,9 @@
+import json
 import os
 import random
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,15 @@ from trialg.msc import BasisChange, Matrix, Msc
 # out of the working tree.
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "trialg-hypothesis"))
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+
+
+def golden_argv(argv):
+    """A golden command line with its --input fixture resolved against tests/golden/."""
+    return [str(GOLDEN / arg) if flag == "--input" else arg
+            for flag, arg in zip([None, *argv], argv)]
 
 
 def nest(outer, arity, slot, inner):

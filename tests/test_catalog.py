@@ -236,6 +236,18 @@ def test_claims_verify_is_clean():
     assert by_id["iso:A6-sign-flip"]["status"] == "pass"
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"primes": (5, 5)}, "prime '5' given more than once"),
+    ({"collision_primes": (5, 7, 5)}, "prime '5' given more than once"),
+    ({"primes": ()}, "empty prime list"),
+    ({"collision_primes": ()}, "empty prime list"),
+])
+@pytest.mark.parametrize("replay", [claims_verify, paper_replay])
+def test_replay_refuses_the_prime_lists_the_cli_refuses(replay, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replay(groebner=False, **kwargs)
+
+
 def test_paper_replay_report_shape():
     report = paper_replay(primes=(5,), collision_primes=(5,), groebner=False)
     assert report.clean

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +15,8 @@ from trialg import ring as rg
 from trialg.cli import COMMANDS, _json, build_parser, main
 from trialg.msc import BasisChange, Msc, msc_to_doc, transform
 from trialg.catalog import catalog_get
+
+from conftest import GOLDEN_CASES, golden_argv
 
 
 def run_cli(capsys, *argv):
@@ -488,8 +489,7 @@ def test_every_export_and_submodule_resolves_after_a_bare_import():
     assert sum(len(names.split()) for names in EXPORTS.values()) == 38
 
 
-GOLDEN_ARGVS = [case["argv"] for case in
-                json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())]
+GOLDEN_ARGVS = [case["argv"] for case in GOLDEN_CASES]
 
 
 @pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
@@ -577,8 +577,7 @@ def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
     # violating and symbolic), generate, totassoc-scan, express with a lifted
     # witness and iso --all with a witness; their bytes must not change when
     # the references raise
-    argvs = [case["argv"] for case in
-             json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())]
+    argvs = [golden_argv(case["argv"]) for case in GOLDEN_CASES]
     algebras = {"b2": catalog_get("B2", {"a1": Fraction(1, 2), "b1": 0, "b2": Fraction(1, 2)}),
                 "b11": catalog_get("B11"), "a4": catalog_get("A4", {"a1": 1, "b2": 0}),
                 "a2": catalog_get("A2", {"a1": 0, "b1": 0, "b2": 0})}

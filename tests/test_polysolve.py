@@ -1,4 +1,6 @@
+import functools
 import gc
+import json
 import math
 import random
 from collections import Counter
@@ -6,13 +8,14 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trialg import polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get, totassoc_constraints
 from trialg.generate import expressibility_residual, symbolic_system
 from trialg.iso import iso_search
-from trialg.msc import Msc
+from trialg.msc import Msc, msc_from_doc
 from trialg.polysolve import (
     DEFAULT_CAPS,
     PolySystem,
@@ -23,6 +26,8 @@ from trialg.polysolve import (
     solve_ff_exhaustive,
     solve_ff_reference,
 )
+
+from conftest import GOLDEN
 
 Q = rg.QQ
 F = Fraction
@@ -131,6 +136,45 @@ def test_sweep_matches_reference_evaluator_with_split_expansions(monkeypatch, ro
     # two prefixes at a time, splitting the frontier instead
     monkeypatch.setattr(polysolve, "_MAX_ROWS", rows)
     _check_sweep_against_reference()
+
+
+def _random_rational_system(rng, names, p, p_denominator):
+    """A _random_system whose coefficients get denominators up to 4; with
+    ``p_denominator`` one coefficient's denominator is a multiple of p."""
+    system = _random_system(rng, names, p)
+    polys = [{m: c / rng.choice((1, 1, 2, 3, 4)) for m, c in poly.v.items()}
+             for poly in system.polys]
+    if p_denominator:
+        terms = rng.choice(polys)
+        mono = rng.choice(sorted(terms))
+        terms[mono] /= p
+    return PolySystem(system.ring, [rg.RingElem(system.ring, t) for t in polys])
+
+
+def test_scalar_recheck_matches_reference_evaluator():
+    # the integer re-check of sweep hits agrees with the prime-field
+    # evaluator at every assignment; a polynomial with a denominator that p
+    # divides has no value mod p, the reference raises on it, and the
+    # re-check rejects every assignment
+    rng = random.Random(515)
+    seen = Counter()
+    for trial in range(100):
+        p = (5, 7)[trial % 2]
+        names = (["x", "y"], ["x", "y", "z"])[trial % 3 % 2]
+        system = _random_rational_system(rng, names, p, trial % 4 == 3)
+        assignments = list(iter_product(range(p), repeat=len(names)))
+        got = [a for a in assignments if polysolve._check_assignment_mod_p(system, p, a)]
+        bad = [poly for poly in system.polys if any(q.denominator % p == 0 for q in poly.v.values())]
+        if bad:
+            with pytest.raises(ZeroDivisionError):
+                solve_ff_reference(PolySystem(system.ring, bad[:1]), p)
+            assert got == []
+            seen["denominator"] += 1
+            continue
+        expected = [tuple(w[n].v for n in names) for w in solve_ff_reference(system, p)]
+        assert got == expected
+        seen["solved" if expected else "empty"] += 1
+    assert min(seen.values()) >= 10, seen  # every kind is well represented
 
 
 def _python_residues(polys, rows, p):
@@ -425,6 +469,107 @@ def test_certify_cdagger_recovers_a_listed_generator():
         "h111": "1/3", "h112": "0", "h121": "0", "h122": "0",
         "h211": "0", "h212": "-1/3", "h221": "2/3", "h222": "0",
     }
+
+
+def fraction_lift_candidates(residues, modulus, bound):
+    """Common-denominator rational reconstructions of a residue vector."""
+    half = modulus // 2
+    for d in range(1, bound + 1):
+        if math.gcd(d, modulus) != 1:
+            continue
+        out = []
+        for r in residues:
+            num = r * d % modulus
+            if num > half:
+                num -= modulus
+            out.append(Fraction(num, d))
+        yield out
+
+
+def fraction_try_lift(system: PolySystem, residue_vectors, modulus, bound=64,
+                      max_attempts=4096):
+    """First exact rational witness reconstructed from mod-``modulus`` data."""
+    attempts = 0
+    names = system.vars
+    for residues in residue_vectors:
+        for vals in fraction_lift_candidates(residues, modulus, bound):
+            attempts += 1
+            if attempts > max_attempts:
+                return None, attempts
+            if all(rg._poly_eval(poly.v, vals) == 0 for poly in system.polys):
+                return dict(zip(names, (rg.RingElem(rg.QQ, v) for v in vals))), attempts
+    return None, attempts
+
+
+LIFT_TARGETS = ("Cdagger", "B9", "express-crt35.json", "express-gf-witness.json")
+
+
+@functools.lru_cache(maxsize=None)
+def lift_data(target):
+    """The target's system and its residue vectors by modulus: the sweep
+    witnesses mod 5 and mod 7, and their CRT combinations mod 35 as
+    certify_expressibility forms them."""
+    if target.endswith(".json"):
+        C = msc_from_doc(json.loads((GOLDEN / target).read_text(encoding="utf-8")))
+    else:
+        C = catalog_get(target)
+    system = symbolic_system(C)
+    vectors = {}
+    for p in (5, 7):
+        out = solve_ff_exhaustive(system, p, all_witnesses=True)
+        vectors[p] = [tuple(w[n].v for n in system.vars) for w in out.witnesses or ()]
+    vectors[35] = [tuple(polysolve._crt_pair(a, 5, b, 7))
+                   for a in vectors[5][:64] for b in vectors[7][:64]]
+    return system, vectors
+
+
+def lift_result(lifted):
+    witness, attempts = lifted
+    if witness is None:
+        return None, attempts
+    assert all(type(v.v) is Fraction for v in witness.values())
+    return {n: v.v for n, v in witness.items()}, attempts
+
+
+@pytest.mark.parametrize("target", LIFT_TARGETS)
+@pytest.mark.parametrize("modulus", [5, 7, 35])
+def test_integer_lift_matches_the_fraction_lift_on_sweep_witnesses(target, modulus):
+    # the lift as certify_expressibility runs it, then cut off one attempt
+    # before and exactly at the accepted candidate
+    system, vectors = lift_data(target)
+    expected = fraction_try_lift(system, vectors[modulus], modulus)
+    assert lift_result(polysolve._try_lift(system, vectors[modulus], modulus)) == \
+        lift_result(expected)
+    if expected[0] is not None:
+        for cut in (expected[1] - 1, expected[1]):
+            assert lift_result(polysolve._try_lift(system, vectors[modulus], modulus,
+                                                   max_attempts=cut)) == \
+                lift_result(fraction_try_lift(system, vectors[modulus], modulus,
+                                              max_attempts=cut))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_integer_lift_matches_the_fraction_lift_on_drawn_residues(data):
+    target = data.draw(st.sampled_from(LIFT_TARGETS), label="target")
+    modulus = data.draw(st.sampled_from((5, 7, 35)), label="modulus")
+    system, vectors = lift_data(target)
+    drawn = st.tuples(*[st.integers(0, modulus - 1)] * len(system.vars))
+    vector = st.one_of(st.sampled_from(vectors[modulus]), drawn) if vectors[modulus] else drawn
+    residues = data.draw(st.lists(vector, max_size=4), label="residues")
+    bound = data.draw(st.integers(1, 64), label="bound")
+    max_attempts = data.draw(st.integers(0, 120), label="max_attempts")
+    assert lift_result(polysolve._try_lift(system, residues, modulus, bound, max_attempts)) == \
+        lift_result(fraction_try_lift(system, residues, modulus, bound, max_attempts))
+
+
+def test_certify_refuses_a_repeated_prime():
+    with pytest.raises(ValueError, match="^prime '5' given more than once$"):
+        certify_expressibility(catalog_get("Cdagger"), primes=(5, 7, 5), groebner=False)
+    with pytest.raises(ValueError, match="^'4' is not prime$"):
+        certify_expressibility(catalog_get("Cdagger"), primes=(4,), groebner=False)
+    assert certify_expressibility(catalog_get("Cdagger"), primes=(), groebner=False) \
+        .status == "inconclusive"
 
 
 def test_certify_zero_target_returns_zero_witness():
