@@ -6,6 +6,14 @@ field the whole of GL(m, GF(p)) can be enumerated, which decides the
 question there; an empty search is evidence (never proof) about fields of
 characteristic zero.
 
+Before it enumerates anything the search compares GL(m, GF(p)) invariants
+of A and B, computed from their residues mod p (_invariants): the rank of
+the structure matrix and, per argument slot, the rank of the trace
+contraction of that slot with the output.  A mismatch proves that no g
+over GF(p) exists, so the search returns no witness at once; like an empty
+scan, that is decisive mod p only.  Equal invariants decide nothing, and
+the scan below runs as before.
+
 The search writes the equivalent identity B . g^(tensor n) = g . A, together
 with t . det(g) = 1 for invertibility, as one polynomial system in the
 entries of g and t, and hands it to the pruned finite-field enumerator of
@@ -34,7 +42,7 @@ from itertools import product as iter_product
 from . import msc
 from . import ring as rg
 from .msc import BasisChange, Matrix, Msc, _to_ints, transform
-from .polysolve import _enumerate
+from .polysolve import _check_modulus, _enumerate
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
            "DEFAULT_EVIDENCE_PRIMES"]
@@ -80,6 +88,49 @@ def _residues(A: Msc, p: int):
             return [[v * inv % p for v in row] for row in rows]
     A = A.reduce_mod(p)  # raises unless A already lives over GF(p)
     return [[x.v for x in row] for row in A.mat.rows]
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """The rank over GF(p) of a matrix of residues, by row reduction."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next((c for c, x in enumerate(pivot) if x), None)
+        if col is None:
+            continue
+        rank += 1
+        scale = pow(pivot[col], -1, p)
+        for r, row in enumerate(rows):
+            f = row[col] * scale % p
+            if f:
+                rows[r] = [(x - f * y) % p for x, y in zip(row, pivot)]
+    return rank
+
+
+def _invariants(a, m: int, n: int, p: int):
+    """GL(m, GF(p)) invariants of the algebra with residue rows a mod p.
+
+    The rank of the m x m^n structure matrix, then for each slot s the rank
+    of the trace contraction C_s[o] = sum over k of A[k, o with k inserted
+    at slot s], o running over the (n - 1)-tuples, flattened as o's first
+    index against the rest (for n = 2 the linear form tr L_x or tr R_x).
+    Both are invariant: B = g . A . (g^-1)^(tensor n) gives the structure
+    matrix invertible factors on both sides, and in C_s(B) the output's g
+    cancels against slot s's g^-1 in the trace, so
+    C_s(B) = C_s(A) . (g^-1)^(tensor (n - 1)), invertible on each index.
+    """
+    inner = m ** (n - 2)
+    ranks = [_rank_mod_p(a, p)]
+    for s in range(n):
+        after = m ** (n - 1 - s)  # o's indices after slot s, as one number
+        flat = [
+            sum(a[k][(head * m + k) * after + tail] for k in range(m)) % p
+            for head, tail in (divmod(o, after) for o in range(m ** (n - 1)))
+        ]
+        ranks.append(_rank_mod_p(
+            [flat[i:i + inner] for i in range(0, len(flat), inner)], p))
+    return tuple(ranks)
 
 
 @functools.lru_cache(maxsize=4)
@@ -128,11 +179,14 @@ def _iso_polys(a, b, m: int, n: int):
     return polys
 
 
-def _iso_system_mod_p(A: Msc, B: Msc, p: int):
-    """The search's system as the (coeff, factors) terms _enumerate takes.
+def _iso_system_mod_p(A: Msc, B: Msc, p: int, residues=None):
+    """The search's system as the (coeff, factors) terms _enumerate takes,
+    built from ``residues``, the pair _residues(A, p), _residues(B, p), when
+    the caller has it already.
 
     Never obstructed: no polynomial of it is a nonzero constant."""
-    polys = _iso_polys(_residues(A, p), _residues(B, p), A.dim, A.arity)
+    a, b = residues or (_residues(A, p), _residues(B, p))
+    polys = _iso_polys(a, b, A.dim, A.arity)
     compiled = ([(c % p, mono) for mono, c in poly.items() if c % p] for poly in polys)
     return [terms for terms in compiled if terms]
 
@@ -143,7 +197,9 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     A and B may have rational entries (reduced mod p; p must not divide a
     denominator) or already live over GF(p).  Returns every witness in
     enumeration order, or just the first when find_all is False.  An empty
-    result means an exhaustive scan found no isomorphism over GF(p).
+    result means that there is no isomorphism over GF(p): either an
+    invariant of _invariants differs between A and B, which proves it
+    without a scan, or an exhaustive scan found none.
     """
     if A.dim != B.dim or A.arity != B.arity:
         raise ValueError("algebras must share dimension and arity")
@@ -173,7 +229,14 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
             f"the isomorphism system of a dimension-{m} arity-{n} algebra expands "
             f"{size} products, more than {budget}"
         )
-    hits = _enumerate(_iso_system_mod_p(A, B, p), p, m * m + 1, None if find_all else 1)
+    # refused before the screen, so that whether p is accepted never
+    # depends on the pair
+    _check_modulus(p)
+    a, b = _residues(A, p), _residues(B, p)
+    if _invariants(a, m, n, p) != _invariants(b, m, n, p):
+        return []
+    hits = _enumerate(_iso_system_mod_p(A, B, p, (a, b)), p, m * m + 1,
+                      None if find_all else 1)
     if not hits:
         return []
     Ap = A.reduce_mod(p)

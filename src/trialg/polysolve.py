@@ -290,6 +290,12 @@ def _vanishing(np, table, cols, p):
     ])
 
 
+def _check_modulus(p):
+    """Refuse a modulus whose residue products could pass 2^63 - 1."""
+    if (p - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"modulus {p} is too large for 64-bit residue products")
+
+
 def _enumerate(compiled, p, nvars, cap):
     """Every assignment in GF(p)^nvars that zeroes each compiled polynomial.
 
@@ -309,8 +315,7 @@ def _enumerate(compiled, p, nvars, cap):
     alone, which drops about (1 - 1/p) of the rows, then all the others at
     once on its survivors.
     """
-    if (p - 1) ** 2 >= 1 << 63:
-        raise ValueError(f"modulus {p} is too large for 64-bit residue products")
+    _check_modulus(p)
     # imported here, once per enumeration, so that commands which never
     # enumerate do not pay numpy's import time
     import numpy as np

@@ -282,12 +282,29 @@ def test_too_large_modulus_exits_2(capsys, argv):
 
 def test_iso_past_its_work_budget_exits_2(capsys, monkeypatch):
     # used to run without end; at the default budget it is refused after
-    # some seconds, a smaller one takes the same path at once
+    # some seconds, a smaller one takes the same path at once.  The Cdagger
+    # collision pair agrees on every invariant of the screen, so it reaches
+    # the enumerator and its budget
+    p = 3037000493
+    pair = [catalog_get("A4", {"a1": Fraction(1, 3), "b2": Fraction(-1, 3)}),
+            catalog_get("A5", {"a1": Fraction(1, 3)})]
+    assert len({iso._invariants(iso._residues(X, p), 2, 2, p) for X in pair}) == 1
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 1 << 20)
-    code, out, err = run_cli(capsys, "iso", "--a", "Cstar", "--b", "Cdagger",
-                             "--prime", "3037000493")
+    code, out, err = run_cli(capsys, "iso", "--a", "A4(a1=1/3,b2=-1/3)",
+                             "--b", "A5(a1=1/3)", "--prime", str(p))
     assert code == 2 and out == ""
     assert f"passed {1 << 20} rows unfinished" in err
+
+
+def test_iso_separated_by_invariants_is_answered_past_the_budget(capsys, monkeypatch):
+    # Cstar and Cdagger differ in an invariant mod p, so the exact answer
+    # comes without a scan even where a scan could not finish
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 0)
+    code, out, _ = run_cli(capsys, "iso", "--a", "Cstar", "--b", "Cdagger",
+                           "--prime", "3037000493")
+    assert code == 1
+    doc = load(out)
+    assert doc["witness_count"] == 0 and doc["exhaustive"] is True
 
 
 @pytest.mark.parametrize("groebner, code, status", [

@@ -5,11 +5,11 @@ from itertools import permutations
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from trialg import iso, msc, polysolve
 from trialg import ring as rg
-from trialg.catalog import catalog_get
+from trialg.catalog import catalog_get, claims_verify
 from trialg.identities import is_totally_associative
 from trialg.iso import iso_report, iso_search, iso_verify
 from trialg.msc import BasisChange, Matrix, Msc, transform
@@ -405,3 +405,130 @@ def test_search_finds_the_basis_change_that_made_the_target(data):
         warnings.simplefilter("ignore", RuntimeWarning)  # p = 3 is weak evidence
         found = [w.g.mat.to_strings() for w in iso_search(A, B, p)]
     assert [[str(x % p) for x in row] for row in g_rows] in found
+
+
+# ---------------------------------------------------------------------------
+# the invariant screen: invariants of A and of transform(A, g) agree, and a
+# pair whose invariants differ has no witness
+# ---------------------------------------------------------------------------
+
+# every dimension 1-3 and arity 2-4 (Msc starts at arity 2); the search's
+# expansion budget allows all of them
+SCREEN_SHAPES = [(m, n) for m in (1, 2, 3) for n in (2, 3, 4)]
+SCREEN_PRIMES = (5, 7, 11)
+
+
+def _span_rank(rows, p):
+    """The r with p^r vectors in the row span: a rank that shares no code
+    with row reduction."""
+    span = {
+        tuple(sum(c * x for c, x in zip(coeffs, col)) % p for col in zip(*rows))
+        for coeffs in iter_product(range(p), repeat=len(rows))
+    }
+    return next(r for r in range(len(rows) + 1) if p ** r == len(span))
+
+
+def oracle_invariants(A, p):
+    """iso._invariants re-derived from the definitions: the structure
+    matrix's rank, then per slot s the rank of sum_k A[k, o with k at slot
+    s], rows indexed by o's first index, columns by the rest."""
+    m, n = A.dim, A.arity
+    a = [[x.v for x in row] for row in A.reduce_mod(p).mat.rows]
+    ranks = [_span_rank(a, p)]
+    indices = range(1, m + 1)
+    for s in range(n):
+        rows = [
+            [sum(a[k - 1][msc.column_index(m, [*o[:s], k, *o[s:]])] for k in indices) % p
+             for o in ((first, *rest) for rest in iter_product(indices, repeat=n - 2))]
+            for first in indices
+        ]
+        ranks.append(_span_rank(rows, p))
+    return tuple(ranks)
+
+
+def invariants(A, p):
+    return iso._invariants(iso._residues(A, p), A.dim, A.arity, p)
+
+
+@st.composite
+def screen_algebras(draw, p, dim, arity):
+    """An algebra over GF(p) whose entries are 0 about half the time, so
+    that ranks below full are common."""
+    gf = rg.prime_field(p)
+    entry = st.one_of(st.just(0), st.integers(1, p - 1))
+    return Msc(dim, arity, Matrix(gf, [
+        [rg.RingElem(gf, draw(entry)) for _ in range(dim ** arity)] for _ in range(dim)
+    ]))
+
+
+def test_rank_mod_p_matches_the_span_count(rng):
+    for p in SCREEN_PRIMES:
+        for nrows, ncols in ((1, 1), (2, 3), (3, 2), (3, 4)):
+            for _ in range(10):
+                rows = [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                        for _ in range(nrows)]
+                if rng.random() < 0.3:  # a dependent row
+                    c = rng.randrange(p)
+                    rows[-1] = [c * x % p for x in rows[0]]
+                assert iso._rank_mod_p(rows, p) == _span_rank(rows, p), rows
+
+
+def test_trace_ranks_of_a_binary_algebra_are_tr_r_and_tr_l():
+    # A4(1, 1) has tr L_x != 0 and A4(1, -1) has tr L = 0, which is what
+    # separates the Ex52 collision pair
+    for p in SCREEN_PRIMES:
+        plus, minus = invariants(a4(1, 1), p), invariants(a4(1, -1), p)
+        assert plus == oracle_invariants(a4(1, 1), p)
+        assert minus == oracle_invariants(a4(1, -1), p)
+        assert plus[2] == 1 and minus[2] == 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_invariants_are_kept_by_every_basis_change(data):
+    dim, arity = data.draw(st.sampled_from(SCREEN_SHAPES), label="shape")
+    p = data.draw(st.sampled_from(SCREEN_PRIMES), label="p")
+    A = data.draw(screen_algebras(p, dim, arity), label="A")
+    gf = rg.prime_field(p)
+    g = BasisChange(Matrix(gf, [[rg.RingElem(gf, x % p) for x in row]
+                                for row in data.draw(basis_changes(dim, p), label="g")]))
+    assert invariants(A, p) == oracle_invariants(A, p)
+    assert invariants(transform(A, g), p) == invariants(A, p)
+
+
+# the brute-force oracle runs where p^(m^2) candidates stay cheap (m = 1, and
+# m = 2 at p = 5 and 7); the enumerator where its first tested level has at
+# most 7^7 rows (all of m = 1 and 2, m = 3 at p = 5 and 7)
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_a_pair_the_invariants_separate_has_no_witness(data):
+    dim, arity = data.draw(st.sampled_from(SCREEN_SHAPES), label="shape")
+    p = data.draw(st.sampled_from(SCREEN_PRIMES), label="p")
+    A = data.draw(screen_algebras(p, dim, arity), label="A")
+    B = data.draw(screen_algebras(p, dim, arity), label="B")
+    assume(invariants(A, p) != invariants(B, p))
+    assert iso_search(A, B, p) == []
+    if p ** (dim * dim) <= 7 ** 4:
+        assert brute_force_iso(A, B, p) == []
+    if p ** (dim * dim - 2) <= 7 ** 7:
+        assert polysolve._enumerate(iso._iso_system_mod_p(A, B, p), p, dim * dim + 1,
+                                    None) == []
+
+
+def test_the_replay_enumerates_only_what_the_invariants_leave(monkeypatch):
+    # 62 searches per replay; the invariants settle all but the Cdagger
+    # collision (at 5, 7 and 11) and the isomorphic A2 and A6 sign pairs
+    calls = []
+    enumerate_ = iso._enumerate
+
+    def counted(compiled, p, nvars, cap):
+        calls.append(p)
+        return enumerate_(compiled, p, nvars, cap)
+
+    monkeypatch.setattr(iso, "_enumerate", counted)
+    screened = claims_verify().to_doc()
+    assert calls == [5, 7, 11, 5, 5]
+    calls.clear()
+    monkeypatch.setattr(iso, "_invariants", lambda a, m, n, p: ())
+    assert claims_verify().to_doc() == screened
+    assert len(calls) == 62
