@@ -24,7 +24,7 @@ from .identities import (
 )
 from .iso import DEFAULT_EVIDENCE_PRIMES, iso_search
 from .msc import Msc, column_tuple, msc_to_doc
-from .polysolve import PolySystem, certify_expressibility
+from .polysolve import PolySystem, _int_value, _integer_form, certify_expressibility
 
 __all__ = [
     "FamilyEntry",
@@ -513,47 +513,36 @@ def totassoc_scan(family: str, grid=None):
     point would list them.  A grid of more than _MAX_SCAN_POINTS points is
     refused with ValueError before any test.
 
-    The test is exact and in integers: axis i is written as numerators n
-    over its lcm denominator d_i, and each entry is scaled to integer
-    coefficients times d_i^D_i for every parameter, D_i the highest degree
-    of x_i among the entries.  A term c * x^e then evaluates to
-    c * prod(n_i^e_i * d_i^(D_i - e_i)), and an entry vanishes at a point
-    exactly when its integer sum is 0.
+    The test is exact and in integers: every grid value is a numerator over
+    D, the lcm of all the grid's denominators, and an entry vanishes at a
+    point exactly when its integer form (polysolve._integer_form),
+    homogenized by D, sums to 0 at the numerators.
     """
     entry = _parametric_ternary(family)
     axes = _scan_axes(entry, grid)
     size = prod(len(axis) for axis in axes)
     if size > _MAX_SCAN_POINTS:
         raise ValueError(f"a grid of {size} points exceeds the scan budget of {_MAX_SCAN_POINTS}")
-    polys = [e.v for e in totassoc_constraints(family).polys]
-    top = [max((mono[i] for t in polys for mono in t), default=0) for i in range(len(axes))]
-    # level i pairs each value n / d_i of axis i with its powers n^e * d_i^(D_i - e)
-    levels = []
-    for axis, deg in zip(axes, top):
-        d = lcm(*(x.denominator for x in axis))
-        nums = [x.numerator * (d // x.denominator) for x in axis]
-        levels.append([(x, [n ** e * d ** (deg - e) for e in range(deg + 1)])
-                       for x, n in zip(axis, nums)])
+    polys, top = _integer_form(totassoc_constraints(family))
     buckets = [[] for _ in axes]
-    for t in polys:
-        last = max((i for mono in t for i, e in enumerate(mono) if e), default=0)
-        scale = lcm(*(q.denominator for q in t.values()))
-        buckets[last].append([(q.numerator * (scale // q.denominator),
-                               tuple(enumerate(mono[:last + 1]))) for mono, q in t.items()])
-    return list(_walk(levels, buckets, [None] * len(axes), [None] * len(axes)))
+    for _, terms in polys:
+        buckets[max((i for _, factors, _ in terms for i, _ in factors), default=0)].append(terms)
+    D = lcm(*(x.denominator for axis in axes for x in axis))
+    dpows = [D ** k for k in range(top + 1)]
+    levels = [[(x, x.numerator * (D // x.denominator)) for x in axis] for axis in axes]
+    return list(_walk(levels, buckets, dpows, [None] * len(axes), [None] * len(axes)))
 
 
-def _walk(levels, buckets, point, at, k=0):
+def _walk(levels, buckets, dpows, point, nums, k=0):
     """Yield, in walk order, the grid points that extend the prefix point[:k]
-    (whose powers are at[:k]) and make every entry of buckets[k:] vanish.
-    A module-level generator: a nested function that calls itself is a
-    reference cycle, which kept the scan's tables alive until a full
-    garbage collection."""
-    for point[k], at[k] in levels[k]:
-        if all(sum(c * prod(at[i][e] for i, e in factors) for c, factors in terms) == 0
-               for terms in buckets[k]):
+    (whose numerators over D are nums[:k]) and make every entry of
+    buckets[k:] vanish.  A module-level generator: a nested function that
+    calls itself is a reference cycle, which kept the scan's tables alive
+    until a full garbage collection."""
+    for point[k], nums[k] in levels[k]:
+        if not any(_int_value(terms, nums, dpows) for terms in buckets[k]):
             if k + 1 < len(levels):
-                yield from _walk(levels, buckets, point, at, k + 1)
+                yield from _walk(levels, buckets, dpows, point, nums, k + 1)
             else:
                 yield tuple(point)
 

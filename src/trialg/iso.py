@@ -179,14 +179,12 @@ def _iso_polys(a, b, m: int, n: int):
     return polys
 
 
-def _iso_system_mod_p(A: Msc, B: Msc, p: int, residues=None):
+def _iso_system_mod_p(A: Msc, B: Msc, p: int, residues):
     """The search's system as the (coeff, factors) terms _enumerate takes,
-    built from ``residues``, the pair _residues(A, p), _residues(B, p), when
-    the caller has it already.
+    built from ``residues``, the pair _residues(A, p), _residues(B, p).
 
     Never obstructed: no polynomial of it is a nonzero constant."""
-    a, b = residues or (_residues(A, p), _residues(B, p))
-    polys = _iso_polys(a, b, A.dim, A.arity)
+    polys = _iso_polys(*residues, A.dim, A.arity)
     compiled = ([(c % p, mono) for mono, c in poly.items() if c % p] for poly in polys)
     return [terms for terms in compiled if terms]
 

@@ -27,14 +27,16 @@ rational-reconstruction lift of any witness found, verified exactly over
 Q) followed by the Groebner run, reporting the strongest outcome with all
 evidence attached.
 
-Witnesses are checked in integers.  A system is compiled once, when its
-first witness is checked, into its integer form: each polynomial times the
-lcm L of its coefficient denominators, each term an integer coefficient, its
-variable factors and its degree gap to the polynomial's degree.  A lift
-candidate n / d (one denominator d for all variables) zeroes a polynomial
-exactly when the sum of c * d^gap * prod n_i^e is 0; a sweep hit's scalar
-re-check, independent of the vectorized path, fails when p divides L and
-otherwise asks the sum of c * prod v^e to be 0 mod p.
+A system has one integer encoding, its integer form, built at first use and
+kept: each polynomial times the lcm L of its coefficient denominators, each
+term an integer coefficient, its variable factors and its degree gap to the
+polynomial's degree.  The sweep reduces it mod p (c * L^-1 per term); p
+dividing L is refused.  A point n / d (one denominator d for all variables)
+zeroes a polynomial exactly when the sum of c * d^gap * prod n_i^e is 0:
+rational-lift candidates are tested so, and so is every point of
+catalog.totassoc_scan.  A sweep hit's scalar re-check, independent of the
+vectorized path, fails when p divides L and otherwise asks the sum of
+c * prod v^e to be 0 mod p.
 """
 
 from __future__ import annotations
@@ -172,21 +174,18 @@ def _compile_mod_p(system: PolySystem, p: int):
     """Reduce every polynomial mod p to a list of (coeff, factors) terms.
 
     ``factors`` lists the (variable index, exponent) pairs of the term's
-    monomial.  Returns (compiled, obstructed) where obstructed means some
-    polynomial reduced to a nonzero constant, so no assignment can work.
+    monomial.  The residues come from the integer form: c * L^-1 mod p for
+    each term c of L times the polynomial.  Returns (compiled, obstructed)
+    where obstructed means some polynomial reduced to a nonzero constant,
+    so no assignment can work.
     """
     compiled = []
-    for poly in system.polys:
-        terms = []
-        for mono, q in poly.v.items():
-            den = q.denominator % p
-            if den == 0:
-                raise ValueError(
-                    f"prime {p} divides the denominator of coefficient {q}"
-                )
-            c = q.numerator * pow(den, p - 2, p) % p
-            if c:
-                terms.append((c, tuple((i, e) for i, e in enumerate(mono) if e)))
+    for poly, (L, terms) in zip(system.polys, _integer_form(system)[0]):
+        if L % p == 0:
+            q = next(q for q in poly.v.values() if q.denominator % p == 0)
+            raise ValueError(f"prime {p} divides the denominator of coefficient {q}")
+        inv = pow(L, -1, p)
+        terms = [(r, factors) for c, factors, _ in terms if (r := c * inv % p)]
         if not terms:
             continue
         if all(not factors for _, factors in terms):
@@ -801,7 +800,7 @@ def _crt_pair(r1, p1, r2, p2):
     return [(a + p1 * ((b - a) * inv % p2)) % (p1 * p2) for a, b in zip(r1, r2)]
 
 
-def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 4096,
+def certify_expressibility(C, primes=(5, 7), caps=None,
                            groebner: bool = True) -> SolveOutcome:
     """Strongest available verdict on whether a ternary algebra is generated
     by some binary algebra.
@@ -831,9 +830,7 @@ def certify_expressibility(C, primes=(5, 7), caps=None, max_witnesses: int = 409
     witnessed = []  # (sweep, residue vectors) per witness-bearing prime
     for p in primes:
         try:
-            out = solve_ff_exhaustive(
-                system, p, all_witnesses=True, max_witnesses=max_witnesses,
-            )
+            out = solve_ff_exhaustive(system, p, all_witnesses=True)
         except EnumerationBudgetError:
             # a refused prime is no evidence either way
             out = SolveOutcome("inconclusive", prime=p, effort={

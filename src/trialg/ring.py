@@ -41,15 +41,19 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
-# Witness set is deterministic for every n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: as Miller-Rabin bases they decide every n below
+# psi_13 = 3317044064679887385961981; the first 12 stop short at the
+# composite psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for machine-scale integers."""
+    """Miller-Rabin primality test to the bases _MR_WITNESSES: deterministic
+    below psi_13 = 3317044064679887385961981, a strong probable-prime test
+    above it (psi_13 itself, a composite, passes)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0

@@ -174,3 +174,20 @@ def test_a_repeated_prime_exits_2_naming_it(argv, prime):
         code = main(argv)
     assert code == 2 and out.getvalue() == ""
     assert err.getvalue() == f"trialg: prime '{prime}' given more than once\n"
+
+
+PSI_12 = 318665857834031151167461  # 399165290221 x 798330580441
+
+
+def test_a_composite_passing_twelve_prime_bases_exits_2(tmp_path):
+    path = tmp_path / "gf.json"
+    path.write_text(json.dumps({"dim": 2, "arity": 2, "ring": {"kind": "GF", "p": PSI_12},
+                                "entries": [["1", "0", "0", "0"], ["0", "0", "0", "1"]]}))
+    for argv, message in [
+        (["assoc", "--input", str(path)], f"trialg: prime field modulus must be prime, got {PSI_12}\n"),
+        (["express", "--name", "Cstar", f"--primes={PSI_12}"], f"trialg: '{PSI_12}' is not prime\n"),
+    ]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", message)

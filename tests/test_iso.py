@@ -302,7 +302,7 @@ def builder_pairs(dim, arity, p, rng):
 def test_builder_matches_the_polynomial_ring_oracle(dim, arity, p):
     rng = random.Random(f"{dim}:{arity}:{p}")
     for kind, (A, B) in builder_pairs(dim, arity, p, rng).items():
-        got = iso._iso_system_mod_p(A, B, p)
+        got = iso._iso_system_mod_p(A, B, p, (iso._residues(A, p), iso._residues(B, p)))
         assert canonical(got) == canonical(oracle_iso_system(A, B, p)), kind
         assert all(0 < c < p for terms in got for c, _ in terms), kind
         if kind == "zero":
@@ -314,20 +314,22 @@ def test_builder_leaves_out_polynomials_that_cancel():
     # does, at every column with a repeated index
     p = 7
     A = _alternating_msc(rg.prime_field(p), 2, 2, random.Random(3))
-    polys = iso._iso_polys(iso._residues(A, p), iso._residues(A, p), 2, 2)
-    compiled = iso._iso_system_mod_p(A, A, p)
+    residues = (iso._residues(A, p), iso._residues(A, p))
+    polys = iso._iso_polys(*residues, 2, 2)
+    compiled = iso._iso_system_mod_p(A, A, p, residues)
     assert len(compiled) < len(polys) == 2 * 4 + 1
     assert canonical(compiled) == canonical(oracle_iso_system(A, A, p))
 
 
 def test_builder_reduces_rationals_once_and_keeps_the_zero_division():
     a9 = catalog_get("A9")
-    assert canonical(iso._iso_system_mod_p(a9, a9, 5)) == canonical(
+    residues = (iso._residues(a9, 5), iso._residues(a9, 5))
+    assert canonical(iso._iso_system_mod_p(a9, a9, 5, residues)) == canonical(
         oracle_iso_system(a9, a9, 5))
     with pytest.raises(ZeroDivisionError, match="mod 3"):
-        iso._iso_system_mod_p(a9, a9, 3)
+        iso._residues(a9, 3)
     with pytest.raises(ValueError):
-        iso._iso_system_mod_p(Msc.zero(rg.prime_field(7), 2, 2), a9, 5)
+        iso._residues(Msc.zero(rg.prime_field(7), 2, 2), 5)
 
 
 def test_gf_algebras_are_built_only_for_a_hit(monkeypatch):
@@ -511,8 +513,9 @@ def test_a_pair_the_invariants_separate_has_no_witness(data):
     if p ** (dim * dim) <= 7 ** 4:
         assert brute_force_iso(A, B, p) == []
     if p ** (dim * dim - 2) <= 7 ** 7:
-        assert polysolve._enumerate(iso._iso_system_mod_p(A, B, p), p, dim * dim + 1,
-                                    None) == []
+        residues = (iso._residues(A, p), iso._residues(B, p))
+        assert polysolve._enumerate(iso._iso_system_mod_p(A, B, p, residues), p,
+                                    dim * dim + 1, None) == []
 
 
 def test_the_replay_enumerates_only_what_the_invariants_leave(monkeypatch):

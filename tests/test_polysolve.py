@@ -177,6 +177,80 @@ def test_scalar_recheck_matches_reference_evaluator():
     assert min(seen.values()) >= 10, seen  # every kind is well represented
 
 
+def fraction_compile_mod_p(system: PolySystem, p: int):
+    """Every polynomial mod p as (coeff, factors) terms, each coefficient's
+    denominator inverted mod p: the oracle for the integer-form compiler."""
+    compiled = []
+    for poly in system.polys:
+        terms = []
+        for mono, q in poly.v.items():
+            den = q.denominator % p
+            if den == 0:
+                raise ValueError(
+                    f"prime {p} divides the denominator of coefficient {q}"
+                )
+            c = q.numerator * pow(den, p - 2, p) % p
+            if c:
+                terms.append((c, tuple((i, e) for i, e in enumerate(mono) if e)))
+        if not terms:
+            continue
+        if all(not factors for _, factors in terms):
+            return [], True
+        compiled.append(terms)
+    return compiled, False
+
+
+def compile_result(compile_mod_p, system, p):
+    try:
+        return compile_mod_p(system, p)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def rational_systems(draw, p):
+    """Up to five polynomials in one to three variables whose coefficients
+    may vanish mod p or have a denominator that p divides; with a nonzero
+    constant among them now and then."""
+    names = ["x", "y", "z"][:draw(st.integers(1, 3), label="nvars")]
+    ring = rg.polynomial_ring(names)
+    monos = st.tuples(*[st.integers(0, 3)] * len(names))
+    numerators = st.one_of(st.integers(-12, 12), st.integers(-3, 3).map(lambda k: k * p),
+                           st.integers(-10 ** 20, 10 ** 20))
+    denominators = st.integers(1, 12)
+    if draw(st.booleans(), label="p in a denominator"):
+        denominators |= st.sampled_from((p, 2 * p))
+    coeffs = st.builds(Fraction, numerators, denominators)
+    polys = [{m: c for m, c in terms.items() if c} for terms in
+             draw(st.lists(st.dictionaries(monos, coeffs, min_size=1, max_size=5),
+                           min_size=1, max_size=5), label="polys")]
+    if draw(st.booleans(), label="constant"):
+        c = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 12)), label="c")
+        polys.insert(draw(st.integers(0, len(polys)), label="at"), {(0,) * len(names): c})
+    return PolySystem(ring, [rg.RingElem(ring, t) for t in polys])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_integer_form_compiler_matches_the_fraction_compiler(data):
+    p = data.draw(st.sampled_from((5, 7, 11, 3037000493)), label="p")
+    system = data.draw(rational_systems(p), label="system")
+    assert compile_result(polysolve._compile_mod_p, system, p) == \
+        compile_result(fraction_compile_mod_p, system, p)
+
+
+def test_integer_form_compiler_keeps_the_error_and_the_obstruction():
+    system = sys_of(["x", "y"], ["x - 1/2", "y + 2/15*x - 7/5", "x*y"])
+    for p, expected in ((5, "prime 5 divides the denominator of coefficient 2/15"),
+                        (3, "prime 3 divides the denominator of coefficient 2/15"),
+                        (7, fraction_compile_mod_p(system, 7))):
+        assert compile_result(polysolve._compile_mod_p, system, p) == expected
+    # a nonzero constant before a bad denominator obstructs, after it raises
+    assert polysolve._compile_mod_p(sys_of(["x"], ["x^2 + 1", "3/7", "1/5*x"]), 5) == ([], True)
+    with pytest.raises(ValueError, match="^prime 5 divides the denominator of coefficient 1/5$"):
+        polysolve._compile_mod_p(sys_of(["x"], ["1/5*x", "3/7"]), 5)
+
+
 def _python_residues(polys, rows, p):
     return [
         [sum(c * math.prod(row[i] ** e for i, e in factors) for c, factors in terms) % p
@@ -561,6 +635,26 @@ def test_integer_lift_matches_the_fraction_lift_on_drawn_residues(data):
     max_attempts = data.draw(st.integers(0, 120), label="max_attempts")
     assert lift_result(polysolve._try_lift(system, residues, modulus, bound, max_attempts)) == \
         lift_result(fraction_try_lift(system, residues, modulus, bound, max_attempts))
+
+
+@pytest.mark.parametrize("target", ["Cstar", "Cdagger"])
+def test_certify_builds_the_integer_form_once(monkeypatch, target):
+    # Cstar is swept mod 5, 7 and 11 without a hit; Cdagger's sweep mod 5
+    # re-checks its hits and lifts one.  Each step reads the one integer
+    # form that the first sweep built
+    builds, calls = [], []
+    integer_form = polysolve._integer_form
+
+    def counted(system):
+        calls.append(system)
+        if system._ints is None:
+            builds.append(system)
+        return integer_form(system)
+
+    monkeypatch.setattr(polysolve, "_integer_form", counted)
+    certify_expressibility(catalog_get(target), primes=(5, 7, 11), groebner=False)
+    assert len(builds) == 1 and len(calls) >= 3
+    assert all(system is builds[0] for system in calls)
 
 
 def test_certify_refuses_a_repeated_prime():

@@ -207,6 +207,18 @@ def test_is_prime():
     assert not rg.is_prime(2 ** 61 + 1)
 
 
+# the least strong pseudoprime to the first 12 prime bases, 399165290221 x
+# 798330580441: with bases up to 37 alone it passes as prime
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_twelve_bases():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not rg.is_prime(PSI_12)
+    with pytest.raises(ValueError, match="must be prime"):
+        rg.prime_field(PSI_12)
+
+
 def test_polynomial_ring_validation():
     with pytest.raises(ValueError):
         rg.polynomial_ring([])

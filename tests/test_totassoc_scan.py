@@ -12,7 +12,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialg import catalog
+from trialg import catalog, polysolve
 from trialg import ring as rg
 from trialg.catalog import FAMILIES, totassoc_scan
 from trialg.identities import total_assoc_residuals
@@ -130,3 +130,21 @@ def test_scan_walks_in_integers_and_returns_the_grid_values(monkeypatch):
     hits = totassoc_scan("B2", grid)
     assert hits == expected
     assert all(type(x) is F for point in hits for x in point)
+
+
+def test_scan_evaluates_the_integer_form_over_one_common_denominator(monkeypatch):
+    # axes with different denominators are put over their common lcm, and
+    # every entry is tested by polysolve's integer evaluator
+    grid = [[F(1, 2), F(-2, 3), F(0)], [F(0), F(1, 5), F(-3, 7)], [F(1, 2), F(-1, 2), F(4, 11)]]
+    expected = brute_force_scan("B2", grid)
+    assert expected == [(F(1, 2), F(0), F(-1, 2)), (F(1, 2), F(0), F(1, 2))]
+    denominators = set()
+
+    def spy(terms, values, dpows):
+        denominators.add(dpows[1])
+        return polysolve._int_value(terms, values, dpows)
+
+    assert catalog._int_value is polysolve._int_value
+    monkeypatch.setattr(catalog, "_int_value", spy)
+    assert totassoc_scan("B2", grid) == expected
+    assert denominators == {2 * 3 * 5 * 7 * 11}
