@@ -17,9 +17,11 @@ the scan below runs as before.
 The search writes the equivalent identity B . g^(tensor n) = g . A, together
 with t . det(g) = 1 for invertibility, as one polynomial system in the
 entries of g and t, and hands it to the pruned finite-field enumerator of
-polysolve.py.  The system is expanded straight from the integer residues
-of A and B: each entry of B . g^(tensor n) is a sum of products of entries
-of g, collected by monomial in plain ints, and det(g) is the permutation
+polysolve.py.  A and B are reduced mod p once (msc._residues), and those
+residue rows serve the invariants, the system and the GF(p) algebras the
+witnesses are verified on.  The system is expanded straight from them:
+each entry of B . g^(tensor n) is a sum of products of entries of g,
+collected by monomial in plain ints, and det(g) is the permutation
 expansion.  An algebra whose expansion would form more than msc's
 _MAX_ENTRIES products, or whose arity reaches that budget's bit length
 (19), is refused before anything is built, and the enumerator refuses a
@@ -41,7 +43,7 @@ from itertools import product as iter_product
 
 from . import msc
 from . import ring as rg
-from .msc import BasisChange, Matrix, Msc, _to_ints, transform
+from .msc import BasisChange, Matrix, Msc, transform
 from .polysolve import _check_modulus, _enumerate
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
@@ -72,22 +74,6 @@ def iso_verify(A: Msc, B: Msc, g: BasisChange) -> bool:
     if A.ring != B.ring:
         raise ValueError("algebras must share one ring")
     return transform(A, g) == B
-
-
-def _residues(A: Msc, p: int):
-    """A's structure constants as residues mod p.
-
-    Over Q: the integer numerators of msc._to_ints times one inverse of
-    their common denominator.  Input that reduce_mod rejects (p dividing a
-    denominator, another field, a polynomial ring) fails as it does there.
-    """
-    if A.ring.kind == "Q":
-        rows, den = _to_ints(A.mat)
-        if den % p:
-            inv = pow(den, -1, p)
-            return [[v * inv % p for v in row] for row in rows]
-    A = A.reduce_mod(p)  # raises unless A already lives over GF(p)
-    return [[x.v for x in row] for row in A.mat.rows]
 
 
 def _rank_mod_p(rows, p: int) -> int:
@@ -179,12 +165,12 @@ def _iso_polys(a, b, m: int, n: int):
     return polys
 
 
-def _iso_system_mod_p(A: Msc, B: Msc, p: int, residues):
+def _iso_system_mod_p(a, b, m: int, n: int, p: int):
     """The search's system as the (coeff, factors) terms _enumerate takes,
-    built from ``residues``, the pair _residues(A, p), _residues(B, p).
+    built from a and b, the residue rows of A and B mod p (msc._residues).
 
     Never obstructed: no polynomial of it is a nonzero constant."""
-    polys = _iso_polys(*residues, A.dim, A.arity)
+    polys = _iso_polys(a, b, m, n)
     compiled = ([(c % p, mono) for mono, c in poly.items() if c % p] for poly in polys)
     return [terms for terms in compiled if terms]
 
@@ -201,8 +187,7 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     """
     if A.dim != B.dim or A.arity != B.arity:
         raise ValueError("algebras must share dimension and arity")
-    if not isinstance(p, int) or not rg.is_prime(p):
-        raise ValueError(f"search modulus must be prime, got {p!r}")
+    gf = rg.prime_field(p)
     if p in (2, 3):
         warnings.warn(
             f"isomorphism evidence over GF({p}) is weak: characteristics 2 and 3 "
@@ -230,16 +215,14 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     # refused before the screen, so that whether p is accepted never
     # depends on the pair
     _check_modulus(p)
-    a, b = _residues(A, p), _residues(B, p)
+    a, b = msc._residues(A.mat, p), msc._residues(B.mat, p)
     if _invariants(a, m, n, p) != _invariants(b, m, n, p):
         return []
-    hits = _enumerate(_iso_system_mod_p(A, B, p, (a, b)), p, m * m + 1,
+    hits = _enumerate(_iso_system_mod_p(a, b, m, n, p), p, m * m + 1,
                       None if find_all else 1)
     if not hits:
         return []
-    Ap = A.reduce_mod(p)
-    Bp = B.reduce_mod(p)
-    gf = Ap.ring
+    Ap, Bp = (Msc(m, n, msc._from_ints(gf, x, 1)) for x in (a, b))
     witnesses = []
     for values in hits:
         g = BasisChange(Matrix(gf, [

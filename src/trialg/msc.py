@@ -236,6 +236,24 @@ def _from_ints(ring: Ring, rows, den: int) -> Matrix:
                           else z for d in row] for row in rows])
 
 
+def _residues(mat: Matrix, p: int):
+    """mat's entries as residues mod the prime p, one list per row.
+
+    Over Q: the integer numerators of _to_ints times one inverse of their
+    common denominator; over GF(p): the values.  Anything else (p dividing
+    a denominator, another field, a polynomial ring) raises rg.reduce_mod's
+    error at the first entry it rejects."""
+    kind = mat.ring.kind
+    if kind == "Q":
+        rows, den = _to_ints(mat)
+        if den % p:
+            inv = pow(den, -1, p)
+            return [[v * inv % p for v in row] for row in rows]
+    elif kind == "GF" and mat.ring.p == p:
+        return [[x.v for x in row] for row in mat.rows]
+    return [[rg.reduce_mod(x, p).v for x in row] for row in mat.rows]
+
+
 def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     """outer(x1, ..., inner(y1, ..., yb), ..., x_arity) on (rows, den) pairs
     made by _to_ints; returns another one.  outer is m x m^arity and inner
@@ -365,10 +383,7 @@ class Msc:
     def reduce_mod(self, p: int) -> "Msc":
         """Entrywise reduction modulo a prime (rational or GF(p) input)."""
         gf = rg.prime_field(p)
-        if self.ring.kind == "GF" and self.ring.p == p:
-            return self
-        mat = self.mat.map_entries(lambda x: rg.reduce_mod(x, p), gf)
-        return Msc(self.dim, self.arity, mat)
+        return Msc(self.dim, self.arity, _from_ints(gf, _residues(self.mat, p), 1))
 
     def __repr__(self):
         return f"Msc(dim={self.dim}, arity={self.arity}, ring={self.ring!r})"

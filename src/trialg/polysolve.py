@@ -79,6 +79,8 @@ MAX_FF_VARS = 9
 _MAX_ROWS = 1 << 16
 # rows built by one whole enumeration: past this it is refused, not finished
 _MAX_TOTAL_ROWS = 1 << 27
+# witnesses one sweep with all_witnesses keeps
+_MAX_WITNESSES = 4096
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -129,7 +131,9 @@ class SolveOutcome:
     status is one of "witness", "no_solution_mod_p",
     "certified_empty_over_closure" or "inconclusive".  A witness, when
     present, zeroes every input polynomial exactly (over Q, or over GF(p)
-    when ``prime`` is set).
+    when ``prime`` is set).  ``witnesses``, set only by a sweep asked for
+    all of them, lists the residue tuples of every GF(p) witness in
+    ``vars`` order, the first of them ``witness``.
     """
 
     __slots__ = (
@@ -372,17 +376,18 @@ def _descend(np, p, buckets, tables, prefixes, built=0):
     return built
 
 
-def solve_ff_exhaustive(system: PolySystem, p: int, all_witnesses: bool = False,
-                        max_witnesses: int = 4096) -> SolveOutcome:
+def solve_ff_exhaustive(system: PolySystem, p: int,
+                        all_witnesses: bool = False) -> SolveOutcome:
     """Decide the system mod p by an exhaustive pruned enumeration.
 
     Assignments are enumerated in lexicographic order (first declared
-    variable most significant).  Returns the first witness, or all of them
-    (up to ``max_witnesses``) when ``all_witnesses`` is set; a
+    variable most significant), and each is re-checked by
+    _check_assignment_mod_p.  ``witness`` is the first, as a dict of GF(p)
+    elements; with ``all_witnesses`` set, ``witnesses`` holds every one (up
+    to _MAX_WITNESSES) as a tuple of residues in ``system.vars`` order.  A
     "no_solution_mod_p" outcome always rests on a complete enumeration.
     """
-    if not rg.is_prime(p):
-        raise ValueError(f"sweep modulus must be prime, got {p!r}")
+    gf = rg.prime_field(p)
     nvars = len(system.vars)
     if nvars > MAX_FF_VARS:
         raise ValueError(
@@ -395,29 +400,22 @@ def solve_ff_exhaustive(system: PolySystem, p: int, all_witnesses: bool = False,
         effort["constant_obstruction"] = True
         return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
 
-    cap = max_witnesses if all_witnesses else 1
-    hits = _enumerate(compiled, p, nvars, cap)
+    hits = _enumerate(compiled, p, nvars, _MAX_WITNESSES if all_witnesses else 1)
     if not hits:
         return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
 
-    gf = rg.prime_field(p)
-    names = system.vars
-    assignments = []
-    for values in hits:
-        assignment = {n: RingElem(gf, v) for n, v in zip(names, values)}
-        if not _check_assignment_mod_p(system, p, values):
-            raise RuntimeError("sweep produced an assignment the scalar check rejects")
-        assignments.append(assignment)
-    truncated = all_witnesses and len(hits) >= max_witnesses
+    if not all(_check_assignment_mod_p(system, p, values) for values in hits):
+        raise RuntimeError("sweep produced an assignment the scalar check rejects")
+    truncated = all_witnesses and len(hits) >= _MAX_WITNESSES
     effort["exhaustive"] = not truncated
     if truncated:
         effort["witness_cap_hit"] = True
     return SolveOutcome(
         "witness",
-        witness=assignments[0],
+        witness={n: RingElem(gf, v) for n, v in zip(system.vars, hits[0])},
         prime=p,
         effort=effort,
-        witnesses=assignments if all_witnesses else None,
+        witnesses=hits if all_witnesses else None,
     )
 
 
@@ -706,21 +704,15 @@ def _reduced_basis(basis, lms, lcs, reps):
         oc = [lcs[k] for k in others]
         rep = [dict(r) for r in reps[i]] if reps is not None else None
         oreps = [reps[k] for k in others] if reps is not None else None
+        # kept is minimal: lms[i] leads the remainder, and kept stays sorted
         rem, rep = _normal_form(dict(basis[i]), ob, ol, oc, rep, oreps)
-        if not rem:
-            continue
         lc = rem[_lm(rem)]
         rem = {m: c / lc for m, c in rem.items()}
         if rep is not None:
             rep = [{m: c / lc for m, c in r.items()} for r in rep]
         out_terms.append(rem)
         out_reps.append(rep)
-    pairs = sorted(
-        range(len(out_terms)), key=lambda t: _grevlex_key(_lm(out_terms[t]))
-    )
-    return [out_terms[t] for t in pairs], (
-        [out_reps[t] for t in pairs] if reps is not None else None
-    )
+    return out_terms, out_reps if reps is not None else None
 
 
 def _raw_basis(basis_elems):
@@ -827,7 +819,7 @@ def certify_expressibility(C, primes=(5, 7), caps=None,
         witness = {n: rg.zero(rg.QQ) for n in names}
         return SolveOutcome("witness", witness=witness, effort=effort, evidence=evidence)
 
-    witnessed = []  # (sweep, residue vectors) per witness-bearing prime
+    witnessed = []  # the witness-bearing sweeps
     for p in primes:
         try:
             out = solve_ff_exhaustive(system, p, all_witnesses=True)
@@ -840,20 +832,17 @@ def certify_expressibility(C, primes=(5, 7), caps=None,
         evidence.append(out)
         if out.status != "witness":
             continue
-        vectors = [
-            [assignment[n].v for n in names] for assignment in out.witnesses
-        ]
-        witnessed.append((out, vectors))
-        lifted, attempts = _try_lift(system, vectors, p)
+        witnessed.append(out)
+        lifted, attempts = _try_lift(system, out.witnesses, p)
         if lifted is not None:
             effort.update(lifted_from=p, lift_attempts=attempts)
             return SolveOutcome("witness", witness=lifted, effort=effort, evidence=evidence)
 
     if len(witnessed) >= 2:
-        (s1, v1), (s2, v2) = witnessed[:2]
+        s1, s2 = witnessed[:2]
         p1, p2 = s1.prime, s2.prime
         combined = (
-            _crt_pair(a, p1, b, p2) for a in v1[:64] for b in v2[:64]
+            _crt_pair(a, p1, b, p2) for a in s1.witnesses[:64] for b in s2.witnesses[:64]
         )
         lifted, attempts = _try_lift(system, combined, p1 * p2)
         if lifted is not None:
@@ -868,7 +857,7 @@ def certify_expressibility(C, primes=(5, 7), caps=None,
                 effort=effort, evidence=evidence,
             )
     if witnessed:
-        sweep = witnessed[0][0]
+        sweep = witnessed[0]
         return SolveOutcome(
             "witness", witness=sweep.witness, prime=sweep.prime, effort=effort,
             evidence=evidence,

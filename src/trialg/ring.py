@@ -41,16 +41,19 @@ __all__ = [
 
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*\Z")
 
-# The first 13 primes: as Miller-Rabin bases they decide every n below
-# psi_13 = 3317044064679887385961981; the first 12 stop short at the
-# composite psi_12 = 318665857834031151167461.
+# The first 13 primes: as Miller-Rabin bases they decide every n below the
+# composite psi_13 (Sorenson and Webster, Math. Comp. 2017); the first 12
+# stop short at the composite psi_12 = 318665857834031151167461.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981  # 1287836182261 x 2575672364521
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test to the bases _MR_WITNESSES: deterministic
-    below psi_13 = 3317044064679887385961981, a strong probable-prime test
-    above it (psi_13 itself, a composite, passes)."""
+    """Miller-Rabin primality test to the bases _MR_WITNESSES, exact below
+    psi_13 = 3317044064679887385961981.  A "composite" answer is right for
+    every n; an n of at least psi_13 (psi_13 itself, a composite, among
+    them) that passes every base raises ValueError, as it is not proved
+    prime."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -70,6 +73,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise ValueError(f"{_excerpt(str(n))} is a strong probable prime to bases 2-41, "
+                         f"which decide primality only below psi_13 = {_PSI_13}")
     return True
 
 
@@ -115,8 +121,8 @@ class Ring:
         if kind not in ("Q", "GF", "poly"):
             raise ValueError(f"unknown ring kind {kind!r}")
         if kind == "GF":
-            if not isinstance(p, int) or p <= 1 or not is_prime(p):
-                raise ValueError(f"prime field modulus must be prime, got {p!r}")
+            if not isinstance(p, int) or not is_prime(p):
+                raise ValueError(f"prime field modulus must be prime, got {_excerpt(str(p))}")
         elif p is not None:
             raise ValueError("modulus only makes sense for a prime field")
         vars = tuple(vars)

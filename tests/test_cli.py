@@ -116,6 +116,13 @@ def test_iso_prime_divides_denominator_exits_2(capsys):
     assert code == 2 and "3" in err
 
 
+@pytest.mark.parametrize("prime", ["15", "1", "-7"])
+def test_iso_composite_prime_exits_2(capsys, prime):
+    code, out, err = run_cli(capsys, "iso", "--a", "Cstar", "--b", "Cstar", "--prime", prime)
+    assert (code, out) == (2, "")
+    assert err == f"trialg: prime field modulus must be prime, got '{prime}'\n"
+
+
 def test_express_witness_exits_0(capsys):
     code, out, _ = run_cli(capsys, "express", "--name", "Cdagger", "--primes", "5,7")
     assert code == 0
@@ -288,7 +295,7 @@ def test_iso_past_its_work_budget_exits_2(capsys, monkeypatch):
     p = 3037000493
     pair = [catalog_get("A4", {"a1": Fraction(1, 3), "b2": Fraction(-1, 3)}),
             catalog_get("A5", {"a1": Fraction(1, 3)})]
-    assert len({iso._invariants(iso._residues(X, p), 2, 2, p) for X in pair}) == 1
+    assert len({iso._invariants(msc._residues(X.mat, p), 2, 2, p) for X in pair}) == 1
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 1 << 20)
     code, out, err = run_cli(capsys, "iso", "--a", "A4(a1=1/3,b2=-1/3)",
                              "--b", "A5(a1=1/3)", "--prime", str(p))
@@ -336,7 +343,7 @@ def test_iso_on_a_dimension_10_ternary_algebra_exits_2_before_building(
     def refuse(*args):
         raise AssertionError("the system was built")
 
-    monkeypatch.setattr(iso, "_residues", refuse)
+    monkeypatch.setattr(msc, "_residues", refuse)
     monkeypatch.setattr(iso, "_iso_polys", refuse)
     doc = msc_to_doc(Msc.zero(rg.QQ, 10, 3))
     doc["entries"][0][0] = "1"

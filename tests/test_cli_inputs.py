@@ -184,10 +184,44 @@ def test_a_composite_passing_twelve_prime_bases_exits_2(tmp_path):
     path.write_text(json.dumps({"dim": 2, "arity": 2, "ring": {"kind": "GF", "p": PSI_12},
                                 "entries": [["1", "0", "0", "0"], ["0", "0", "0", "1"]]}))
     for argv, message in [
-        (["assoc", "--input", str(path)], f"trialg: prime field modulus must be prime, got {PSI_12}\n"),
+        (["assoc", "--input", str(path)],
+         f"trialg: prime field modulus must be prime, got '{PSI_12}'\n"),
         (["express", "--name", "Cstar", f"--primes={PSI_12}"], f"trialg: '{PSI_12}' is not prime\n"),
     ]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert (code, out.getvalue(), err.getvalue()) == (2, "", message)
+
+
+def test_a_gf_document_quotes_a_long_modulus(tmp_path):
+    # printed in full, a modulus of 4000 digits made a 4048-byte line
+    path = tmp_path / "gf.json"
+    path.write_text(json.dumps({"dim": 2, "arity": 2, "ring": {"kind": "GF", "p": 10 ** 3999},
+                                "entries": [["1", "0", "0", "0"], ["0", "0", "0", "1"]]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["assoc", "--input", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == ("trialg: prime field modulus must be prime, got "
+                              f"'1{'0' * 39}'... (4000 characters)\n")
+
+
+PSI_13 = 3317044064679887385961981  # 1287836182261 x 2575672364521
+
+
+def test_a_composite_passing_thirteen_prime_bases_exits_2(tmp_path):
+    # assoc and generate used to answer over "GF(psi_13)" with exit 0
+    path = tmp_path / "gf.json"
+    path.write_text(json.dumps({"dim": 2, "arity": 2, "ring": {"kind": "GF", "p": PSI_13},
+                                "entries": [["1", "0", "0", "0"], ["0", "0", "0", "1"]]}))
+    message = (f"trialg: '{PSI_13}' is a strong probable prime to bases 2-41, "
+               f"which decide primality only below psi_13 = {PSI_13}\n")
+    for argv in (["assoc", "--input", str(path)],
+                 ["generate", "--input", str(path), "--arity", "3"],
+                 ["express", "--name", "Cstar", f"--primes={PSI_13}"],
+                 ["iso", "--a", "Cstar", "--b", "Cstar", "--prime", str(PSI_13)]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", message), argv

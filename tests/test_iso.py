@@ -302,7 +302,8 @@ def builder_pairs(dim, arity, p, rng):
 def test_builder_matches_the_polynomial_ring_oracle(dim, arity, p):
     rng = random.Random(f"{dim}:{arity}:{p}")
     for kind, (A, B) in builder_pairs(dim, arity, p, rng).items():
-        got = iso._iso_system_mod_p(A, B, p, (iso._residues(A, p), iso._residues(B, p)))
+        got = iso._iso_system_mod_p(msc._residues(A.mat, p), msc._residues(B.mat, p),
+                                    dim, arity, p)
         assert canonical(got) == canonical(oracle_iso_system(A, B, p)), kind
         assert all(0 < c < p for terms in got for c, _ in terms), kind
         if kind == "zero":
@@ -314,30 +315,50 @@ def test_builder_leaves_out_polynomials_that_cancel():
     # does, at every column with a repeated index
     p = 7
     A = _alternating_msc(rg.prime_field(p), 2, 2, random.Random(3))
-    residues = (iso._residues(A, p), iso._residues(A, p))
+    residues = (msc._residues(A.mat, p), msc._residues(A.mat, p))
     polys = iso._iso_polys(*residues, 2, 2)
-    compiled = iso._iso_system_mod_p(A, A, p, residues)
+    compiled = iso._iso_system_mod_p(*residues, 2, 2, p)
     assert len(compiled) < len(polys) == 2 * 4 + 1
     assert canonical(compiled) == canonical(oracle_iso_system(A, A, p))
 
 
 def test_builder_reduces_rationals_once_and_keeps_the_zero_division():
     a9 = catalog_get("A9")
-    residues = (iso._residues(a9, 5), iso._residues(a9, 5))
-    assert canonical(iso._iso_system_mod_p(a9, a9, 5, residues)) == canonical(
+    residues = (msc._residues(a9.mat, 5), msc._residues(a9.mat, 5))
+    assert canonical(iso._iso_system_mod_p(*residues, 2, 2, 5)) == canonical(
         oracle_iso_system(a9, a9, 5))
     with pytest.raises(ZeroDivisionError, match="mod 3"):
-        iso._residues(a9, 3)
+        msc._residues(a9.mat, 3)
     with pytest.raises(ValueError):
-        iso._residues(Msc.zero(rg.prime_field(7), 2, 2), 5)
+        msc._residues(Msc.zero(rg.prime_field(7), 2, 2).mat, 5)
 
 
 def test_gf_algebras_are_built_only_for_a_hit(monkeypatch):
-    def refuse(self, p):
-        raise AssertionError("reduce_mod called without a hit to re-check")
+    def refuse(*args):
+        raise AssertionError("GF(p) algebras built without a hit to re-check")
 
-    monkeypatch.setattr(Msc, "reduce_mod", refuse)
-    assert iso_search(catalog_get("Cstar"), catalog_get("B11"), 5) == []
+    A, B = catalog_get("Cstar"), catalog_get("B11")
+    monkeypatch.setattr(msc, "_from_ints", refuse)
+    assert iso_search(A, B, 5) == []
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_witness_algebras_are_the_reductions_mod_p(p):
+    # the GF(p) algebras are built from the search's residues, not by
+    # reduce_mod, and must be what reduce_mod gives
+    rng = random.Random(p)
+    g = BasisChange.from_strings(Q, [["1", "1"], ["0", "2"]])
+    for ring in (Q, rg.prime_field(p)):
+        A = Msc(2, 2, Matrix(ring, [
+            [rg.from_fraction(ring, _coprime_fraction(rng)) for _ in range(4)] for _ in range(2)
+        ]))
+        B = transform(A, g if ring == Q else BasisChange(g.mat.map_entries(
+            lambda x: rg.reduce_mod(x, p), ring)))
+        witnesses = iso_search(A, B, p)
+        assert witnesses
+        for w in witnesses:
+            assert w.source == A.reduce_mod(p) and w.target == B.reduce_mod(p)
+            assert w.source.ring == w.target.ring == rg.prime_field(p)
 
 
 def test_a_large_search_space_does_not_warn():
@@ -449,7 +470,7 @@ def oracle_invariants(A, p):
 
 
 def invariants(A, p):
-    return iso._invariants(iso._residues(A, p), A.dim, A.arity, p)
+    return iso._invariants(msc._residues(A.mat, p), A.dim, A.arity, p)
 
 
 @st.composite
@@ -513,8 +534,8 @@ def test_a_pair_the_invariants_separate_has_no_witness(data):
     if p ** (dim * dim) <= 7 ** 4:
         assert brute_force_iso(A, B, p) == []
     if p ** (dim * dim - 2) <= 7 ** 7:
-        residues = (iso._residues(A, p), iso._residues(B, p))
-        assert polysolve._enumerate(iso._iso_system_mod_p(A, B, p, residues), p,
+        residues = (msc._residues(A.mat, p), msc._residues(B.mat, p))
+        assert polysolve._enumerate(iso._iso_system_mod_p(*residues, dim, arity, p), p,
                                     dim * dim + 1, None) == []
 
 

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trialg import ring as rg
 from trialg.msc import (
@@ -228,3 +230,72 @@ def test_specialize_and_reduce_mod():
     assert reduced.ring == rg.prime_field(5)
     with pytest.raises(ZeroDivisionError):
         msc_q([["1/5", "0", "0", "0"], ["0", "0", "0", "0"]], arity=2).reduce_mod(5)
+
+
+REDUCE_PRIMES = (5, 7, 11)
+
+
+def reduce_per_entry(A, p):
+    """Msc.reduce_mod's reference: rg.reduce_mod on every entry, in row-major
+    order, so that the first entry it rejects raises."""
+    return Msc(A.dim, A.arity, A.mat.map_entries(lambda x: rg.reduce_mod(x, p),
+                                                 rg.prime_field(p)))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def reducible_algebras(draw):
+    """An algebra over Q (denominators up to 30, so that p divides some) or
+    over GF(q) for q among REDUCE_PRIMES."""
+    dim, arity = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2)]))
+    ring = draw(st.sampled_from([Q] + [rg.prime_field(q) for q in REDUCE_PRIMES]))
+    if ring == Q:
+        entry = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30))
+    else:
+        entry = st.integers(0, ring.p - 1)
+    return Msc(dim, arity, Matrix(ring, [
+        [rg.from_fraction(ring, draw(entry)) for _ in range(dim ** arity)] for _ in range(dim)
+    ]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(A=reducible_algebras(), p=st.sampled_from(REDUCE_PRIMES))
+def test_reduce_mod_matches_the_per_entry_reduction(A, p):
+    assert outcome(A.reduce_mod, p) == outcome(reduce_per_entry, A, p)
+
+
+def test_reduce_mod_raises_what_the_first_rejected_entry_raises():
+    ring = rg.polynomial_ring(["a1"])
+    for A, p, error in [
+        (msc_q([["1/3", "1/5", "0", "1/10"], ["0"] * 4], arity=2), 5, ZeroDivisionError),
+        (Msc.zero(rg.prime_field(7), 2, 2), 5, ValueError),
+        (Msc.from_strings(ring, 2, 2, [["a1", "0", "0", "0"], ["0"] * 4]), 5, ValueError),
+        (Msc.from_strings(ring, 2, 2, [["1", "0", "0", "0"], ["0"] * 4]), 5, ValueError),
+    ]:
+        got = outcome(A.reduce_mod, p)
+        assert got == outcome(reduce_per_entry, A, p)
+        assert got[0] is error
+
+
+def test_reduce_mod_builds_one_prime_field(monkeypatch):
+    built = []
+    prime_field = rg.prime_field
+
+    def counted(p):
+        built.append(p)
+        return prime_field(p)
+
+    A = msc_q([["1/3", "2", "0", "-1/4"], ["0", "5/2", "1", "0"]], arity=2)
+    expected = reduce_per_entry(A, 7)
+    monkeypatch.setattr(rg, "prime_field", counted)
+    for B in (A, expected):
+        built.clear()
+        assert B.reduce_mod(7) == expected
+        assert built == [7]

@@ -219,6 +219,25 @@ def test_is_prime_rejects_the_least_strong_pseudoprime_to_twelve_bases():
         rg.prime_field(PSI_12)
 
 
+# the least strong pseudoprime to the first 13 prime bases (Sorenson and
+# Webster 2017), 1287836182261 x 2575672364521: Miller-Rabin to bases 2-41
+# decides every n below it and proves nothing at or above it
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_a_probable_prime_from_psi_13_on():
+    assert PSI_13 == 1287836182261 * 2575672364521
+    for call in (rg.is_prime, rg.prime_field):
+        with pytest.raises(ValueError, match=f"'{PSI_13}' is a strong probable prime to bases "
+                                             f"2-41, which decide primality only below "
+                                             f"psi_13 = {PSI_13}"):
+            call(PSI_13)
+    # "composite" answers stay exact past the bound, and primes below it pass
+    assert not rg.is_prime(10 ** 100)
+    assert not rg.is_prime(PSI_13 + 2)
+    assert rg.is_prime(2 ** 61 - 1)
+
+
 def test_polynomial_ring_validation():
     with pytest.raises(ValueError):
         rg.polynomial_ring([])
