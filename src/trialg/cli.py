@@ -19,6 +19,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 
 # Only the standard library here: each command imports the modules it runs.
@@ -182,7 +183,15 @@ def _cmd_iso(args) -> int:
 
     A = _load_algebra(args.a, args.params_a)
     B = _load_algebra(args.b, args.params_b)
-    doc = iso_report(A, B, args.prime, find_all=args.all)
+    # a library warning (weak evidence at p = 2 or 3) as one diagnostic
+    # line, without the library's file and source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            doc = iso_report(A, B, args.prime, find_all=args.all)
+        finally:
+            for w in caught:
+                _diag(str(w.message))
     _emit(doc)
     return 0 if doc["witness_count"] else 1
 
@@ -282,8 +291,8 @@ def _add_iso_options(sub):
 
 
 def _add_solver_options(sub):
-    # the caps default to None and _solver_caps fills them in, so that
-    # building a parser does not import polysolve
+    # the caps default to None, and buchberger fills in DEFAULT_CAPS for
+    # those not given
     sub.add_argument("--primes", default="5,7")
     sub.add_argument("--groebner", action=argparse.BooleanOptionalAction, default=True)
     sub.add_argument("--max-pairs", type=int)
@@ -312,10 +321,9 @@ def _add_paper_replay_options(sub):
 
 
 def _solver_caps(args) -> dict:
-    from .polysolve import DEFAULT_CAPS
-
+    """The Groebner caps given on the command line."""
     caps = {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
-    return {key: DEFAULT_CAPS[key] if value is None else value for key, value in caps.items()}
+    return {key: value for key, value in caps.items() if value is not None}
 
 
 # name -> (help, adds the options, runs the command), in --help order

@@ -107,10 +107,9 @@ def binary_triple_oracle(M: Msc):
 class AssocReport:
     """Residuals plus verdict for one algebra (ternary or binary)."""
 
-    __slots__ = ("subject", "residuals", "verdict", "violating_tuple")
+    __slots__ = ("residuals", "verdict", "violating_tuple")
 
-    def __init__(self, subject, residuals, verdict, violating_tuple=None):
-        self.subject = subject
+    def __init__(self, residuals, verdict, violating_tuple=None):
         self.residuals = residuals
         self.verdict = verdict
         self.violating_tuple = violating_tuple
@@ -146,4 +145,4 @@ def assoc_report(A: Msc) -> AssocReport:
         col = min(j for r in residuals[:2] for row in r.rows
                   for j, x in enumerate(row) if not x.is_zero())
         tup = column_tuple(A.dim, 2 * A.arity - 1, col)
-    return AssocReport(A, residuals, verdict, tup)
+    return AssocReport(residuals, verdict, tup)

@@ -29,7 +29,8 @@ search past its work budget (polysolve's _MAX_TOTAL_ROWS), so no input
 runs without end.  Candidates g come out in
 row-major lexicographic order of their entries over 0..p-1, so results
 are reproducible bit for bit; every witness is re-verified through the
-exact transform path before it is returned.
+exact transform path before it is returned.  Like a sweep, a search
+keeps at most polysolve's _MAX_WITNESSES witnesses.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from collections import Counter
 from itertools import permutations
 from itertools import product as iter_product
 
-from . import msc
+from . import msc, polysolve
 from . import ring as rg
 from .msc import BasisChange, Matrix, Msc, transform
 from .polysolve import _check_modulus, _enumerate
@@ -179,11 +180,12 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     """Enumerate GL(m, GF(p)) for basis changes carrying A to B.
 
     A and B may have rational entries (reduced mod p; p must not divide a
-    denominator) or already live over GF(p).  Returns every witness in
-    enumeration order, or just the first when find_all is False.  An empty
-    result means that there is no isomorphism over GF(p): either an
-    invariant of _invariants differs between A and B, which proves it
-    without a scan, or an exhaustive scan found none.
+    denominator) or already live over GF(p).  Returns the witnesses in
+    enumeration order: the first polysolve._MAX_WITNESSES of them, or just
+    the first when find_all is False.  An empty result means that there is
+    no isomorphism over GF(p): either an invariant of _invariants differs
+    between A and B, which proves it without a scan, or an exhaustive scan
+    found none.
     """
     if A.dim != B.dim or A.arity != B.arity:
         raise ValueError("algebras must share dimension and arity")
@@ -219,7 +221,7 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     if _invariants(a, m, n, p) != _invariants(b, m, n, p):
         return []
     hits = _enumerate(_iso_system_mod_p(a, b, m, n, p), p, m * m + 1,
-                      None if find_all else 1)
+                      polysolve._MAX_WITNESSES if find_all else 1)
     if not hits:
         return []
     Ap, Bp = (Msc(m, n, msc._from_ints(gf, x, 1)) for x in (a, b))
@@ -235,9 +237,10 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
 
 
 def iso_report(A: Msc, B: Msc, p: int, find_all: bool = False) -> dict:
-    """JSON-ready summary of one search."""
+    """JSON-ready summary of one search, not exhaustive when it stopped at
+    a witness cap (1, or polysolve._MAX_WITNESSES with find_all)."""
     witnesses = iso_search(A, B, p, find_all=find_all)
-    exhaustive = find_all or not witnesses
+    exhaustive = not witnesses or (find_all and len(witnesses) < polysolve._MAX_WITNESSES)
     return {
         "prime": p,
         "witness_count": len(witnesses),

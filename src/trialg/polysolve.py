@@ -79,7 +79,8 @@ MAX_FF_VARS = 9
 _MAX_ROWS = 1 << 16
 # rows built by one whole enumeration: past this it is refused, not finished
 _MAX_TOTAL_ROWS = 1 << 27
-# witnesses one sweep with all_witnesses keeps
+# hits one enumeration keeps, for a sweep and an isomorphism search alike;
+# a result that reaches it says it is not exhaustive
 _MAX_WITNESSES = 4096
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -131,9 +132,9 @@ class SolveOutcome:
     status is one of "witness", "no_solution_mod_p",
     "certified_empty_over_closure" or "inconclusive".  A witness, when
     present, zeroes every input polynomial exactly (over Q, or over GF(p)
-    when ``prime`` is set).  ``witnesses``, set only by a sweep asked for
-    all of them, lists the residue tuples of every GF(p) witness in
-    ``vars`` order, the first of them ``witness``.
+    when ``prime`` is set).  ``witnesses``, set by a sweep that found any,
+    lists the residue tuples of its GF(p) witnesses in ``vars`` order, at
+    most _MAX_WITNESSES of them, the first of them ``witness``.
     """
 
     __slots__ = (
@@ -308,8 +309,8 @@ def _enumerate(compiled, p, nvars, cap):
     that fails it is dropped with everything below it.  One expansion
     builds at most ``_MAX_ROWS`` rows, splitting both the prefixes taken and
     the values tried for the next variable, so memory stays bounded for
-    every accepted p.  Stops after ``cap`` assignments (None: no cap).
-    Raises EnumerationBudgetError once the rows built in all exceed
+    every accepted p.  Stops after ``cap`` assignments.  Raises
+    EnumerationBudgetError once the rows built in all exceed
     ``_MAX_TOTAL_ROWS``, so time stays bounded too.
 
     The polynomials tested at one level are compiled, when the level is
@@ -329,9 +330,9 @@ def _enumerate(compiled, p, nvars, cap):
     hits = []
     for block in _descend(np, p, buckets, [None] * nvars, np.zeros((0, 1), dtype=np.int64)):
         hits.extend(block)
-        if cap is not None and len(hits) >= cap:
+        if len(hits) >= cap:
             break
-    return hits[:cap] if cap is not None else hits
+    return hits[:cap]
 
 
 def _descend(np, p, buckets, tables, prefixes, built=0):
@@ -376,16 +377,18 @@ def _descend(np, p, buckets, tables, prefixes, built=0):
     return built
 
 
-def solve_ff_exhaustive(system: PolySystem, p: int,
-                        all_witnesses: bool = False) -> SolveOutcome:
+def solve_ff_exhaustive(system: PolySystem, p: int) -> SolveOutcome:
     """Decide the system mod p by an exhaustive pruned enumeration.
 
     Assignments are enumerated in lexicographic order (first declared
     variable most significant), and each is re-checked by
-    _check_assignment_mod_p.  ``witness`` is the first, as a dict of GF(p)
-    elements; with ``all_witnesses`` set, ``witnesses`` holds every one (up
-    to _MAX_WITNESSES) as a tuple of residues in ``system.vars`` order.  A
-    "no_solution_mod_p" outcome always rests on a complete enumeration.
+    _check_assignment_mod_p.  ``witnesses`` holds the first _MAX_WITNESSES
+    as tuples of residues in ``system.vars`` order, and ``witness`` the
+    first as a dict of GF(p) elements; a sweep that reaches the cap sets
+    effort["exhaustive"] false and effort["witness_cap_hit"].  A
+    "no_solution_mod_p" outcome always rests on a complete enumeration.  A
+    sweep past the enumeration's row budget is no evidence either way: it
+    returns "inconclusive" with effort["row_budget_hit"].
     """
     gf = rg.prime_field(p)
     nvars = len(system.vars)
@@ -393,29 +396,30 @@ def solve_ff_exhaustive(system: PolySystem, p: int,
         raise ValueError(
             f"{nvars} variables exceed the exhaustive-sweep limit of {MAX_FF_VARS}"
         )
-    total = p ** nvars
     compiled, obstructed = _compile_mod_p(system, p)
-    effort = {"prime": p, "assignments": total, "exhaustive": True}
+    effort = {"prime": p, "assignments": p ** nvars, "exhaustive": True}
     if obstructed:
         effort["constant_obstruction"] = True
         return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
 
-    hits = _enumerate(compiled, p, nvars, _MAX_WITNESSES if all_witnesses else 1)
+    try:
+        hits = _enumerate(compiled, p, nvars, _MAX_WITNESSES)
+    except EnumerationBudgetError:
+        effort.update(exhaustive=False, row_budget_hit=True)
+        return SolveOutcome("inconclusive", prime=p, effort=effort)
     if not hits:
         return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
 
     if not all(_check_assignment_mod_p(system, p, values) for values in hits):
         raise RuntimeError("sweep produced an assignment the scalar check rejects")
-    truncated = all_witnesses and len(hits) >= _MAX_WITNESSES
-    effort["exhaustive"] = not truncated
-    if truncated:
-        effort["witness_cap_hit"] = True
+    if len(hits) == _MAX_WITNESSES:
+        effort.update(exhaustive=False, witness_cap_hit=True)
     return SolveOutcome(
         "witness",
         witness={n: RingElem(gf, v) for n, v in zip(system.vars, hits[0])},
         prime=p,
         effort=effort,
-        witnesses=hits if all_witnesses else None,
+        witnesses=hits,
     )
 
 
@@ -810,25 +814,17 @@ def certify_expressibility(C, primes=(5, 7), caps=None,
 
     primes = rg._distinct_primes(primes, allow_empty=True)
     system = symbolic_system(C)
-    names = system.vars
     effort = {"primes": list(primes)}
     evidence = []
 
     if not system.polys:
         effort["trivial"] = True
-        witness = {n: rg.zero(rg.QQ) for n in names}
+        witness = {n: rg.zero(rg.QQ) for n in system.vars}
         return SolveOutcome("witness", witness=witness, effort=effort, evidence=evidence)
 
     witnessed = []  # the witness-bearing sweeps
     for p in primes:
-        try:
-            out = solve_ff_exhaustive(system, p, all_witnesses=True)
-        except EnumerationBudgetError:
-            # a refused prime is no evidence either way
-            out = SolveOutcome("inconclusive", prime=p, effort={
-                "prime": p, "assignments": p ** len(names), "exhaustive": False,
-                "row_budget_hit": True,
-            })
+        out = solve_ff_exhaustive(system, p)
         evidence.append(out)
         if out.status != "witness":
             continue

@@ -172,7 +172,7 @@ def test_totassoc_constraints_groebner_pins_the_b2_variety():
         "b1", "b2^2 - 1/2*a1", "a1*b2 - 1/2*b2", "a1^2 - 1/2*a1",
     ]
     for p in (11, 13):
-        sols = solve_ff_exhaustive(system, p, all_witnesses=True)
+        sols = solve_ff_exhaustive(system, p)
         assert len(sols.witnesses) == len(B2_TOTASSOC_POINTS)
 
 
@@ -186,7 +186,7 @@ def test_totassoc_constraints_groebner_pins_the_b4_count():
     # the univariate generator factors as a1^2 (a1 - 1)(a1 - 1/2)
     assert str(out.basis[-1]) == "a1^4 - 3/2*a1^3 + 1/2*a1^2"
     for p in (11, 13):
-        sols = solve_ff_exhaustive(system, p, all_witnesses=True)
+        sols = solve_ff_exhaustive(system, p)
         assert len(sols.witnesses) == len(B4_TOTASSOC_POINTS)
 
 

@@ -110,10 +110,11 @@ def test_iso_cstar_vs_b10_exits_1(capsys):
     assert code == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_iso_prime_divides_denominator_exits_2(capsys):
+    # the weak-evidence warning comes first, as a diagnostic, not a warning
     code, _, err = run_cli(capsys, "iso", "--a", "A9", "--b", "A9", "--prime", "3")
-    assert code == 2 and "3" in err
+    assert code == 2
+    assert err.splitlines()[1:] == ["trialg: denominator of 1/3 vanishes mod 3"]
 
 
 @pytest.mark.parametrize("prime", ["15", "1", "-7"])
@@ -121,6 +122,18 @@ def test_iso_composite_prime_exits_2(capsys, prime):
     code, out, err = run_cli(capsys, "iso", "--a", "Cstar", "--b", "Cstar", "--prime", prime)
     assert (code, out) == (2, "")
     assert err == f"trialg: prime field modulus must be prime, got '{prime}'\n"
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_iso_weak_characteristic_warns_in_one_line(capsys, prime):
+    # the library's RuntimeWarning, without its file, line and source line
+    code, out, err = run_cli(capsys, "iso", "--a", "Cstar", "--b", "Cstar",
+                             "--prime", str(prime))
+    assert code == 0
+    assert out == _json({"exhaustive": False, "prime": prime, "witness_count": 1,
+                         "witnesses": [[["0", "1"], ["1", "0"]]]}) + "\n"
+    assert err == (f"trialg: isomorphism evidence over GF({prime}) is weak: "
+                   "characteristics 2 and 3 sit outside the intended evidence range\n")
 
 
 def test_express_witness_exits_0(capsys):

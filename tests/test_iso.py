@@ -361,6 +361,19 @@ def test_witness_algebras_are_the_reductions_mod_p(p):
             assert w.source.ring == w.target.ring == rg.prime_field(p)
 
 
+def test_search_keeps_the_first_witnesses_up_to_the_cap(monkeypatch):
+    zero = Msc.zero(rg.prime_field(7), 2, 2)  # every g is an automorphism
+    full = [w.g.mat.to_strings() for w in iso_search(zero, zero, 7)]
+    assert len(full) == (7 ** 2 - 1) * (7 ** 2 - 7) == 2016
+    assert iso_report(zero, zero, 7, find_all=True)["exhaustive"] is True
+    monkeypatch.setattr(polysolve, "_MAX_WITNESSES", 100)
+    assert [w.g.mat.to_strings() for w in iso_search(zero, zero, 7)] == full[:100]
+    doc = iso_report(zero, zero, 7, find_all=True)
+    assert doc["witness_count"] == 100 and doc["witnesses"] == full[:100]
+    assert doc["exhaustive"] is False
+    assert iso_report(zero, zero, 7)["witnesses"] == full[:1]
+
+
 def test_a_large_search_space_does_not_warn():
     zero = Msc.zero(rg.prime_field(7), 3, 2)  # 7^9 candidates
     with warnings.catch_warnings():
@@ -536,7 +549,7 @@ def test_a_pair_the_invariants_separate_has_no_witness(data):
     if p ** (dim * dim - 2) <= 7 ** 7:
         residues = (msc._residues(A.mat, p), msc._residues(B.mat, p))
         assert polysolve._enumerate(iso._iso_system_mod_p(*residues, dim, arity, p), p,
-                                    dim * dim + 1, None) == []
+                                    dim * dim + 1, p ** (dim * dim + 1)) == []
 
 
 def test_the_replay_enumerates_only_what_the_invariants_leave(monkeypatch):

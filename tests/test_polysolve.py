@@ -111,7 +111,7 @@ def _check_sweep_against_reference():
             names = names_pool[trial % len(names_pool)]
             system = _random_system(rng, names, p)
             expected = solve_ff_reference(system, p)
-            got = solve_ff_exhaustive(system, p, all_witnesses=True)
+            got = solve_ff_exhaustive(system, p)
             if not expected:
                 assert got.status == "no_solution_mod_p"
                 continue
@@ -281,7 +281,7 @@ def test_enumerator_sums_repeated_monomials(monkeypatch, rows):
         assignments = list(iter_product(range(p), repeat=nvars))
         residues = _python_residues(polys, assignments, p)
         expected = [a for k, a in enumerate(assignments) if not any(r[k] for r in residues)]
-        assert polysolve._enumerate(polys, p, nvars, None) == expected
+        assert polysolve._enumerate(polys, p, nvars, p ** nvars) == expected
 
 
 @pytest.mark.parametrize("degree", [3, 4])
@@ -324,31 +324,35 @@ def test_sweep_rejects_bad_inputs():
 
 
 def test_sweep_is_exact_at_the_largest_modulus():
+    # the enumerator stops at its first hit here: a sweep keeps looking for
+    # more and would pass the row budget at this p
     p = 3037000493  # the largest prime with (p - 1)^2 < 2^63
     root = 60000  # root^2 exceeds p, so -x^2 multiplies two large residues
-    out = solve_ff_exhaustive(sys_of(["x"], [f"{root ** 2 % p} - x^2"]), p)
-    assert out.status == "witness"
-    assert out.witness["x"].v == root
+    system = sys_of(["x"], [f"{root ** 2 % p} - x^2"])
+    compiled, obstructed = polysolve._compile_mod_p(system, p)
+    assert not obstructed
+    assert polysolve._enumerate(compiled, p, 1, 1) == [(root,)]
+    assert polysolve._check_assignment_mod_p(system, p, (root,))
 
 
 def test_enumeration_work_budget_is_exact(monkeypatch):
     # with no polynomial every prefix survives: 5 + 25 + 125 rows for three
     # variables mod 5
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 155)
-    assert len(polysolve._enumerate([], 5, 3, None)) == 125
+    assert len(polysolve._enumerate([], 5, 3, 5 ** 3)) == 125
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 154)
     with pytest.raises(ValueError, match="passed 154 rows"):
-        polysolve._enumerate([], 5, 3, None)
+        polysolve._enumerate([], 5, 3, 5 ** 3)
 
 
 def test_enumeration_work_budget_counts_split_expansions(monkeypatch):
     # split into expansions of at most 3 rows, the count is the same
     monkeypatch.setattr(polysolve, "_MAX_ROWS", 3)
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 155)
-    assert len(polysolve._enumerate([], 5, 3, None)) == 125
+    assert len(polysolve._enumerate([], 5, 3, 5 ** 3)) == 125
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 154)
     with pytest.raises(ValueError, match="passed 154 rows"):
-        polysolve._enumerate([], 5, 3, None)
+        polysolve._enumerate([], 5, 3, 5 ** 3)
 
 
 def test_enumeration_leaves_no_reference_cycle():
@@ -359,12 +363,44 @@ def test_enumeration_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        solve_ff_exhaustive(system, 7, all_witnesses=True)
+        solve_ff_exhaustive(system, 7)
         assert gc.collect() == 0
         iso_search(cstar, cstar, 5)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# x*y mod 5 vanishes at (0, y) and at (x, 0): nine points in lexicographic order
+XY_ZEROS_MOD_5 = [(0, y) for y in range(5)] + [(x, 0) for x in range(1, 5)]
+
+
+def test_sweep_returns_every_witness_in_order():
+    out = solve_ff_exhaustive(sys_of(["x", "y"], ["x*y"]), 5)
+    assert out.status == "witness"
+    assert out.witnesses == XY_ZEROS_MOD_5
+    assert out.effort == {"prime": 5, "assignments": 25, "exhaustive": True}
+    assert out.to_doc()["witness_count"] == 9
+
+
+def test_sweep_at_the_witness_cap_is_not_exhaustive(monkeypatch):
+    monkeypatch.setattr(polysolve, "_MAX_WITNESSES", 4)
+    out = solve_ff_exhaustive(sys_of(["x", "y"], ["x*y"]), 5)
+    assert out.status == "witness"
+    assert out.witnesses == XY_ZEROS_MOD_5[:4]
+    assert out.witness == {"x": rg.RingElem(rg.prime_field(5), 0),
+                           "y": rg.RingElem(rg.prime_field(5), 0)}
+    assert out.effort == {"prime": 5, "assignments": 25, "exhaustive": False,
+                          "witness_cap_hit": True}
+
+
+def test_sweep_past_the_row_budget_is_inconclusive(monkeypatch):
+    # 5 + 25 + 125 rows for three variables mod 5, one more than the budget
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 154)
+    out = solve_ff_exhaustive(sys_of(["x", "y", "z"], ["x*y*z"]), 5)
+    assert (out.status, out.prime, out.witness, out.witnesses) == ("inconclusive", 5, None, None)
+    assert out.effort == {"prime": 5, "assignments": 125, "exhaustive": False,
+                          "row_budget_hit": True}
 
 
 def test_sweep_constant_obstruction():
@@ -375,7 +411,7 @@ def test_sweep_constant_obstruction():
 
 def test_sweep_b9_system_contains_a9_mod_7():
     system = symbolic_system(catalog_get("B9"))
-    out = solve_ff_exhaustive(system, 7, all_witnesses=True)
+    out = solve_ff_exhaustive(system, 7)
     assert out.status == "witness"
     a9 = catalog_get("A9").reduce_mod(7)
     expected = tuple(
@@ -586,7 +622,7 @@ def lift_data(target):
     system = symbolic_system(C)
     vectors = {}
     for p in (5, 7):
-        out = solve_ff_exhaustive(system, p, all_witnesses=True)
+        out = solve_ff_exhaustive(system, p)
         vectors[p] = out.witnesses or []
     vectors[35] = [tuple(polysolve._crt_pair(a, 5, b, 7))
                    for a in vectors[5][:64] for b in vectors[7][:64]]
