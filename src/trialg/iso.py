@@ -16,21 +16,21 @@ the scan below runs as before.
 
 The search writes the equivalent identity B . g^(tensor n) = g . A, together
 with t . det(g) = 1 for invertibility, as one polynomial system in the
-entries of g and t, and hands it to the pruned finite-field enumerator of
-polysolve.py.  A and B are reduced mod p once (msc._residues), and those
-residue rows serve the invariants, the system and the GF(p) algebras the
-witnesses are verified on.  The system is expanded straight from them:
-each entry of B . g^(tensor n) is a sum of products of entries of g,
-collected by monomial in plain ints, and det(g) is the permutation
-expansion.  An algebra whose expansion would form more than msc's
-_MAX_ENTRIES products, or whose arity reaches that budget's bit length
-(19), is refused before anything is built, and the enumerator refuses a
-search past its work budget (polysolve's _MAX_TOTAL_ROWS), so no input
-runs without end.  Candidates g come out in
-row-major lexicographic order of their entries over 0..p-1, so results
-are reproducible bit for bit; every witness is re-verified through the
-exact transform path before it is returned.  Like a sweep, a search
-keeps at most polysolve's _MAX_WITNESSES witnesses.
+entries of g and t, and hands it as an integer form to polysolve's sweep
+core, the one path that sweeps take too.  A and B are reduced mod p once
+(msc._residues), and those residue rows serve the invariants, the system
+and the GF(p) algebras the witnesses are verified on.  The system is
+expanded straight from them: each entry of B . g^(tensor n) is a sum of
+products of entries of g, collected by monomial in plain ints, and det(g)
+is the permutation expansion.  An algebra whose expansion would form more
+than msc's _MAX_ENTRIES products, or whose arity reaches that budget's bit
+length (19), is refused before anything is built; past that the core's row
+budget (polysolve's _MAX_TOTAL_ROWS) is the only limit, so no input runs
+without end.  Candidates g come out in row-major lexicographic order of
+their entries over 0..p-1, so results are reproducible bit for bit; every
+witness is re-checked by the core's scalar path and then verified through
+the exact transform path (iso_verify) before it is returned.  Like a sweep,
+a search keeps at most polysolve's _MAX_WITNESSES witnesses.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from itertools import product as iter_product
 from . import msc, polysolve
 from . import ring as rg
 from .msc import BasisChange, Matrix, Msc, transform
-from .polysolve import _check_modulus, _enumerate
+from .polysolve import _check_modulus, _sweep
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
            "DEFAULT_EVIDENCE_PRIMES"]
@@ -133,47 +133,38 @@ def _expansion(m: int, n: int):
 
 
 def _iso_polys(a, b, m: int, n: int):
-    """B . g^(tensor n) - g . A and t . det(g) - 1 for the integer rows a, b.
+    """B . g^(tensor n) - g . A and t . det(g) - 1 for the integer rows a, b,
+    as an integer form (polysolve._integer_form) with L = 1.
 
-    Each polynomial is a dict from a monomial, its (variable, exponent)
-    pairs in variable order, to an integer coefficient; variable r * m + c
-    is g's entry (r, c) and m * m is t.  Entry (k, I) of B . g^(tensor n) is
-    the sum over B's columns J of B[k, J] . g[j1, i1] ... g[jn, in].  The
-    polynomials come in row-major order of (k, I), then the determinant
-    equation; zero coefficients and polynomials that cancel are left out.
+    Variable r * m + c is g's entry (r, c) and m * m is t.  Entry (k, I) of
+    B . g^(tensor n) is the sum over B's columns J of B[k, J] . g[j1, i1]
+    ... g[jn, in], of degree n; the terms of g . A are linear, n - 1 below
+    the degree of an entry that keeps a term of B (n >= 2, so the two never
+    share a monomial).  The polynomials come in row-major order of (k, I),
+    then the determinant equation; zero coefficients and polynomials that
+    cancel are left out.  It never reduces to a nonzero constant mod p.
     """
     polys = []
     for k, brow in enumerate(b):
         terms = [(J, c) for J, c in enumerate(brow) if c]
         linear = [((k * m + l, 1),) for l in range(m)]
         for I, monomials in enumerate(_expansion(m, n)):
-            poly = {}
+            high = {}
             for J, c in terms:
                 mono = monomials[J]
-                poly[mono] = poly.get(mono, 0) + c
-            for mono, arow in zip(linear, a):
-                if arow[I]:
-                    poly[mono] = poly.get(mono, 0) - arow[I]
-            poly = {mono: c for mono, c in poly.items() if c}
+                high[mono] = high.get(mono, 0) + c
+            poly = [(c, mono, 0) for mono, c in high.items() if c]
+            gap = n - 1 if poly else 0
+            poly += [(-arow[I], mono, gap) for mono, arow in zip(linear, a) if arow[I]]
             if poly:
-                polys.append(poly)
-    unit = {(): -1}
+                polys.append((1, tuple(poly)))
+    unit = [(-1, (), m + 1)]
     for perm in permutations(range(m)):
         inversions = sum(x > y for s, x in enumerate(perm) for y in perm[s + 1:])
         mono = tuple((r * m + c, 1) for r, c in enumerate(perm)) + ((m * m, 1),)
-        unit[mono] = -1 if inversions % 2 else 1
-    polys.append(unit)
-    return polys
-
-
-def _iso_system_mod_p(a, b, m: int, n: int, p: int):
-    """The search's system as the (coeff, factors) terms _enumerate takes,
-    built from a and b, the residue rows of A and B mod p (msc._residues).
-
-    Never obstructed: no polynomial of it is a nonzero constant."""
-    polys = _iso_polys(a, b, m, n)
-    compiled = ([(c % p, mono) for mono, c in poly.items() if c % p] for poly in polys)
-    return [terms for terms in compiled if terms]
+        unit.append((-1 if inversions % 2 else 1, mono, 0))
+    polys.append((1, tuple(unit)))
+    return tuple(polys), max(n, m + 1)
 
 
 def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
@@ -220,8 +211,8 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     a, b = msc._residues(A.mat, p), msc._residues(B.mat, p)
     if _invariants(a, m, n, p) != _invariants(b, m, n, p):
         return []
-    hits = _enumerate(_iso_system_mod_p(a, b, m, n, p), p, m * m + 1,
-                      polysolve._MAX_WITNESSES if find_all else 1)
+    hits = _sweep(_iso_polys(a, b, m, n), m * m + 1, p,
+                  polysolve._MAX_WITNESSES if find_all else 1)
     if not hits:
         return []
     Ap, Bp = (Msc(m, n, msc._from_ints(gf, x, 1)) for x in (a, b))

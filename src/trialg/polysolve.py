@@ -11,10 +11,12 @@ Two engines back every verdict:
   products, coefficient matrix x monomial values, first for the level's
   first polynomial alone and then for all the others on its survivors.
   The products run in int64 with lazy reduction: an array is reduced mod p
-  only when the next product or sum could pass 2^63 - 1.  The same
-  enumerator decides isomorphism over GF(p) (see iso.py).  A separate
-  straightforward per-assignment evaluator exists purely as an
-  independent cross-check.
+  only when the next product or sum could pass 2^63 - 1.  One sweep core,
+  _sweep, checks the modulus, compiles, enumerates and re-checks every hit;
+  solve_ff_exhaustive and the isomorphism search of iso.py both go through
+  it, and its row budget (_MAX_TOTAL_ROWS) is the only limit on the size of
+  a sweep.  A separate straightforward per-assignment evaluator exists
+  purely as an independent cross-check.
 
 * a bounded Buchberger engine over Q in graded reverse lexicographic
   order, with the normal selection strategy, coprime-lead and chain
@@ -30,13 +32,13 @@ evidence attached.
 A system has one integer encoding, its integer form, built at first use and
 kept: each polynomial times the lcm L of its coefficient denominators, each
 term an integer coefficient, its variable factors and its degree gap to the
-polynomial's degree.  The sweep reduces it mod p (c * L^-1 per term); p
-dividing L is refused.  A point n / d (one denominator d for all variables)
-zeroes a polynomial exactly when the sum of c * d^gap * prod n_i^e is 0:
-rational-lift candidates are tested so, and so is every point of
-catalog.totassoc_scan.  A sweep hit's scalar re-check, independent of the
-vectorized path, fails when p divides L and otherwise asks the sum of
-c * prod v^e to be 0 mod p.
+polynomial's degree.  The sweep core takes it (iso.py builds its own, with
+L = 1) and reduces it mod p (c * L^-1 per term); p dividing L is refused.
+A point n / d (one denominator d for all variables) zeroes a polynomial
+exactly when the sum of c * d^gap * prod n_i^e is 0: rational-lift
+candidates are tested so, and so is every point of catalog.totassoc_scan.
+A sweep hit's scalar re-check, independent of the vectorized path, fails
+when p divides L and otherwise asks the sum of c * prod v^e to be 0 mod p.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ __all__ = [
 ]
 
 DEFAULT_CAPS = {"max_pairs": 20000, "max_degree": 12}
-MAX_FF_VARS = 9
 # rows built by one expansion step of the finite-field enumerator
 _MAX_ROWS = 1 << 16
 # rows built by one whole enumeration: past this it is refused, not finished
@@ -175,19 +176,17 @@ class SolveOutcome:
 # exhaustive finite-field sweep
 # ---------------------------------------------------------------------------
 
-def _compile_mod_p(system: PolySystem, p: int):
-    """Reduce every polynomial mod p to a list of (coeff, factors) terms.
-
-    ``factors`` lists the (variable index, exponent) pairs of the term's
-    monomial.  The residues come from the integer form: c * L^-1 mod p for
-    each term c of L times the polynomial.  Returns (compiled, obstructed)
-    where obstructed means some polynomial reduced to a nonzero constant,
-    so no assignment can work.
+def _compile_mod_p(form, p: int):
+    """Reduce every polynomial of an integer form (_integer_form) mod p to a
+    list of (coeff, factors) terms: c * L^-1 mod p for each term c of L times
+    the polynomial, ``factors`` the (variable index, exponent) pairs of its
+    monomial.  Returns (compiled, obstructed) where obstructed means some
+    polynomial reduced to a nonzero constant, so no assignment can work.
     """
     compiled = []
-    for poly, (L, terms) in zip(system.polys, _integer_form(system)[0]):
+    for L, terms in form[0]:
         if L % p == 0:
-            q = next(q for q in poly.v.values() if q.denominator % p == 0)
+            q = next(q for c, _, _ in terms if (q := Fraction(c, L)).denominator % p == 0)
             raise ValueError(f"prime {p} divides the denominator of coefficient {q}")
         inv = pow(L, -1, p)
         terms = [(r, factors) for c, factors, _ in terms if (r := c * inv % p)]
@@ -254,7 +253,7 @@ def _level_residues(table, cols, p):
     each further factor multiplies the bound by p - 1.  A sum of ``step``
     products coefficient x value, each at most (p - 1) * bound, is added to
     an accumulator already reduced to at most p - 1.  For every prime that
-    _enumerate accepts, (p - 1)^2 < 2^63 and even p * (p - 1) < 2^63 (the
+    _sweep accepts, (p - 1)^2 < 2^63 and even p * (p - 1) < 2^63 (the
     largest, 3037000493, leaves about 4 * 10^10 to spare), so with reduced
     values step is at least 1.  At p = 5 or 7 a quartic monomial and a sum
     of thousands of monomials need no reduction until the end; at
@@ -309,9 +308,9 @@ def _enumerate(compiled, p, nvars, cap):
     that fails it is dropped with everything below it.  One expansion
     builds at most ``_MAX_ROWS`` rows, splitting both the prefixes taken and
     the values tried for the next variable, so memory stays bounded for
-    every accepted p.  Stops after ``cap`` assignments.  Raises
+    every p that _sweep accepts.  Stops after ``cap`` assignments.  Raises
     EnumerationBudgetError once the rows built in all exceed
-    ``_MAX_TOTAL_ROWS``, so time stays bounded too.
+    ``_MAX_TOTAL_ROWS``, so time stays bounded too, whatever nvars is.
 
     The polynomials tested at one level are compiled, when the level is
     first reached, into monomial tables (_level_table), and an expansion
@@ -319,7 +318,6 @@ def _enumerate(compiled, p, nvars, cap):
     alone, which drops about (1 - 1/p) of the rows, then all the others at
     once on its survivors.
     """
-    _check_modulus(p)
     # imported here, once per enumeration, so that commands which never
     # enumerate do not pay numpy's import time
     import numpy as np
@@ -377,50 +375,56 @@ def _descend(np, p, buckets, tables, prefixes, built=0):
     return built
 
 
+def _sweep(form, nvars, p, cap):
+    """The first ``cap`` assignments in GF(p)^nvars, in lexicographic order,
+    that zero every polynomial of an integer form (_integer_form's layout),
+    or None when the form reduces mod p to a nonzero constant.
+
+    The one path to the enumerator, for a sweep and an isomorphism search
+    alike.  The modulus is checked before anything is compiled, so whether
+    p is accepted never depends on the system; every hit is re-checked by
+    _check_assignment_mod_p; EnumerationBudgetError propagates.
+    """
+    _check_modulus(p)
+    compiled, obstructed = _compile_mod_p(form, p)
+    if obstructed:
+        return None
+    hits = _enumerate(compiled, p, nvars, cap)
+    if not all(_check_assignment_mod_p(form, p, values) for values in hits):
+        raise RuntimeError("sweep produced an assignment the scalar check rejects")
+    return hits
+
+
 def solve_ff_exhaustive(system: PolySystem, p: int) -> SolveOutcome:
-    """Decide the system mod p by an exhaustive pruned enumeration.
+    """Decide the system mod p by an exhaustive pruned enumeration (_sweep).
 
     Assignments are enumerated in lexicographic order (first declared
-    variable most significant), and each is re-checked by
-    _check_assignment_mod_p.  ``witnesses`` holds the first _MAX_WITNESSES
-    as tuples of residues in ``system.vars`` order, and ``witness`` the
-    first as a dict of GF(p) elements; a sweep that reaches the cap sets
-    effort["exhaustive"] false and effort["witness_cap_hit"].  A
-    "no_solution_mod_p" outcome always rests on a complete enumeration.  A
-    sweep past the enumeration's row budget is no evidence either way: it
-    returns "inconclusive" with effort["row_budget_hit"].
+    variable most significant).  ``witnesses`` holds the first
+    _MAX_WITNESSES as tuples of residues in ``system.vars`` order, and
+    ``witness`` the first as a dict of GF(p) elements; a sweep that reaches
+    the cap sets effort["exhaustive"] false and effort["witness_cap_hit"].
+    A "no_solution_mod_p" outcome always rests on a complete enumeration.
+    A sweep past the enumeration's row budget, the only limit on its size,
+    is no evidence either way: it returns "inconclusive" with
+    effort["row_budget_hit"].
     """
     gf = rg.prime_field(p)
     nvars = len(system.vars)
-    if nvars > MAX_FF_VARS:
-        raise ValueError(
-            f"{nvars} variables exceed the exhaustive-sweep limit of {MAX_FF_VARS}"
-        )
-    compiled, obstructed = _compile_mod_p(system, p)
     effort = {"prime": p, "assignments": p ** nvars, "exhaustive": True}
-    if obstructed:
-        effort["constant_obstruction"] = True
-        return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
-
     try:
-        hits = _enumerate(compiled, p, nvars, _MAX_WITNESSES)
+        hits = _sweep(_integer_form(system), nvars, p, _MAX_WITNESSES)
     except EnumerationBudgetError:
         effort.update(exhaustive=False, row_budget_hit=True)
         return SolveOutcome("inconclusive", prime=p, effort=effort)
+    if hits is None:
+        effort["constant_obstruction"] = True
     if not hits:
         return SolveOutcome("no_solution_mod_p", prime=p, effort=effort)
 
-    if not all(_check_assignment_mod_p(system, p, values) for values in hits):
-        raise RuntimeError("sweep produced an assignment the scalar check rejects")
     if len(hits) == _MAX_WITNESSES:
         effort.update(exhaustive=False, witness_cap_hit=True)
-    return SolveOutcome(
-        "witness",
-        witness={n: RingElem(gf, v) for n, v in zip(system.vars, hits[0])},
-        prime=p,
-        effort=effort,
-        witnesses=hits,
-    )
+    witness = {n: RingElem(gf, v) for n, v in zip(system.vars, hits[0])}
+    return SolveOutcome("witness", witness=witness, prime=p, effort=effort, witnesses=hits)
 
 
 def _integer_form(system: PolySystem):
@@ -456,11 +460,11 @@ def _int_value(terms, values, dpows):
     return total
 
 
-def _check_assignment_mod_p(system: PolySystem, p: int, values) -> bool:
+def _check_assignment_mod_p(form, p: int, values) -> bool:
     """Scalar re-check of one assignment, independent of the vectorized path:
-    every polynomial's integer form is 0 mod p at ``values``, and p divides
-    none of its denominators."""
-    polys, top = _integer_form(system)
+    every polynomial of the integer form is 0 mod p at ``values``, and p
+    divides none of its denominators."""
+    polys, top = form
     ones = (1,) * (top + 1)
     return all(L % p and _int_value(terms, values, ones) % p == 0 for L, terms in polys)
 

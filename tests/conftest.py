@@ -22,9 +22,10 @@ GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 def golden_argv(argv):
-    """A golden command line with its --input fixture resolved against tests/golden/."""
-    return [str(GOLDEN / arg) if flag == "--input" else arg
-            for flag, arg in zip([None, *argv], argv)]
+    """A golden command line with its fixture files (--input, and --a or --b
+    naming a .json file) resolved against tests/golden/."""
+    return [str(GOLDEN / arg) if flag in ("--input", "--a", "--b") and arg.endswith(".json")
+            else arg for flag, arg in zip([None, *argv], argv)]
 
 
 def nest(outer, arity, slot, inner):

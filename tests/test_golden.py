@@ -1,9 +1,9 @@
 """Byte-exact CLI reports against files recorded under tests/golden/.
 
 Each case in golden/cases.json names a command line, its exit code and the
-file holding its exact stdout; an ``--input`` fixture is named relative to
-tests/golden/.  The files were recorded with the CLI and change only when a
-report is meant to change.
+file holding its exact stdout; a fixture file (after ``--input``, ``--a`` or
+``--b``) is named relative to tests/golden/.  The files were recorded with
+the CLI and change only when a report is meant to change.
 """
 
 import pytest

@@ -13,7 +13,7 @@ from trialg.catalog import catalog_get, claims_verify
 from trialg.identities import is_totally_associative
 from trialg.iso import iso_report, iso_search, iso_verify
 from trialg.msc import BasisChange, Matrix, Msc, transform
-from trialg.polysolve import PolySystem, _compile_mod_p
+from trialg.polysolve import PolySystem, _compile_mod_p, _integer_form
 
 from conftest import nest, rand_basis_change, rand_msc
 
@@ -133,6 +133,16 @@ def test_rational_entries_are_reduced_mod_p():
         iso_search(a9, a9, 3, find_all=False)  # 1/3 has no image mod 3
 
 
+def test_search_hits_are_rechecked_by_the_scalar_path(monkeypatch):
+    # every hit of the sweep core passes _check_assignment_mod_p before
+    # iso_verify sees it
+    plus = catalog_get("A2", {"a1": 1, "b1": 1, "b2": 1})
+    minus = catalog_get("A2", {"a1": 1, "b1": -1, "b2": 1})
+    monkeypatch.setattr(polysolve, "_check_assignment_mod_p", lambda form, p, values: False)
+    with pytest.raises(RuntimeError, match="the scalar check rejects"):
+        iso_search(plus, minus, 5)
+
+
 def test_small_characteristic_warns(gf5):
     A = Msc.zero(rg.prime_field(3), 2, 2)
     with pytest.warns(RuntimeWarning):
@@ -230,7 +240,8 @@ def _cofactor_det(rows):
 
 def oracle_iso_system(A, B, p):
     """B . g^(x n) - g . A = 0 and t . det(g) - 1 = 0 built over Q[g, t] (g
-    nested into each slot of B, a cofactor determinant) and compiled mod p."""
+    nested into each slot of B, a cofactor determinant) from the residues of
+    A and B mod p: its integer form, and that form compiled mod p."""
     Ap, Bp = A.reduce_mod(p), B.reduce_mod(p)
     m = A.dim
     names = [f"g{r}_{c}" for r in range(1, m + 1) for c in range(1, m + 1)]
@@ -243,13 +254,24 @@ def oracle_iso_system(A, B, p):
         b = nest(b, A.arity, slot, g)
     unit = rg.variable(ring, "t") * _cofactor_det(g.rows) - rg.one(ring)
     system = PolySystem(ring, [x for row in (b - g * a).rows for x in row] + [unit])
-    compiled, obstructed = _compile_mod_p(system, p)
+    form = _integer_form(system)
+    compiled, obstructed = _compile_mod_p(form, p)
     assert not obstructed
-    return compiled
+    return form[0], compiled
 
 
-def canonical(compiled):
-    return [sorted(terms) for terms in compiled]
+def iso_system(A, B, p):
+    """iso_search's system for A and B mod p: its integer form, and that form
+    compiled mod p as the sweep core compiles it."""
+    form = iso._iso_polys(msc._residues(A.mat, p), msc._residues(B.mat, p), A.dim, A.arity)
+    compiled, obstructed = _compile_mod_p(form, p)
+    assert not obstructed
+    assert all(gap <= form[1] for _, terms in form[0] for _, _, gap in terms)
+    return form[0], compiled
+
+
+def canonical(polys):
+    return [sorted(terms) for terms in polys]
 
 
 def _coprime_fraction(rng):
@@ -302,9 +324,12 @@ def builder_pairs(dim, arity, p, rng):
 def test_builder_matches_the_polynomial_ring_oracle(dim, arity, p):
     rng = random.Random(f"{dim}:{arity}:{p}")
     for kind, (A, B) in builder_pairs(dim, arity, p, rng).items():
-        got = iso._iso_system_mod_p(msc._residues(A.mat, p), msc._residues(B.mat, p),
-                                    dim, arity, p)
-        assert canonical(got) == canonical(oracle_iso_system(A, B, p)), kind
+        polys, got = iso_system(A, B, p)
+        expected_polys, expected = oracle_iso_system(A, B, p)
+        # the same integers, L = 1 and degree gaps included, and the same residues
+        assert [(L, sorted(terms)) for L, terms in polys] == \
+            [(L, sorted(terms)) for L, terms in expected_polys], kind
+        assert canonical(got) == canonical(expected), kind
         assert all(0 < c < p for terms in got for c, _ in terms), kind
         if kind == "zero":
             assert len(got) == 1  # only t . det(g) - 1 is left
@@ -315,18 +340,14 @@ def test_builder_leaves_out_polynomials_that_cancel():
     # does, at every column with a repeated index
     p = 7
     A = _alternating_msc(rg.prime_field(p), 2, 2, random.Random(3))
-    residues = (msc._residues(A.mat, p), msc._residues(A.mat, p))
-    polys = iso._iso_polys(*residues, 2, 2)
-    compiled = iso._iso_system_mod_p(*residues, 2, 2, p)
+    polys, compiled = iso_system(A, A, p)
     assert len(compiled) < len(polys) == 2 * 4 + 1
-    assert canonical(compiled) == canonical(oracle_iso_system(A, A, p))
+    assert canonical(compiled) == canonical(oracle_iso_system(A, A, p)[1])
 
 
 def test_builder_reduces_rationals_once_and_keeps_the_zero_division():
     a9 = catalog_get("A9")
-    residues = (msc._residues(a9.mat, 5), msc._residues(a9.mat, 5))
-    assert canonical(iso._iso_system_mod_p(*residues, 2, 2, 5)) == canonical(
-        oracle_iso_system(a9, a9, 5))
+    assert canonical(iso_system(a9, a9, 5)[1]) == canonical(oracle_iso_system(a9, a9, 5)[1])
     with pytest.raises(ZeroDivisionError, match="mod 3"):
         msc._residues(a9.mat, 3)
     with pytest.raises(ValueError):
@@ -547,22 +568,22 @@ def test_a_pair_the_invariants_separate_has_no_witness(data):
     if p ** (dim * dim) <= 7 ** 4:
         assert brute_force_iso(A, B, p) == []
     if p ** (dim * dim - 2) <= 7 ** 7:
-        residues = (msc._residues(A.mat, p), msc._residues(B.mat, p))
-        assert polysolve._enumerate(iso._iso_system_mod_p(*residues, dim, arity, p), p,
-                                    dim * dim + 1, p ** (dim * dim + 1)) == []
+        assert polysolve._enumerate(iso_system(A, B, p)[1], p, dim * dim + 1,
+                                    p ** (dim * dim + 1)) == []
 
 
 def test_the_replay_enumerates_only_what_the_invariants_leave(monkeypatch):
     # 62 searches per replay; the invariants settle all but the Cdagger
-    # collision (at 5, 7 and 11) and the isomorphic A2 and A6 sign pairs
+    # collision (at 5, 7 and 11) and the isomorphic A2 and A6 sign pairs.
+    # iso's own reference to the sweep core counts its enumerations only
     calls = []
-    enumerate_ = iso._enumerate
+    sweep = iso._sweep
 
-    def counted(compiled, p, nvars, cap):
+    def counted(form, nvars, p, cap):
         calls.append(p)
-        return enumerate_(compiled, p, nvars, cap)
+        return sweep(form, nvars, p, cap)
 
-    monkeypatch.setattr(iso, "_enumerate", counted)
+    monkeypatch.setattr(iso, "_sweep", counted)
     screened = claims_verify().to_doc()
     assert calls == [5, 7, 11, 5, 5]
     calls.clear()

@@ -160,7 +160,8 @@ def test_scalar_recheck_matches_reference_evaluator():
         names = (["x", "y"], ["x", "y", "z"])[trial % 3 % 2]
         system = _random_rational_system(rng, names, p, trial % 4 == 3)
         assignments = list(iter_product(range(p), repeat=len(names)))
-        got = [a for a in assignments if polysolve._check_assignment_mod_p(system, p, a)]
+        form = polysolve._integer_form(system)
+        got = [a for a in assignments if polysolve._check_assignment_mod_p(form, p, a)]
         bad = [poly for poly in system.polys if any(q.denominator % p == 0 for q in poly.v.values())]
         if bad:
             with pytest.raises(ZeroDivisionError):
@@ -195,6 +196,10 @@ def fraction_compile_mod_p(system: PolySystem, p: int):
             return [], True
         compiled.append(terms)
     return compiled, False
+
+
+def integer_compile_mod_p(system: PolySystem, p: int):
+    return polysolve._compile_mod_p(polysolve._integer_form(system), p)
 
 
 def compile_result(compile_mod_p, system, p):
@@ -232,7 +237,7 @@ def rational_systems(draw, p):
 def test_integer_form_compiler_matches_the_fraction_compiler(data):
     p = data.draw(st.sampled_from((5, 7, 11, 3037000493)), label="p")
     system = data.draw(rational_systems(p), label="system")
-    assert compile_result(polysolve._compile_mod_p, system, p) == \
+    assert compile_result(integer_compile_mod_p, system, p) == \
         compile_result(fraction_compile_mod_p, system, p)
 
 
@@ -241,11 +246,11 @@ def test_integer_form_compiler_keeps_the_error_and_the_obstruction():
     for p, expected in ((5, "prime 5 divides the denominator of coefficient 2/15"),
                         (3, "prime 3 divides the denominator of coefficient 2/15"),
                         (7, fraction_compile_mod_p(system, 7))):
-        assert compile_result(polysolve._compile_mod_p, system, p) == expected
+        assert compile_result(integer_compile_mod_p, system, p) == expected
     # a nonzero constant before a bad denominator obstructs, after it raises
-    assert polysolve._compile_mod_p(sys_of(["x"], ["x^2 + 1", "3/7", "1/5*x"]), 5) == ([], True)
+    assert integer_compile_mod_p(sys_of(["x"], ["x^2 + 1", "3/7", "1/5*x"]), 5) == ([], True)
     with pytest.raises(ValueError, match="^prime 5 divides the denominator of coefficient 1/5$"):
-        polysolve._compile_mod_p(sys_of(["x"], ["1/5*x", "3/7"]), 5)
+        integer_compile_mod_p(sys_of(["x"], ["1/5*x", "3/7"]), 5)
 
 
 def _python_residues(polys, rows, p):
@@ -315,12 +320,23 @@ def test_sweep_rejects_bad_inputs():
         solve_ff_exhaustive(sys_of(["x"], ["x"]), 6)
     with pytest.raises(ValueError):
         solve_ff_exhaustive(sys_of(["x"], ["1/5*x - 1"]), 5)
-    wide = sys_of([f"x{i}" for i in range(10)], ["x0"])
-    with pytest.raises(ValueError):
-        solve_ff_exhaustive(wide, 5)
+    # the modulus is refused before anything is compiled, so a system that
+    # reduces to a nonzero constant is refused too
     for p in (3037000507, 4294967311):  # residue products (p - 1)^2 >= 2^63
-        with pytest.raises(ValueError, match="too large"):
-            solve_ff_exhaustive(sys_of(["x"], ["x^2 - 4"]), p)
+        for texts in (["x^2 - 4"], ["x - 1"], ["1"]):
+            with pytest.raises(ValueError, match="too large"):
+                solve_ff_exhaustive(sys_of(["x"], texts), p)
+
+
+def test_sweep_has_no_limit_on_its_variables_but_the_row_budget():
+    # ten unknowns: x_i = i + 1 pins the one witness, and each level keeps
+    # a single row, so the row budget is far off
+    names = [f"x{i}" for i in range(10)]
+    out = solve_ff_exhaustive(sys_of(names, ["x0 - 1"] + [
+        f"{b} - {a} - 1" for a, b in zip(names, names[1:])]), 5)
+    assert out.status == "witness"
+    assert out.witnesses == [(1, 2, 3, 4, 0, 1, 2, 3, 4, 0)]
+    assert out.effort == {"prime": 5, "assignments": 5 ** 10, "exhaustive": True}
 
 
 def test_sweep_is_exact_at_the_largest_modulus():
@@ -328,11 +344,11 @@ def test_sweep_is_exact_at_the_largest_modulus():
     # more and would pass the row budget at this p
     p = 3037000493  # the largest prime with (p - 1)^2 < 2^63
     root = 60000  # root^2 exceeds p, so -x^2 multiplies two large residues
-    system = sys_of(["x"], [f"{root ** 2 % p} - x^2"])
-    compiled, obstructed = polysolve._compile_mod_p(system, p)
+    form = polysolve._integer_form(sys_of(["x"], [f"{root ** 2 % p} - x^2"]))
+    compiled, obstructed = polysolve._compile_mod_p(form, p)
     assert not obstructed
     assert polysolve._enumerate(compiled, p, 1, 1) == [(root,)]
-    assert polysolve._check_assignment_mod_p(system, p, (root,))
+    assert polysolve._check_assignment_mod_p(form, p, (root,))
 
 
 def test_enumeration_work_budget_is_exact(monkeypatch):
@@ -672,8 +688,9 @@ def test_integer_lift_matches_the_fraction_lift_on_drawn_residues(data):
 @pytest.mark.parametrize("target", ["Cstar", "Cdagger"])
 def test_certify_builds_the_integer_form_once(monkeypatch, target):
     # Cstar is swept mod 5, 7 and 11 without a hit; Cdagger's sweep mod 5
-    # re-checks its hits and lifts one.  Each step reads the one integer
-    # form that the first sweep built
+    # re-checks its hits and lifts one.  Each sweep and each lift reads the
+    # one integer form that the first sweep built; a sweep's re-check of its
+    # hits is handed the form the sweep read
     builds, calls = [], []
     integer_form = polysolve._integer_form
 
@@ -685,7 +702,7 @@ def test_certify_builds_the_integer_form_once(monkeypatch, target):
 
     monkeypatch.setattr(polysolve, "_integer_form", counted)
     certify_expressibility(catalog_get(target), primes=(5, 7, 11), groebner=False)
-    assert len(builds) == 1 and len(calls) >= 3
+    assert len(builds) == 1 and len(calls) == {"Cstar": 3, "Cdagger": 2}[target]
     assert all(system is builds[0] for system in calls)
 
 
