@@ -332,8 +332,8 @@ COMMANDS = {
                  _cmd_generate),
     "assoc": ("associativity report (arity 2 or 3)", _add_algebra_input, _cmd_assoc),
     "iso": ("search GL(m, GF(p)) for an isomorphism", _add_iso_options, _cmd_iso),
-    "express": ("decide whether a ternary algebra is generated", _add_express_options,
-                _cmd_express),
+    "express": ("decide whether an algebra is generated by a binary one",
+                _add_express_options, _cmd_express),
     "catalog": ("dump the catalog or one entry", _add_catalog_options, _cmd_catalog),
     "table1-verify": ("recompute every generated-table row", lambda sub: None,
                       _cmd_table1_verify),

@@ -7,9 +7,9 @@ contraction kernel msc._nest_ints); the C_k stay integer rows (over Q,
 numerators over den(M)^(k-1)) until the last step.  Every dimension, 1
 included, obeys one arity bound: C_n must fit the contraction's entry
 budget, and n stays below that budget's bit length.
-Given a target ternary algebra C, asking which binary M generate it yields
-a quadratic system in the m^3 unknown binary structure constants; for
-dimension 2 that is 16 equations in the 8 unknowns h{k}{r}{s}.
+Given a target n-ary algebra C of dimension m, asking which binary M
+generate it yields a system of degree n - 1 in the m^3 unknown binary
+structure constants h{k}{r}{s}, one equation per structure constant of C.
 """
 
 from __future__ import annotations
@@ -18,17 +18,7 @@ from . import msc
 from . import ring as rg
 from .msc import Matrix, Msc
 
-__all__ = [
-    "generate_nary",
-    "expressibility_residual",
-    "symbolic_system",
-    "EXPRESSIBILITY_VARS",
-]
-
-# Unknown h{k}{r}{s} is the coefficient of e_k in mu(e_r, e_s), ordered k, r, s.
-EXPRESSIBILITY_VARS = tuple(
-    f"h{k}{r}{s}" for k in (1, 2) for r in (1, 2) for s in (1, 2)
-)
+__all__ = ["generate_nary", "expressibility_residual", "symbolic_system"]
 
 
 def generate_nary(M: Msc, n: int) -> Msc:
@@ -51,40 +41,40 @@ def generate_nary(M: Msc, n: int) -> Msc:
 
 
 def expressibility_residual(M: Msc, C: Msc) -> Matrix:
-    """Entrywise difference generate_nary(M, 3) - C; zero iff M generates C."""
+    """Entrywise difference generate_nary(M, C.arity) - C; zero iff M generates C."""
     if M.arity != 2:
         raise ValueError(f"candidate generator must be binary, got arity {M.arity}")
-    if C.arity != 3:
-        raise ValueError(f"target must be ternary, got arity {C.arity}")
     if M.dim != C.dim:
         raise ValueError(f"dimension mismatch: {M.dim} vs {C.dim}")
     if M.ring != C.ring:
         raise ValueError("generator and target must share one ring")
-    return generate_nary(M, 3).mat - C.mat
+    return generate_nary(M, C.arity).mat - C.mat
 
 
 def symbolic_system(C: Msc):
-    """The quadratic system whose zeros are the binary generators of C.
+    """The polynomial system whose zeros are the binary generators of C.
 
-    C must be a ternary algebra of dimension 2 with rational entries.  The
-    returned system lives in Q[h111, ..., h222] and has one polynomial per
-    structure constant of C (16 equations, zero polynomials dropped).
+    C is an m-dimensional n-ary algebra with rational entries.  The system
+    lives in Q[h111, ..., hmmm], the m^3 unknowns h{k}{r}{s} (the coefficient
+    of e_k in mu(e_r, e_s)) ordered k, r, s, and has one polynomial of degree
+    n - 1 per structure constant of C, zero polynomials dropped.  A generic
+    C_n whose m^(n+1) entries times m^3 unknowns pass the contraction budget
+    is refused before any ring is built: m <= 8 (m <= 5 from arity 3 on), so
+    each index of a name is one digit.
     """
     from .polysolve import PolySystem
 
-    if C.arity != 3:
-        raise ValueError(f"target must be ternary, got arity {C.arity}")
-    if C.dim != 2:
-        raise ValueError("the symbolic system is only built for dimension 2")
     if C.ring.kind != "Q":
         raise ValueError("the symbolic system needs rational target entries")
-    hring = rg.polynomial_ring(EXPRESSIBILITY_VARS)
-    rows = [
-        [rg.variable(hring, f"h{k}{r}{s}") for r in (1, 2) for s in (1, 2)]
-        for k in (1, 2)
-    ]
-    H = Msc(2, 2, Matrix(hring, rows))
+    # the arity bound of generate_nary, then m^(n+1) entries times m^3 unknowns
+    m, n, budget = C.dim, C.arity, msc._MAX_ENTRIES
+    if n >= budget.bit_length() or m ** (n + 4) > budget:
+        raise ValueError(f"the system of a {m}x{m}^{n} target (arity {n}) exceeds "
+                         f"{budget} entries x unknowns")
+    idx = range(1, m + 1)
+    hring = rg.polynomial_ring([f"h{k}{r}{s}" for k in idx for r in idx for s in idx])
+    rows = [[rg.variable(hring, f"h{k}{r}{s}") for r in idx for s in idx] for k in idx]
     target = C.mat.map_entries(lambda x: rg.lift_rational(x, hring), hring)
-    residual = generate_nary(H, 3).mat - target
+    residual = generate_nary(Msc(m, 2, Matrix(hring, rows)), n).mat - target
     polys = [x for row in residual.rows for x in row if not x.is_zero()]
     return PolySystem(hring, polys)

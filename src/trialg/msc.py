@@ -19,7 +19,8 @@ integer numerators by the lcm of its denominators, a polynomial matrix to
 denominator, and GF(p) entries are their residues.  Each result entry
 becomes one Fraction (one per nonzero coefficient over Q[vars]), or is
 reduced mod p once.  Chains of contractions stay in ints between steps.  A
-result of more than _MAX_ENTRIES entries is refused before it is built.
+result of more than _MAX_ENTRIES entries is refused before it is built, and
+over Q[vars] so is the work past _MAX_ENTRIES term products x variables.
 """
 
 from __future__ import annotations
@@ -265,7 +266,10 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     is added straight into the result entry's dict (cancelled coefficients
     stay as zeros until _from_ints), and over GF(p) each result entry is
     reduced once.  The shape and the _MAX_ENTRIES budget are checked before
-    anything is allocated, so every caller gets both checks."""
+    anything is allocated, so every caller gets both checks.  Over Q[vars]
+    the budget also bounds the work: each product of two entries counts its
+    term products times the ring's variable count, and the contraction is
+    refused before the product that takes the count past _MAX_ENTRIES."""
     (orows, oden), (irows, iden) = outer, inner
     m, width = len(irows), len(irows[0])
     if len(orows[0]) != m ** arity or not 1 <= slot <= arity:
@@ -277,6 +281,7 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     # column y replaces k, landing y * tail columns after the block's base
     parts = [[(y * tail, c) for y, c in enumerate(row) if c] for row in irows]
     poly = ring.kind == "poly"
+    work, nvars = 0, len(ring.vars)
     out = []
     for row in orows:
         acc = [{} for _ in range(ncols)] if poly else [0] * ncols
@@ -287,6 +292,10 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
                 base = pre * width * tail + post
                 if poly:
                     for off, c in parts[k]:
+                        work += len(a) * len(c) * nvars
+                        if work > _MAX_ENTRIES:
+                            raise ValueError(f"a contraction over {nvars} variables exceeds "
+                                             f"{_MAX_ENTRIES} term products x variables")
                         _add_product(acc[base + off], a, c)
                 else:
                     for off, c in parts[k]:

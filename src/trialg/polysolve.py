@@ -802,8 +802,8 @@ def _crt_pair(r1, p1, r2, p2):
 
 def certify_expressibility(C, primes=(5, 7), caps=None,
                            groebner: bool = True) -> SolveOutcome:
-    """Strongest available verdict on whether a ternary algebra is generated
-    by some binary algebra.
+    """Strongest available verdict on whether C, of any shape that
+    symbolic_system builds a system for, is generated by a binary algebra.
 
     Pipeline: per-prime exhaustive sweeps (witnesses trigger a bounded
     rational lift, denominators up to 64, each candidate verified exactly

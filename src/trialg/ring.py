@@ -568,22 +568,36 @@ def _tokenize(text):
 # limit: each nesting level costs the recursive-descent parser a few frames.
 _MAX_NESTING = 100
 
-# Bound on the size of one power a^k: the bits of a rational result, or for
-# a polynomial its possible terms times the bits of each coefficient.  Python
-# would otherwise spend minutes and gigabytes on an entry like "2^9999999999".
+# Bound on the size of one power a^k or product a*b: the bits of a rational
+# result, or for a polynomial its possible terms times the bits of each
+# coefficient.  Python would otherwise spend minutes and gigabytes on an
+# entry like "2^9999999999" or a product of a few large polynomial powers.
 _MAX_POWER_SIZE = 1 << 16
+
+
+def _terms_bits(value: RingElem):
+    """The terms of value (1 for a rational) and the most bits of a coefficient."""
+    coeffs = [value.v] if value.ring.kind == "Q" else list(value.v.values())
+    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
+               default=1)
+    return len(coeffs), max(bits, 1)
 
 
 def _power_size(value: RingElem, k: int) -> int:
     """Upper bound on the size of value ** k, in the units of _MAX_POWER_SIZE."""
     if value.ring.kind == "GF" or k < 2:
         return 0
-    coeffs = [value.v] if value.ring.kind == "Q" else list(value.v.values())
-    bits = max((max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs),
-               default=1)
+    t, bits = _terms_bits(value)
     # a product of k of the t terms: at most comb(k + t - 1, k) monomials
-    terms = 1 if value.ring.kind == "Q" else math.comb(k + len(coeffs) - 1, k)
-    return terms * k * max(bits, 1)
+    return math.comb(k + t - 1, k) * k * bits
+
+
+def _product_size(a: RingElem, b: RingElem) -> int:
+    """Upper bound on the size of a * b, in the units of _MAX_POWER_SIZE."""
+    if a.ring.kind == "GF":
+        return 0
+    (ta, bits_a), (tb, bits_b) = _terms_bits(a), _terms_bits(b)
+    return ta * tb * (bits_a + bits_b)
 
 
 class _Parser:
@@ -635,7 +649,10 @@ class _Parser:
             kind, op = self.peek()
             if kind == "op" and op == "*":
                 self.i += 1
-                value = value * self.unary()
+                rhs = self.unary()
+                if _product_size(value, rhs) > _MAX_POWER_SIZE:
+                    self.fail("product too large")
+                value = value * rhs
             elif kind == "op" and op == "/":
                 self.fail("division outside a fraction literal")
             else:

@@ -1,18 +1,16 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trialg import msc
+from trialg import msc, polysolve
 from trialg import ring as rg
 from trialg.catalog import FAMILIES, catalog_get
-from trialg.generate import (
-    EXPRESSIBILITY_VARS,
-    expressibility_residual,
-    generate_nary,
-    symbolic_system,
-)
+from trialg.generate import expressibility_residual, generate_nary, symbolic_system
+from trialg.identities import assoc_report
 from trialg.msc import Matrix, Msc, basis_vector, eval_product, transform
 
 from conftest import rand_basis_change, rand_msc
@@ -138,19 +136,16 @@ def test_residual_zero_for_every_family_at_random_points():
 def test_residual_shape_validation(gf5, rng):
     M = rand_msc(gf5, 2, 2, rng)
     with pytest.raises(ValueError):
-        expressibility_residual(M, rand_msc(gf5, 2, 2, rng))
-    with pytest.raises(ValueError):
         expressibility_residual(M, rand_msc(rg.prime_field(7), 2, 3, rng))
     with pytest.raises(ValueError):
         expressibility_residual(rand_msc(gf5, 2, 3, rng), rand_msc(gf5, 2, 3, rng))
 
 
 def test_symbolic_system_variables_and_size():
-    assert EXPRESSIBILITY_VARS == (
+    system = symbolic_system(Msc.zero(Q, 2, 3))
+    assert system.vars == (
         "h111", "h112", "h121", "h122", "h211", "h212", "h221", "h222",
     )
-    system = symbolic_system(Msc.zero(Q, 2, 3))
-    assert system.vars == EXPRESSIBILITY_VARS
     assert len(system.polys) == 16
     zeros = [Fraction(0)] * 8
     for poly in system.polys:
@@ -171,8 +166,126 @@ def test_symbolic_system_has_catalog_roots():
 def test_symbolic_system_preconditions(gf5, rng):
     with pytest.raises(ValueError):
         symbolic_system(rand_msc(gf5, 2, 3, rng))  # not rational
-    with pytest.raises(ValueError):
-        symbolic_system(Msc.zero(Q, 2, 2))  # not ternary
-    one_dim = Msc(1, 3, Matrix.from_strings(Q, [["1"]]))
-    with pytest.raises(ValueError):
-        symbolic_system(one_dim)
+
+
+# the systems of three 2-dimensional ternary targets, literally: their express
+# reports (goldens and the replay) rest on these strings in this order
+DIMENSION_2_SYSTEMS = {
+    "Cstar": (
+        "h111^2 + h112*h211 - 1",
+        "h111*h112 + h112*h212",
+        "h111*h121 + h112*h221",
+        "h111*h122 + h112*h222 - 1",
+        "h111*h121 + h122*h211",
+        "h112*h121 + h122*h212 - 1",
+        "h121^2 + h122*h221 + 1",
+        "h121*h122 + h122*h222",
+        "h111*h211 + h211*h212",
+        "h112*h211 + h212^2 + 1",
+        "h121*h211 + h212*h221 - 1",
+        "h122*h211 + h212*h222",
+        "h111*h221 + h211*h222 - 1",
+        "h112*h221 + h212*h222",
+        "h121*h221 + h221*h222",
+        "h122*h221 + h222^2 - 1",
+    ),
+    "Cdagger": (
+        "h111^2 + h112*h211 - 1/9",
+        "h111*h112 + h112*h212",
+        "h111*h121 + h112*h221",
+        "h111*h122 + h112*h222",
+        "h111*h121 + h122*h211",
+        "h112*h121 + h122*h212",
+        "h121^2 + h122*h221",
+        "h121*h122 + h122*h222",
+        "h111*h211 + h211*h212",
+        "h112*h211 + h212^2 - 1/9",
+        "h121*h211 + h212*h221 + 2/9",
+        "h122*h211 + h212*h222",
+        "h111*h221 + h211*h222 - 2/9",
+        "h112*h221 + h212*h222",
+        "h121*h221 + h221*h222",
+        "h122*h221 + h222^2",
+    ),
+    "B9": (
+        "h111^2 + h112*h211 - 1/9",
+        "h111*h112 + h112*h212",
+        "h111*h121 + h112*h221",
+        "h111*h122 + h112*h222",
+        "h111*h121 + h122*h211",
+        "h112*h121 + h122*h212",
+        "h121^2 + h122*h221",
+        "h121*h122 + h122*h222",
+        "h111*h211 + h211*h212 - 1",
+        "h112*h211 + h212^2 - 4/9",
+        "h121*h211 + h212*h221 + 2/9",
+        "h122*h211 + h212*h222",
+        "h111*h221 + h211*h222 + 1/9",
+        "h112*h221 + h212*h222",
+        "h121*h221 + h221*h222",
+        "h122*h221 + h222^2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_2_SYSTEMS))
+def test_dimension_2_systems_are_unchanged(name):
+    system = symbolic_system(catalog_get(name))
+    assert system.vars == ("h111", "h112", "h121", "h122", "h211", "h212", "h221", "h222")
+    assert tuple(str(poly) for poly in system.polys) == DIMENSION_2_SYSTEMS[name]
+
+
+@st.composite
+def generators(draw):
+    """A binary algebra with small integer entries and a target arity, over the
+    shapes (m, n) that the system is built for in a few milliseconds."""
+    m, n = draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (2, 4), (3, 3)]))
+    values = draw(st.lists(st.integers(-2, 2), min_size=m ** 3, max_size=m ** 3))
+    rows = [[rg.from_int(Q, v) for v in values[k * m * m:(k + 1) * m * m]] for k in range(m)]
+    return Msc(m, 2, Matrix(Q, rows)), n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(generators())
+def test_a_generator_is_a_root_of_its_targets_system(case):
+    M, n = case
+    C = generate_nary(M, n)
+    assert expressibility_residual(M, C).is_zero()
+    system = symbolic_system(C)
+    triples = list(product(range(1, M.dim + 1), repeat=3))
+    assert system.vars == tuple(f"h{k}{r}{s}" for k, r, s in triples)
+    root = [M.entry(k, (r, s)).v for k, r, s in triples]
+    assert all(rg._poly_eval(poly.v, root) == 0 for poly in system.polys)
+
+
+def test_dimension_3_sweeps_past_the_row_budget_are_inconclusive(monkeypatch):
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 1 << 20)
+    rng = random.Random(3)
+    M = Msc(3, 2, Matrix(Q, [[rg.from_int(Q, rng.randint(-1, 1)) for _ in range(9)]
+                             for _ in range(3)]))
+    outcome = polysolve.certify_expressibility(generate_nary(M, 3), groebner=False)
+    assert outcome.status == "inconclusive"
+    assert [(e.prime, e.status, e.effort["row_budget_hit"]) for e in outcome.evidence] == [
+        (5, "inconclusive", True), (7, "inconclusive", True)]
+
+
+SUM8 = "(a+b+c+d+e+f+g+h)^5"  # 792 terms
+
+
+@pytest.mark.parametrize("build, message", [
+    # C_9 of A1 is the first step past the work budget; arity 16 is within
+    # the entry budget and was extrapolated to tens of GB
+    (lambda: generate_nary(catalog_get("A1"), 16), "term products x variables"),
+    # A nested into A: 792^2 term products over 8 variables
+    (lambda: assoc_report(Msc(1, 2, Matrix.from_strings(rg.polynomial_ring("abcdefgh"),
+                                                        [[SUM8]]))),
+     "term products x variables"),
+    # the generic C_3 of dimension 11: 11^4 entries over 11^3 unknowns
+    (lambda: symbolic_system(Msc.zero(Q, 11, 3)), "exceeds 262144 entries x unknowns"),
+    (lambda: symbolic_system(Msc.zero(Q, 2, 12)), "term products x variables"),
+], ids=["generate-A1-arity-16", "assoc-792-terms", "system-dim-11", "system-dim-2-arity-12"])
+def test_oversized_work_is_refused_at_once(build, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        build()
+    assert time.perf_counter() - start < 1

@@ -94,6 +94,25 @@ def test_parse_power_size_is_capped():
     assert rg.parse_scalar("3^99999999999", rg.prime_field(7)).v == pow(3, 99999999999, 7)
 
 
+def test_parse_product_size_is_capped():
+    # the three-factor product took 47 s for its 170544 terms; the two-factor
+    # one forms 792^2 term products
+    poly = rg.polynomial_ring(list("abcdefgh"))
+    s = "(a+b+c+d+e+f+g+h)^5"
+    for text in (f"{s}*{s}", f"{s}*{s}*{s}", f"({s}+1)*2*{s}"):
+        with pytest.raises(ScalarParseError, match="product too large"):
+            rg.parse_scalar(text, poly)
+    # the bound of a power: terms x terms x (bits + bits) past 2^16
+    assert rg.parse_scalar("2^32768*2^32766", Q).v == 2 ** 65534
+    with pytest.raises(ScalarParseError, match="product too large"):
+        rg.parse_scalar("2^32768*2^32767", Q)
+    assert rg.parse_scalar(f"{s}*2", poly) == rg.parse_scalar(f"2*{s}", poly)
+    assert rg.parse_scalar("(a+b)^7*(a+b)^7", poly) == rg.parse_scalar("(a+b)^14", poly)
+    # residues stay small, so a prime field takes any product
+    big = "*".join(["3^99999999999"] * 3)
+    assert rg.parse_scalar(big, rg.prime_field(7)).v == pow(3, 3 * 99999999999, 7)
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF5", "poly"])
 def test_parse_serialize_roundtrip(ring):
     rng = random.Random(101)
