@@ -27,17 +27,22 @@ def generate_nary(M: Msc, n: int) -> Msc:
         raise ValueError(f"generator must be binary, got arity {M.arity}")
     if n < 2:
         raise ValueError(f"target arity must be at least 2, got {n}")
-    # C_n has m * m^n entries (arity 2 builds nothing); n at least the
-    # budget's bit length is over for every m >= 2, so that is the arity
-    # bound for m = 1 too, and m^n is formed only for small n
-    m, budget = M.dim, msc._MAX_ENTRIES
-    if n > 2 and (n >= budget.bit_length() or m ** (n + 1) > budget):
-        raise ValueError(f"a {m}x{m}^{n} matrix exceeds {budget} entries")
+    _check_arity(M.dim, n)
     ring, raw = M.ring, msc._to_ints(M.mat)
     out = raw
     for _ in range(n - 2):
         out = msc._nest_ints(ring, raw, 2, 2, out)
     return Msc(M.dim, n, msc._from_ints(ring, *out))
+
+
+def _check_arity(m: int, n: int) -> None:
+    """Refuse an m-dimensional C_n past the contraction's entry budget."""
+    # C_n has m * m^n entries (arity 2 builds nothing); n at least the
+    # budget's bit length is over for every m >= 2, so that is the arity
+    # bound for m = 1 too, and m^n is formed only for small n
+    budget = msc._MAX_ENTRIES
+    if n > 2 and (n >= budget.bit_length() or m ** (n + 1) > budget):
+        raise ValueError(f"a {m}x{m}^{n} matrix exceeds {budget} entries (arity {n})")
 
 
 def expressibility_residual(M: Msc, C: Msc) -> Matrix:
@@ -57,20 +62,25 @@ def symbolic_system(C: Msc):
     C is an m-dimensional n-ary algebra with rational entries.  The system
     lives in Q[h111, ..., hmmm], the m^3 unknowns h{k}{r}{s} (the coefficient
     of e_k in mu(e_r, e_s)) ordered k, r, s, and has one polynomial of degree
-    n - 1 per structure constant of C, zero polynomials dropped.  A generic
-    C_n whose m^(n+1) entries times m^3 unknowns pass the contraction budget
-    is refused before any ring is built: m <= 8 (m <= 5 from arity 3 on), so
-    each index of a name is one digit.
+    n - 1 per structure constant of C, zero polynomials dropped.
+
+    A shape past the contraction's budgets is refused before any ring is
+    built, with the kernel's message.  The work count is that of the last
+    and largest contraction in _nest_ints, m^(2n+2): m^3 unknowns x the m^2
+    entries of H in a row x the m^(2n-3) terms of C_(n-1) (at arity 2, m^3
+    unknowns x m^3 entries).  It is exact up to arity 4 and an upper bound
+    beyond, where some terms merge, yet refuses the same shapes as the
+    kernel.  So m <= 8 at arity 2, 4 at arity 3, 3 at arity 4 and 2 up to
+    arity 8, and each index of a name is one digit.
     """
     from .polysolve import PolySystem
 
     if C.ring.kind != "Q":
         raise ValueError("the symbolic system needs rational target entries")
-    # the arity bound of generate_nary, then m^(n+1) entries times m^3 unknowns
-    m, n, budget = C.dim, C.arity, msc._MAX_ENTRIES
-    if n >= budget.bit_length() or m ** (n + 4) > budget:
-        raise ValueError(f"the system of a {m}x{m}^{n} target (arity {n}) exceeds "
-                         f"{budget} entries x unknowns")
+    m, n = C.dim, C.arity
+    _check_arity(m, n)
+    if m ** (2 * n + 2) > msc._MAX_ENTRIES:
+        raise msc._work_refusal(m ** 3)
     idx = range(1, m + 1)
     hring = rg.polynomial_ring([f"h{k}{r}{s}" for k in idx for r in idx for s in idx])
     rows = [[rg.variable(hring, f"h{k}{r}{s}") for r in idx for s in idx] for k in idx]

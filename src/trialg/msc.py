@@ -294,8 +294,7 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
                     for off, c in parts[k]:
                         work += len(a) * len(c) * nvars
                         if work > _MAX_ENTRIES:
-                            raise ValueError(f"a contraction over {nvars} variables exceeds "
-                                             f"{_MAX_ENTRIES} term products x variables")
+                            raise _work_refusal(nvars)
                         _add_product(acc[base + off], a, c)
                 else:
                     for off, c in parts[k]:
@@ -304,6 +303,12 @@ def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     if ring.kind == "GF":
         out = [[v % ring.p for v in acc] for acc in out]
     return out, oden * iden
+
+
+def _work_refusal(nvars: int) -> ValueError:
+    """The refusal of a contraction over Q[vars] past the work budget."""
+    return ValueError(f"a contraction over {nvars} variables exceeds "
+                      f"{_MAX_ENTRIES} term products x variables")
 
 
 def _add_product(acc: dict, a: dict, c: dict) -> None:

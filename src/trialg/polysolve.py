@@ -23,6 +23,13 @@ Two engines back every verdict:
   criteria, and content removal after every reduction.  A reduced basis
   {1} certifies that the system has no solution over the algebraic
   closure; hitting a cap yields "inconclusive", never a wrong verdict.
+  Its monomials are packed ints (_Packing): one field per variable under
+  a guard bit, the total degree on top, so that products, quotients,
+  divisibility, lcms and grevlex comparisons are a few int operations.
+  The inputs are packed once on entry and the reduced basis and
+  cofactors unpacked once on exit; the fields are sized so that no
+  exponent passes one unnoticed.  Besides the max_pairs and max_degree
+  caps, the pairs a run may form (_MAX_TOTAL_PAIRS) bound its pair heap.
 
 certify_expressibility chains both: per-prime sweeps (with a bounded
 rational-reconstruction lift of any witness found, verified exactly over
@@ -50,18 +57,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from . import ring as rg
-from .ring import (
-    Ring,
-    RingElem,
-    _grevlex_key,
-    _mono_div,
-    _mono_divides,
-    _mono_lcm,
-    _mono_mul,
-    _poly_add,
-    _poly_mul_term,
-    _poly_sub,
-)
+from .ring import Ring, RingElem
 
 __all__ = [
     "PolySystem",
@@ -83,7 +79,9 @@ _MAX_TOTAL_ROWS = 1 << 27
 # hits one enumeration keeps, for a sweep and an isomorphism search alike;
 # a result that reaches it says it is not exhaustive
 _MAX_WITNESSES = 4096
-_F0 = Fraction(0)
+# pairs one Buchberger run may form, which bounds its heap: past this the run
+# stops, capped
+_MAX_TOTAL_PAIRS = 1 << 20
 _F1 = Fraction(1)
 
 
@@ -500,11 +498,71 @@ def solve_ff_reference(system: PolySystem, p: int):
 # Buchberger engine
 # ---------------------------------------------------------------------------
 
-def _lm(terms):
-    return max(terms, key=_grevlex_key)
+class _FieldOverflow(ArithmeticError):
+    """An exponent reached its field's guard bit (_Packing)."""
 
 
-def _make_primitive(terms, rep=None):
+class _Packing:
+    """Exponent vectors of ``nvars`` variables packed one int each, with
+    room for every monomial of total degree at most ``bound``.
+
+    Variable i takes field i, so the last variable is the most significant.
+    A field is w = bound.bit_length() + 1 bits wide: the exponent in its low
+    w - 1 bits, under a guard bit that a packed monomial keeps clear.  The
+    total degree sits above the fields, unbounded.  Then a product of
+    monomials is a + b and a quotient b - a; a sum that passes 2^(w-1) - 1
+    in a field sets that field's guard bit and carries no further; a
+    divides b exactly when ((b | guard) - a) & guard == guard; a pair is
+    coprime exactly when its lcm is a + b; and grevlex order is int order
+    on x ^ low, which turns each field's e into 2^w - 1 - e under the
+    degree.  The lcm of two monomials of degree at most ``bound``
+    has a degree of at most 2 * bound <= 2^w - 2, which is therefore the
+    sum of its fields taken mod 2^w - 1.
+    """
+
+    __slots__ = ("nvars", "width", "shift", "guard", "low")
+
+    def __init__(self, nvars: int, bound: int):
+        width = max(bound, 0).bit_length() + 1
+        self.nvars, self.width, self.shift = nvars, width, nvars * width
+        self.guard = sum(1 << (i * width + width - 1) for i in range(nvars))
+        self.low = (1 << self.shift) - 1  # every field, guard bits included
+
+    def pack(self, mono) -> int:
+        if max(mono, default=0) >> (self.width - 1):
+            raise _FieldOverflow(f"exponent {max(mono)} passes a {self.width}-bit field")
+        width = self.width
+        return sum(e << (i * width) for i, e in enumerate(mono)) + (sum(mono) << self.shift)
+
+    def unpack(self, x: int) -> tuple:
+        width, field = self.width, (1 << (self.width - 1)) - 1
+        return tuple(x >> (i * width) & field for i in range(self.nvars))
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        guard, width = self.guard, self.width
+        # the guard bits of the fields where a's exponent is at least b's,
+        # then those fields' exponent bits
+        pick = ((a | guard) - b) & guard
+        pick -= pick >> (width - 1)
+        fields = (a & pick) | (b & (self.low ^ pick))
+        return fields | (fields % ((1 << width) - 1)) << self.shift
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(m): c for m, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(m): c for m, c in terms.items()}
+
+
+def _lm(terms, pk):
+    """The grevlex-leading packed monomial of a term dict."""
+    return max(terms, key=pk.low.__xor__)
+
+
+def _make_primitive(terms, pk, rep=None):
     """Divide by the content and make the leading coefficient positive."""
     if not terms:
         return terms, rep
@@ -513,7 +571,7 @@ def _make_primitive(terms, rep=None):
         num_gcd = math.gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     scale = Fraction(den_lcm, num_gcd)
-    if terms[_lm(terms)] < 0:
+    if terms[_lm(terms, pk)] < 0:
         scale = -scale
     terms = {m: c * scale for m, c in terms.items()}
     if rep is not None:
@@ -521,64 +579,87 @@ def _make_primitive(terms, rep=None):
     return terms, rep
 
 
-def _normal_form(f, basis, lms, lcs, rep=None, reps=None):
-    """Full multivariate division remainder of f by the basis.
+def _sub_multiple(acc, q, u, row, guard):
+    """acc -= q * x^u * row, in place on packed terms; raises _FieldOverflow
+    when an exponent of a product reaches its guard bit."""
+    for m, c in row.items():
+        mm = m + u
+        if mm & guard:
+            raise _FieldOverflow("a product passes its exponent field")
+        nc = acc.get(mm)
+        nc = -q * c if nc is None else nc - q * c
+        if nc:
+            acc[mm] = nc
+        else:
+            del acc[mm]
+
+
+def _normal_form(f, basis, lms, lcs, pk, rep=None, reps=None):
+    """Full multivariate division remainder of f by the basis, all packed
+    by ``pk``.  The work terms' grevlex keys wait in a heap, largest first;
+    a term cancelled before its turn leaves its key behind, skipped when
+    it comes up.  No monomial formed passes the degree of f.
 
     When ``rep``/``reps`` carry representations over the original inputs,
-    the remainder's representation is updated alongside.
+    the remainder's representation is updated alongside, in place; its
+    exponents have no such bound and are checked (_sub_multiple).
     """
+    low, guard = pk.low, pk.guard
     work = dict(f)
+    heap = [-(m ^ low) for m in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        lm_w = _lm(work)
-        lc_w = work[lm_w]
-        hit = None
-        for gi, lmg in enumerate(lms):
-            if _mono_divides(lmg, lm_w):
-                hit = gi
-                break
-        if hit is None:
-            rem[lm_w] = lc_w
-            del work[lm_w]
+    while heap:
+        lm_w = -heapq.heappop(heap) ^ low
+        lc_w = work.pop(lm_w, None)
+        if lc_w is None:
             continue
-        q_mono = _mono_div(lm_w, lms[hit])
-        q_coeff = lc_w / lcs[hit]
+        guarded = lm_w | guard
+        for hit, lmg in enumerate(lms):
+            if (guarded - lmg) & guard == guard:
+                break
+        else:
+            rem[lm_w] = lc_w
+            continue
+        u = lm_w - lmg
+        q = lc_w / lcs[hit]
         for m, c in basis[hit].items():
-            mm = _mono_mul(m, q_mono)
-            nc = work.get(mm, _F0) - q_coeff * c
-            if nc:
-                work[mm] = nc
+            if m == lmg:
+                continue  # the divisor's lead cancels lm_w, already out of the work
+            mm = m + u
+            nc = work.get(mm)
+            if nc is None:
+                work[mm] = -q * c
+                heapq.heappush(heap, -(mm ^ low))
             else:
-                work.pop(mm, None)
+                nc -= q * c
+                if nc:
+                    work[mm] = nc
+                else:
+                    del work[mm]
         if rep is not None:
-            for t, r in enumerate(reps[hit]):
+            for acc, r in zip(rep, reps[hit]):
                 if r:
-                    rep[t] = _poly_sub(rep[t], _poly_mul_term(r, q_coeff, q_mono))
+                    _sub_multiple(acc, q, u, r, guard)
     return rem, rep
 
 
-def _pair_key(lms, i, j):
-    L = _mono_lcm(lms[i], lms[j])
-    return (sum(L), _grevlex_key(L), i, j)
-
-
-def _skip_pair(lms, done, i, j) -> bool:
-    """Buchberger's criteria: whether the pair (i, j) can be left out.
+def _skip_pair(lms, done, i, j, L, guard) -> bool:
+    """Buchberger's criteria: whether the pair (i, j) of lcm L can be left
+    out.
 
     A pair whose leading monomials are coprime has an S-polynomial that
     reduces to zero (the coprime criterion), and so does a pair whose lcm
     the leading monomial of a third element k divides once the pairs
     (i, k) and (j, k) are done (the chain criterion).
     """
-    lmi, lmj = lms[i], lms[j]
-    if all(min(a, b) == 0 for a, b in zip(lmi, lmj)):
+    if L == lms[i] + lms[j]:
         return True
-    L = _mono_lcm(lmi, lmj)
-    for k in range(len(lms)):
-        if k in (i, j):
-            continue
+    guarded = L | guard
+    for k, lmk in enumerate(lms):
         if (
-            _mono_divides(lms[k], L)
+            (guarded - lmk) & guard == guard
+            and k != i and k != j
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
         ):
@@ -586,15 +667,15 @@ def _skip_pair(lms, done, i, j) -> bool:
     return False
 
 
-def _s_poly(f, g, lmf, lmg, lcf, lcg):
+def _s_poly(f, g, lmf, lmg, lcf, lcg, L, guard):
     """The S-polynomial of f and g, given their leading monomials and
-    coefficients; f and g may also be cofactor rows carried along with
-    the basis elements whose leading data is given."""
-    L = _mono_lcm(lmf, lmg)
-    return _poly_sub(
-        _poly_mul_term(f, 1 / lcf, _mono_div(L, lmf)),
-        _poly_mul_term(g, 1 / lcg, _mono_div(L, lmg)),
-    )
+    coefficients and the lcm L of the two leads; f and g may also be
+    cofactor rows carried along with the basis elements whose leading data
+    is given.  Raises _FieldOverflow when an exponent reaches a guard bit."""
+    out = {}
+    _sub_multiple(out, -1 / lcf, L - lmf, f, guard)
+    _sub_multiple(out, 1 / lcg, L - lmg, g, guard)
+    return out
 
 
 def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutcome:
@@ -604,20 +685,38 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
     monomial).  A reduced basis {1} gives "certified_empty_over_closure",
     capped or not; otherwise the outcome is "inconclusive" (no witness is
     extracted), with the partial basis and effort counters when a cap was
-    hit and with effort["completed"] set when none was.  With ``track``
-    every basis element carries cofactors over the input polynomials.
+    hit and with effort["completed"] set when none was.  A run stops once
+    the pairs it has formed would pass _MAX_TOTAL_PAIRS, which bounds its
+    heap: it is then capped, with effort["pair_budget_hit"].  With
+    ``track`` every basis element carries cofactors over the input
+    polynomials.
+
+    Monomials are packed (_Packing) once on entry, with fields sized for
+    the larger of max_degree and the input degree, which no basis monomial
+    passes.  A cofactor has no such bound; one that reaches a guard bit
+    reruns the whole run with wider fields, so no exponent ever wraps.
     """
     caps = {**DEFAULT_CAPS, **(caps or {})}
+    bound = max([caps["max_degree"], *(_degree(p.v) for p in system.polys)])
+    while True:
+        try:
+            return _buchberger(system, caps, track, _Packing(len(system.vars), bound))
+        except _FieldOverflow:
+            bound = 2 * bound + 1
+
+
+def _buchberger(system, caps, track, pk):
+    """buchberger on monomials packed by ``pk``."""
     max_pairs, max_degree = caps["max_pairs"], caps["max_degree"]
     nin = len(system.polys)
-    zero_mono = (0,) * len(system.vars)
+    low, shift, guard = pk.low, pk.shift, pk.guard
 
     basis, lms, lcs = [], [], []
     reps = [] if track else None
 
     def push_basis(terms, rep):
         basis.append(terms)
-        lms.append(_lm(terms))
+        lms.append(_lm(terms, pk))
         lcs.append(terms[lms[-1]])
         if track:
             reps.append(rep)
@@ -625,57 +724,66 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
     for j, poly in enumerate(system.polys):
         rep = None
         if track:
-            rep = [({zero_mono: _F1} if t == j else {}) for t in range(nin)]
-        terms, rep = _make_primitive(dict(poly.v), rep)
+            rep = [({0: _F1} if t == j else {}) for t in range(nin)]
+        terms, rep = _make_primitive(pk.pack_terms(poly.v), pk, rep)
         push_basis(terms, rep)
 
-    heap = []
-    for j in range(len(basis)):
-        for i in range(j):
-            heapq.heappush(heap, _pair_key(lms, i, j))
+    # a pair waits as (grevlex key of its lcm, i, j); the degree tops the key
+    formed = nin * (nin - 1) // 2
+    budget_hit = formed > _MAX_TOTAL_PAIRS
+    heap = [] if budget_hit else [
+        (pk.lcm(lms[i], lms[j]) ^ low, i, j) for j in range(nin) for i in range(j)
+    ]
+    heapq.heapify(heap)
 
     done = set()
     processed = skipped = degree_skipped = 0
-    max_deg_seen = max((sum(lm) for lm in lms), default=0)
+    max_deg_seen = max((lm >> shift for lm in lms), default=0)
     pairs_capped = False
 
     while heap:
         if processed >= max_pairs:
             pairs_capped = True
             break
-        deg, _, i, j = heapq.heappop(heap)
+        key, i, j = heapq.heappop(heap)
+        L = key ^ low
+        deg = L >> shift
         if deg > max_degree:
             degree_skipped += 1
             continue
         done.add((i, j))
-        if _skip_pair(lms, done, i, j):
+        if _skip_pair(lms, done, i, j, L, guard):
             skipped += 1
             continue
 
         processed += 1
         max_deg_seen = max(max_deg_seen, deg)
-        s_terms = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j])
+        s_terms = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j], L, guard)
         s_rep = None
         if track:
             s_rep = [
-                _s_poly(reps[i][t], reps[j][t], lms[i], lms[j], lcs[i], lcs[j])
+                _s_poly(reps[i][t], reps[j][t], lms[i], lms[j], lcs[i], lcs[j], L, guard)
                 for t in range(nin)
             ]
-        rem, s_rep = _normal_form(s_terms, basis, lms, lcs, s_rep, reps)
+        rem, s_rep = _normal_form(s_terms, basis, lms, lcs, pk, s_rep, reps)
         if not rem:
             continue
-        rem, s_rep = _make_primitive(rem, s_rep)
+        rem, s_rep = _make_primitive(rem, pk, s_rep)
         idx = len(basis)
         push_basis(rem, s_rep)
-        if sum(lms[idx]) == 0:
+        if lms[idx] == 0:
             # a constant: the reduced basis is {1}, whatever pairs remain
             break
+        if formed + idx > _MAX_TOTAL_PAIRS:
+            budget_hit = True
+            break
+        formed += idx
         for k in range(idx):
-            heapq.heappush(heap, _pair_key(lms, k, idx))
+            heapq.heappush(heap, (pk.lcm(lms[k], lms[idx]) ^ low, k, idx))
 
-    caps_hit = pairs_capped or degree_skipped > 0
-    red_basis, red_reps = _reduced_basis(basis, lms, lcs, reps)
-    certified = red_basis == [{zero_mono: _F1}]
+    caps_hit = pairs_capped or degree_skipped > 0 or budget_hit
+    red_basis, red_reps = _reduced_basis(basis, lms, lcs, reps, pk)
+    certified = red_basis == [{0: _F1}]
     effort = {
         "pairs_processed": processed,
         "pairs_skipped_by_criteria": skipped,
@@ -685,24 +793,25 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
         "caps_hit": caps_hit,
         "completed": certified or not caps_hit,
     }
-    basis_elems = [RingElem(system.ring, t) for t in red_basis]
+    if budget_hit:
+        effort["pair_budget_hit"] = True
+    ring = system.ring
+    basis_elems = [RingElem(ring, pk.unpack_terms(t)) for t in red_basis]
     cof_elems = None
     if track:
-        cof_elems = [
-            [RingElem(system.ring, r) for r in rep] for rep in red_reps
-        ]
+        cof_elems = [[RingElem(ring, pk.unpack_terms(r)) for r in rep] for rep in red_reps]
     return SolveOutcome(
         "certified_empty_over_closure" if certified else "inconclusive",
         basis=basis_elems, effort=effort, cofactors=cof_elems,
     )
 
 
-def _reduced_basis(basis, lms, lcs, reps):
+def _reduced_basis(basis, lms, lcs, reps, pk):
     """Minimalize, fully inter-reduce and make monic; deterministic order."""
-    order = sorted(range(len(basis)), key=lambda i: (_grevlex_key(lms[i]), i))
+    order = sorted(range(len(basis)), key=lambda i: (lms[i] ^ pk.low, i))
     kept = []
     for i in order:
-        if not any(_mono_divides(lms[k], lms[i]) for k in kept):
+        if not any(pk.divides(lms[k], lms[i]) for k in kept):
             kept.append(i)
     out_terms, out_reps = [], []
     for i in kept:
@@ -713,8 +822,8 @@ def _reduced_basis(basis, lms, lcs, reps):
         rep = [dict(r) for r in reps[i]] if reps is not None else None
         oreps = [reps[k] for k in others] if reps is not None else None
         # kept is minimal: lms[i] leads the remainder, and kept stays sorted
-        rem, rep = _normal_form(dict(basis[i]), ob, ol, oc, rep, oreps)
-        lc = rem[_lm(rem)]
+        rem, rep = _normal_form(basis[i], ob, ol, oc, pk, rep, oreps)
+        lc = rem[lms[i]]
         rem = {m: c / lc for m, c in rem.items()}
         if rep is not None:
             rep = [{m: c / lc for m, c in r.items()} for r in rep]
@@ -723,28 +832,41 @@ def _reduced_basis(basis, lms, lcs, reps):
     return out_terms, out_reps if reps is not None else None
 
 
-def _raw_basis(basis_elems):
-    """The nonzero polynomials of a list as term dicts, with their leading
-    monomials and leading coefficients: (terms, lms, lcs)."""
-    terms = [dict(b.v) for b in basis_elems if not b.is_zero()]
-    lms = [_lm(t) for t in terms]
-    lcs = [t[lm] for t, lm in zip(terms, lms)]
-    return terms, lms, lcs
+def _packed(nvars, polys, bound):
+    """A _Packing of ``nvars`` variables for degree ``bound``, with the
+    nonzero term dicts of ``polys`` packed by it, their leading monomials
+    and their leading coefficients: (pk, terms, lms, lcs)."""
+    pk = _Packing(nvars, bound)
+    terms = [pk.pack_terms(p) for p in polys if p]
+    lms = [_lm(t, pk) for t in terms]
+    return pk, terms, lms, [t[lm] for t, lm in zip(terms, lms)]
+
+
+def _degree(terms) -> int:
+    return max(map(sum, terms), default=0)
 
 
 def reduce_poly(f: RingElem, basis_elems) -> RingElem:
     """Normal form of f modulo a list of polynomials in the same ring."""
-    rem, _ = _normal_form(dict(f.v), *_raw_basis(basis_elems))
-    return RingElem(f.ring, rem)
+    polys = [b.v for b in basis_elems]
+    pk, basis, lms, lcs = _packed(len(f.ring.vars), polys, max(map(_degree, [f.v, *polys])))
+    rem, _ = _normal_form(pk.pack_terms(f.v), basis, lms, lcs, pk)
+    return RingElem(f.ring, pk.unpack_terms(rem))
 
 
 def groebner_selfcheck(basis_elems) -> bool:
     """Every S-polynomial of the basis reduces to zero modulo the basis."""
-    basis, lms, lcs = _raw_basis(basis_elems)
+    if not basis_elems:
+        return True
+    polys = [b.v for b in basis_elems]
+    # an S-polynomial has at most twice the basis degree
+    pk, basis, lms, lcs = _packed(len(basis_elems[0].ring.vars), polys,
+                                  2 * max(map(_degree, polys)))
     for j in range(len(basis)):
         for i in range(j):
-            s = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j])
-            rem, _ = _normal_form(s, basis, lms, lcs)
+            L = pk.lcm(lms[i], lms[j])
+            s = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j], L, pk.guard)
+            rem, _ = _normal_form(s, basis, lms, lcs, pk)
             if rem:
                 return False
     return True

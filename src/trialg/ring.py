@@ -190,8 +190,8 @@ QQ = Ring("Q")
 # ---------------------------------------------------------------------------
 # raw sparse-polynomial toolkit (exponent tuple -> Fraction coefficient)
 #
-# These helpers operate on plain dicts so that the Groebner engine and the
-# finite-field sweeps can work below the RingElem wrapper.
+# These helpers operate on plain dicts below the RingElem wrapper; the
+# Groebner engine packs each exponent tuple into one int (polysolve._Packing).
 # ---------------------------------------------------------------------------
 
 def _grevlex_key(mono):
@@ -200,18 +200,6 @@ def _grevlex_key(mono):
 
 def _mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def _poly_add(a, b):
@@ -231,17 +219,6 @@ def _poly_add(a, b):
 
 def _poly_neg(a):
     return {m: -c for m, c in a.items()}
-
-def _poly_sub(a, b):
-    return _poly_add(a, _poly_neg(b))
-
-
-def _poly_mul_term(a, c, mono):
-    """a * (c * x^mono); used heavily by polynomial reduction."""
-    if not c:
-        return {}
-    return {_mono_mul(m, mono): k * c for m, k in a.items()}
-
 
 def _poly_mul(a, b):
     out = {}
@@ -593,11 +570,21 @@ def _power_size(value: RingElem, k: int) -> int:
 
 
 def _product_size(a: RingElem, b: RingElem) -> int:
-    """Upper bound on the size of a * b, in the units of _MAX_POWER_SIZE."""
+    """Upper bound on the size of a * b, in the units of _MAX_POWER_SIZE.
+
+    Over Q[vars] the product's terms are at most ta * tb, and at most the
+    monomials in the ring's variables whose degree lies between the sums
+    of the two factors' least and largest degrees."""
     if a.ring.kind == "GF":
         return 0
     (ta, bits_a), (tb, bits_b) = _terms_bits(a), _terms_bits(b)
-    return ta * tb * (bits_a + bits_b)
+    terms = ta * tb
+    if a.ring.kind == "poly" and terms:
+        n = len(a.ring.vars)
+        lo = min(map(sum, a.v)) + min(map(sum, b.v))
+        hi = max(map(sum, a.v)) + max(map(sum, b.v))
+        terms = min(terms, math.comb(hi + n, n) - math.comb(lo - 1 + n, n))
+    return terms * (bits_a + bits_b)
 
 
 class _Parser:

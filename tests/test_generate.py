@@ -168,6 +168,26 @@ def test_symbolic_system_preconditions(gf5, rng):
         symbolic_system(rand_msc(gf5, 2, 3, rng))  # not rational
 
 
+def test_symbolic_system_refuses_the_kernels_count_before_any_ring(monkeypatch):
+    # the largest shapes the contraction takes reach the ring; the next ones
+    # are refused up front, with the kernel's own message
+    def built(names):
+        raise LookupError("a ring was built")
+
+    monkeypatch.setattr(rg, "polynomial_ring", built)
+    for m, n in ((8, 2), (4, 3), (3, 4), (2, 8), (1, 18)):
+        with pytest.raises(LookupError):
+            symbolic_system(Msc.zero(Q, m, n))
+    for m, n in ((9, 2), (5, 3), (4, 4), (3, 5), (2, 9)):
+        with pytest.raises(ValueError) as refusal:
+            symbolic_system(Msc.zero(Q, m, n))
+        assert str(refusal.value) == str(msc._work_refusal(m ** 3))
+    assert str(msc._work_refusal(125)) == (
+        "a contraction over 125 variables exceeds 262144 term products x variables")
+    with pytest.raises(ValueError, match="a 1x1\\^19 matrix exceeds 262144 entries \\(arity 19\\)"):
+        symbolic_system(Msc.zero(Q, 1, 19))
+
+
 # the systems of three 2-dimensional ternary targets, literally: their express
 # reports (goldens and the replay) rest on these strings in this order
 DIMENSION_2_SYSTEMS = {
@@ -280,8 +300,8 @@ SUM8 = "(a+b+c+d+e+f+g+h)^5"  # 792 terms
     (lambda: assoc_report(Msc(1, 2, Matrix.from_strings(rg.polynomial_ring("abcdefgh"),
                                                         [[SUM8]]))),
      "term products x variables"),
-    # the generic C_3 of dimension 11: 11^4 entries over 11^3 unknowns
-    (lambda: symbolic_system(Msc.zero(Q, 11, 3)), "exceeds 262144 entries x unknowns"),
+    # the generic C_3 of dimension 11: 11^8 term products x variables
+    (lambda: symbolic_system(Msc.zero(Q, 11, 3)), "term products x variables"),
     (lambda: symbolic_system(Msc.zero(Q, 2, 12)), "term products x variables"),
 ], ids=["generate-A1-arity-16", "assoc-792-terms", "system-dim-11", "system-dim-2-arity-12"])
 def test_oversized_work_is_refused_at_once(build, message):

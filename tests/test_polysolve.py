@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from trialg import polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get, totassoc_constraints
-from trialg.generate import expressibility_residual, symbolic_system
+from trialg.generate import expressibility_residual, generate_nary, symbolic_system
 from trialg.iso import iso_search
 from trialg.msc import Msc, msc_from_doc
 from trialg.polysolve import (
@@ -566,6 +567,208 @@ def test_buchberger_rejects_non_rational_carrier():
     system = sys_of(["x"], ["x - 2"])
     out = buchberger(system)
     assert out.basis and str(out.basis[0]) == "x - 2"
+
+
+# ---------------------------------------------------------------------------
+# packed monomials, against tuple one-liners
+# ---------------------------------------------------------------------------
+
+@st.composite
+def packings(draw):
+    """A _Packing, with bounds of a whole field (2^k - 1) drawn often."""
+    nvars = draw(st.integers(1, 5))
+    bound = draw(st.one_of(st.sampled_from([0, 1, 3, 7, 15, 63]), st.integers(0, 200)))
+    return polysolve._Packing(nvars, bound), bound
+
+
+def field_max(pk):
+    return (1 << (pk.width - 1)) - 1
+
+
+@st.composite
+def monomials(draw, nvars, top):
+    """An exponent tuple of total degree at most ``top``, often all of it
+    in one variable, which then sits at the edge of a full field."""
+    degree = draw(st.one_of(st.just(top), st.integers(0, top)))
+    if draw(st.booleans()):
+        mono = [0] * nvars
+        mono[draw(st.integers(0, nvars - 1))] = degree
+        return tuple(mono)
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=nvars - 1,
+                                max_size=nvars - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+def grevlex(mono):
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_monomials_match_tuple_arithmetic(data):
+    pk, bound = data.draw(packings())
+    a = data.draw(monomials(pk.nvars, bound))
+    b = data.draw(monomials(pk.nvars, bound))
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a and pk.unpack(pb) == b
+    assert pa >> pk.shift == sum(a)
+    assert pk.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    if pk.divides(pa, pb):
+        assert pb - pa == pk.pack(tuple(y - x for x, y in zip(a, b)))
+    lcm = pk.lcm(pa, pb)
+    assert lcm == pk.pack(tuple(map(max, a, b)))
+    assert (lcm == pa + pb) == all(min(x, y) == 0 for x, y in zip(a, b))
+    # grevlex order is int order on x ^ low
+    assert (grevlex(a) < grevlex(b)) == ((pa ^ pk.low) < (pb ^ pk.low))
+    assert polysolve._lm({pa: 1, pb: 1}, pk) == (pa if grevlex(a) >= grevlex(b) else pb)
+    # a product is a sum; one that passes a field sets that field's guard bit
+    product = tuple(x + y for x, y in zip(a, b))
+    if max(product) <= field_max(pk):
+        assert pa + pb == pk.pack(product)
+    else:
+        assert (pa + pb) & pk.guard
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packing_refuses_an_exponent_past_its_field(data):
+    pk, _ = data.draw(packings())
+    mono = [0] * pk.nvars
+    mono[data.draw(st.integers(0, pk.nvars - 1))] = field_max(pk) + 1
+    with pytest.raises(polysolve._FieldOverflow):
+        pk.pack(mono)
+
+
+def test_packing_widths():
+    # the fields hold the bound, and the lcm degree 2 * bound stays below 2^w - 1
+    for bound, width in ((0, 1), (1, 2), (3, 3), (12, 5), (63, 7), (64, 8), (100, 8)):
+        pk = polysolve._Packing(3, bound)
+        assert pk.width == width
+        assert bound <= field_max(pk) and 2 * bound <= (1 << width) - 2
+
+
+# ---------------------------------------------------------------------------
+# bases and counters pinned literally, recorded from the tuple-monomial engine
+# ---------------------------------------------------------------------------
+
+# system: ((pairs processed, skipped by criteria, max lcm degree), reduced basis)
+GROEBNER_PINS = {
+    "Cstar": ((40, 20, 3), ["1"]),
+    "Cdagger": ((64, 464, 3), ["h222", "h212 + 1/2*h221", "h122", "h121", "h112",
+                                "h111 - 1/2*h221", "h221^2 - 4/9"]),
+    "B9": ((70, 525, 3), ["h222", "h212 + 2*h221", "h211 + 3*h221", "h122", "h121", "h112",
+                          "h111 + h221", "h221^2 - 1/9"]),
+    "B1": ((28, 109, 4), ["1"]),
+    "B2": ((84, 3571, 4), ["b1", "b2^2 - 1/2*a1", "a1*b2 - 1/2*b2", "a1^2 - 1/2*a1"]),
+    "B3": ((0, 2628, 4), ["1"]),
+    "B4": ((7, 21, 5), ["b2^4 - 3/2*a1*b2^2 + 1/2*b2^2",
+                        "a1*b2^3 - 1/2*a1^2*b2 - b2^3 + 1/2*a1*b2",
+                        "a1^2*b2^2 - 3/2*a1*b2^2 + 1/2*b2^2",
+                        "a1^3*b2 - 3/2*a1^2*b2 + 1/2*a1*b2",
+                        "a1^4 - 3/2*a1^3 + 1/2*a1^2"]),
+    "B5": ((5, 6, 4), ["1"]),
+    "B6": ((13, 32, 4), ["1"]),
+    "B7": ((0, 946, 2), ["1"]),
+    "B8": ((4, 0, 4), ["1"]),
+    "A9^4": ((105, 2040, 4), ["h222", "h212 + 2*h221", "h211 + 3*h221", "h122", "h121", "h112",
+                              "h111 + h221", "h221^3 + 1/27"]),
+}
+
+
+def pinned_system(name):
+    if name in ("Cstar", "Cdagger", "B9"):
+        return symbolic_system(catalog_get(name))
+    if name == "A9^4":
+        return symbolic_system(generate_nary(catalog_get("A9"), 4))
+    return totassoc_constraints(name)
+
+
+@pytest.mark.parametrize("name", list(GROEBNER_PINS))
+def test_buchberger_bases_and_counters_are_pinned(name):
+    (processed, skipped, degree), basis = GROEBNER_PINS[name]
+    out = buchberger(pinned_system(name))
+    assert [str(b) for b in out.basis] == basis
+    # the order of the keys is part of every report's bytes
+    assert list(out.effort.items()) == [
+        ("pairs_processed", processed), ("pairs_skipped_by_criteria", skipped),
+        ("pairs_skipped_by_degree_cap", 0), ("max_lcm_degree", degree),
+        ("basis_size", len(basis)), ("caps_hit", False), ("completed", True),
+    ]
+    assert out.status == ("certified_empty_over_closure" if basis == ["1"] else "inconclusive")
+
+
+# ---------------------------------------------------------------------------
+# field overflow and the pair budget
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("names, texts, max_degree, basis, effort", [
+    # the fields of max_degree 63 are 7 bits wide: exponent 63 fills one, and
+    # the skipped pair's lcm x^63*y^63 has degree 126 = 2^7 - 2
+    (["x", "y"], ["x^63 - 1", "y^63 - 1"], 63, ["y^63 - 1", "x^63 - 1"], (0, 0, 1, 63, False)),
+    (["x", "y"], ["x^63 - y^2", "x*y - 1"], 63, ["x*y - 1", "x^63 - y^2"], (0, 0, 1, 63, False)),
+    (["x", "y"], ["x^40*y - 1", "x*y^35 - x"], 100, ["y^35 - 1", "x^40 - y^34"], (3, 3, 0, 75, True)),
+    (["x"], ["x^60 - 1", "x^45 - 1"], 64, ["x^15 - 1"], (2, 1, 0, 60, True)),
+], ids=["edge-degree-skip", "edge-exponent", "degree-75", "univariate-gcd"])
+def test_buchberger_high_degree_under_a_raised_cap(names, texts, max_degree, basis, effort):
+    out = buchberger(sys_of(names, texts), caps={"max_degree": max_degree})
+    assert [str(b) for b in out.basis] == basis
+    processed, skipped, degree_skipped, top, completed = effort
+    assert out.effort == {
+        "pairs_processed": processed, "pairs_skipped_by_criteria": skipped,
+        "pairs_skipped_by_degree_cap": degree_skipped, "max_lcm_degree": top,
+        "basis_size": len(basis), "caps_hit": not completed, "completed": completed,
+    }
+
+
+def test_cofactors_past_the_basis_degree_widen_the_fields():
+    # the basis stays within degree 3, whose fields hold exponents up to 3;
+    # a cofactor reaches y^4, so the run is repeated with wider fields
+    system = sys_of(["x", "y"], ["-x*y^2 - 2*x*y + 2*y^2", "2*y^2 + x", "-2*x^2*y + 1"])
+    caps = {**DEFAULT_CAPS, "max_degree": 3}
+    narrow = polysolve._Packing(2, 3)
+    with pytest.raises(polysolve._FieldOverflow):
+        polysolve._buchberger(system, caps, True, narrow)
+    out = buchberger(system, caps=caps, track=True)
+    assert [str(b) for b in out.basis] == ["1"]
+    assert out.effort == buchberger(system, caps=caps).effort
+    assert [str(q) for q in out.cofactors[0]] == [
+        "-416/81*y^4 + 128/81*y^3 + 160/81*y^2 - 124/81*y + 88/81",
+        "-208/81*x*y^4 - 352/81*x*y^3 + 416/81*y^4 - 128/81*y^3 + 2*x*y - 160/81*y^2 + 176/81*y",
+        "-104/81*y^3 - 176/81*y^2 + 1",
+    ]
+    assert max(e for q in out.cofactors[0] for mono in q.v for e in mono) > field_max(narrow)
+    acc = rg.zero(system.ring)
+    for q, f in zip(out.cofactors[0], system.polys):
+        acc = acc + q * f
+    assert acc == out.basis[0]
+
+
+def test_pair_budget_bounds_the_heap(monkeypatch):
+    # Cdagger's run forms 528 pairs, its 16 inputs 120 of them
+    system = symbolic_system(catalog_get("Cdagger"))
+    full = buchberger(system)
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_PAIRS", 528)
+    assert buchberger(system).effort == full.effort
+    assert "pair_budget_hit" not in full.effort
+    for budget in (527, 119):
+        monkeypatch.setattr(polysolve, "_MAX_TOTAL_PAIRS", budget)
+        out = buchberger(system)
+        assert out.status == "inconclusive"
+        assert out.effort["caps_hit"] is True and out.effort["completed"] is False
+        assert out.effort["pair_budget_hit"] is True
+    assert out.effort["pairs_processed"] == 0
+
+
+def test_pair_budget_stops_the_zero_target_in_process(monkeypatch):
+    # the 4-dimensional zero ternary target: 256 quadrics in 64 unknowns whose
+    # heap grew without bound; a budget of 33000 pairs stops it at once
+    monkeypatch.setattr(polysolve, "_MAX_TOTAL_PAIRS", 33000)
+    start = time.perf_counter()
+    out = certify_expressibility(Msc.zero(Q, 4, 3), primes=())
+    assert time.perf_counter() - start < 1
+    assert out.status == "inconclusive"
+    effort = out.evidence[-1].effort
+    assert effort["pair_budget_hit"] is True and effort["caps_hit"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,22 @@ def test_parse_product_size_is_capped():
     # residues stay small, so a prime field takes any product
     big = "*".join(["3^99999999999"] * 3)
     assert rg.parse_scalar(big, rg.prime_field(7)).v == pow(3, 3 * 99999999999, 7)
+
+
+def test_parse_product_bound_counts_the_monomials_of_its_degrees():
+    # 101 x 101 term products, but only the 201 monomials of degree 200 in
+    # a and b: 201 terms x 194 bits stays within the bound
+    poly = rg.polynomial_ring(["a", "b"])
+    start = time.perf_counter()
+    assert rg.parse_scalar("(a+b)^100*(a+b)^100", poly) == rg.parse_scalar("(a+b)^200", poly)
+    assert time.perf_counter() - start < 1
+    half = rg.parse_scalar("(a+b)^100", poly)
+    assert rg._product_size(half, half) == 201 * 2 * 97
+    # degrees 0..5 times degrees 0..5 in 8 variables: 1287^2 term products,
+    # but at most the 43758 monomials of degree 0..10, each of 7 + 7 bits
+    poly = rg.polynomial_ring(list("abcdefgh"))
+    sum8 = rg.parse_scalar("(a+b+c+d+e+f+g+h+1)^5", poly)
+    assert rg._product_size(sum8, sum8) == 43758 * 2 * 7
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF5", "poly"])
