@@ -321,9 +321,14 @@ def _add_paper_replay_options(sub):
 
 
 def _solver_caps(args) -> dict:
-    """The Groebner caps given on the command line."""
+    """The Groebner caps given on the command line, refused before any work
+    when buchberger would refuse them."""
+    from .polysolve import _check_caps
+
     caps = {"max_pairs": args.max_pairs, "max_degree": args.max_degree}
-    return {key: value for key, value in caps.items() if value is not None}
+    caps = {key: value for key, value in caps.items() if value is not None}
+    _check_caps(caps)
+    return caps
 
 
 # name -> (help, adds the options, runs the command), in --help order

@@ -82,6 +82,9 @@ _MAX_WITNESSES = 4096
 # pairs one Buchberger run may form, which bounds its heap: past this the run
 # stops, capped
 _MAX_TOTAL_PAIRS = 1 << 20
+# the largest max_degree cap a run takes: the packed fields are sized from
+# the cap, so each bit of it widens every monomial the run forms
+_MAX_DEGREE_CAP = 1 << 10
 _F1 = Fraction(1)
 
 
@@ -678,6 +681,13 @@ def _s_poly(f, g, lmf, lmg, lcf, lcg, L, guard):
     return out
 
 
+def _check_caps(caps: dict) -> None:
+    """Refuse a max_degree cap outside 0.._MAX_DEGREE_CAP."""
+    degree = caps.get("max_degree")
+    if degree is not None and not 0 <= degree <= _MAX_DEGREE_CAP:
+        raise ValueError(f"max_degree must lie between 0 and {_MAX_DEGREE_CAP}")
+
+
 def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutcome:
     """Run Buchberger's algorithm with the normal selection strategy.
 
@@ -695,8 +705,10 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
     the larger of max_degree and the input degree, which no basis monomial
     passes.  A cofactor has no such bound; one that reaches a guard bit
     reruns the whole run with wider fields, so no exponent ever wraps.
+    A max_degree past _MAX_DEGREE_CAP is refused with ValueError.
     """
     caps = {**DEFAULT_CAPS, **(caps or {})}
+    _check_caps(caps)
     bound = max([caps["max_degree"], *(_degree(p.v) for p in system.polys)])
     while True:
         try:

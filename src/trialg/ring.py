@@ -547,7 +547,8 @@ _MAX_NESTING = 100
 
 # Bound on the size of one power a^k or product a*b: the bits of a rational
 # result, or for a polynomial its possible terms times the bits of each
-# coefficient.  Python would otherwise spend minutes and gigabytes on an
+# coefficient, and for a product also the term products it forms.  Python
+# would otherwise spend minutes and gigabytes on an
 # entry like "2^9999999999" or a product of a few large polynomial powers.
 _MAX_POWER_SIZE = 1 << 16
 
@@ -570,21 +571,24 @@ def _power_size(value: RingElem, k: int) -> int:
 
 
 def _product_size(a: RingElem, b: RingElem) -> int:
-    """Upper bound on the size of a * b, in the units of _MAX_POWER_SIZE.
+    """Upper bound on the size of a * b, in the units of _MAX_POWER_SIZE:
+    the larger of its work and its result.
 
-    Over Q[vars] the product's terms are at most ta * tb, and at most the
+    The work is the ta * tb term products a multiplication forms.  The
+    result has at most ta * tb terms, over Q[vars] also at most the
     monomials in the ring's variables whose degree lies between the sums
-    of the two factors' least and largest degrees."""
+    of the two factors' least and largest degrees, each term of at most
+    bits_a + bits_b bits."""
     if a.ring.kind == "GF":
         return 0
     (ta, bits_a), (tb, bits_b) = _terms_bits(a), _terms_bits(b)
-    terms = ta * tb
+    products = terms = ta * tb
     if a.ring.kind == "poly" and terms:
         n = len(a.ring.vars)
         lo = min(map(sum, a.v)) + min(map(sum, b.v))
         hi = max(map(sum, a.v)) + max(map(sum, b.v))
         terms = min(terms, math.comb(hi + n, n) - math.comb(lo - 1 + n, n))
-    return terms * (bits_a + bits_b)
+    return max(products, terms * (bits_a + bits_b))
 
 
 class _Parser:

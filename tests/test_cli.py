@@ -124,6 +124,17 @@ def test_iso_composite_prime_exits_2(capsys, prime):
     assert err == f"trialg: prime field modulus must be prime, got '{prime}'\n"
 
 
+@pytest.mark.parametrize("command", ["express", "paper-replay"])
+@pytest.mark.parametrize("degree", ["-1", "1025", "1" + "0" * 4000])
+def test_max_degree_out_of_range_exits_2_before_any_work(capsys, command, degree):
+    argv = [command, "--max-degree", degree] + (["--name", "Cstar"] if command == "express" else [])
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "trialg: max_degree must lie between 0 and 1024\n"
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("prime", [2, 3])
 def test_iso_weak_characteristic_warns_in_one_line(capsys, prime):
     # the library's RuntimeWarning, without its file, line and source line

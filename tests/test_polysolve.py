@@ -743,6 +743,17 @@ def test_cofactors_past_the_basis_degree_widen_the_fields():
     assert acc == out.basis[0]
 
 
+def test_max_degree_cap_is_bounded():
+    # the fields are sized from max_degree: 10^4000 would make each packed
+    # monomial of x and y about 3.3 KB wide
+    system = sys_of(["x", "y"], ["x^2 - 1", "x*y - 1"])
+    for degree in (-1, polysolve._MAX_DEGREE_CAP + 1, 10 ** 4000):
+        with pytest.raises(ValueError, match="max_degree must lie between 0 and 1024"):
+            buchberger(system, caps={"max_degree": degree})
+    for degree in (0, polysolve._MAX_DEGREE_CAP):
+        assert buchberger(system, caps={"max_degree": degree}).effort["caps_hit"] == (degree == 0)
+
+
 def test_pair_budget_bounds_the_heap(monkeypatch):
     # Cdagger's run forms 528 pairs, its 16 inputs 120 of them
     system = symbolic_system(catalog_get("Cdagger"))

@@ -123,11 +123,24 @@ def test_parse_product_bound_counts_the_monomials_of_its_degrees():
     assert time.perf_counter() - start < 1
     half = rg.parse_scalar("(a+b)^100", poly)
     assert rg._product_size(half, half) == 201 * 2 * 97
-    # degrees 0..5 times degrees 0..5 in 8 variables: 1287^2 term products,
-    # but at most the 43758 monomials of degree 0..10, each of 7 + 7 bits
+    # degrees 0..5 times degrees 0..5 in 8 variables: at most the 43758
+    # monomials of degree 0..10, each of 7 + 7 bits, but 1287^2 term products
     poly = rg.polynomial_ring(list("abcdefgh"))
     sum8 = rg.parse_scalar("(a+b+c+d+e+f+g+h+1)^5", poly)
-    assert rg._product_size(sum8, sum8) == 43758 * 2 * 7
+    assert rg._product_size(sum8, sum8) == 1287 ** 2
+
+
+def test_parse_product_bound_counts_the_term_products():
+    # P = (1+x)(1+x^2)...(1+x^8192) has all 16384 terms of degree 0..16383,
+    # and P*P at most 32767 terms of 1 + 1 bits, within the bound; but it
+    # forms 16384^2 term products, which took minutes
+    poly = rg.polynomial_ring(["x"])
+    p = "*".join(f"(1+x^{2 ** i})" for i in range(14))
+    start = time.perf_counter()
+    assert len(rg.parse_scalar(p, poly).v) == 16384
+    with pytest.raises(ScalarParseError, match="product too large"):
+        rg.parse_scalar(f"({p})*({p})", poly)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=["Q", "GF5", "poly"])
