@@ -160,12 +160,11 @@ def _parse_grid(text: str):
 
 
 def _cmd_generate(args) -> int:
-    from .generate import generate_nary
-    from .msc import msc_to_doc
+    from .generate import _nary_ints
+    from .msc import _ints_to_doc
 
     M = _load_algebra(args.input or args.name, args.params)
-    out = generate_nary(M, args.arity)
-    _emit(msc_to_doc(out))
+    _emit(_ints_to_doc(M.ring, M.dim, args.arity, *_nary_ints(M, args.arity)))
     return 0
 
 
@@ -242,11 +241,10 @@ def _cmd_totassoc_scan(args) -> int:
 
     grid = _parse_grid(args.grid) if args.grid is not None else None
     points = cat.totassoc_scan(args.family, grid)
-    text = lambda q: str(rg.from_fraction(rg.QQ, q))  # RingElem names the digit limit
     _emit({
         "family": args.family,
-        "grid": [text(x) for x in (grid or cat.DEFAULT_SCAN_GRID)],
-        "points": [[text(x) for x in t] for t in points],
+        "grid": rg._rational_texts(grid or cat.DEFAULT_SCAN_GRID),
+        "points": [rg._rational_texts(t) for t in points],
     })
     return 0
 

@@ -4,7 +4,8 @@ The n-ary product generated by a binary product mu is the right-nested
 composition f(x1, ..., xn) = mu(x1, mu(x2, ..., mu(x_{n-1}, xn)...)), so
 C_2 = M and C_k = M with C_{k-1} nested into its second slot (the
 contraction kernel msc._nest_ints); the C_k stay integer rows (over Q,
-numerators over den(M)^(k-1)) until the last step.  Every dimension, 1
+numerators over den(M)^(k-1)) until the last step, and the generate
+command prints them from those integers (_nary_ints).  Every dimension, 1
 included, obeys one arity bound: C_n must fit the contraction's entry
 budget, and n stays below that budget's bit length.
 Given a target n-ary algebra C of dimension m, asking which binary M
@@ -23,6 +24,12 @@ __all__ = ["generate_nary", "expressibility_residual", "symbolic_system"]
 
 def generate_nary(M: Msc, n: int) -> Msc:
     """The n-ary algebra generated by a binary one via right-nested products."""
+    return Msc(M.dim, n, msc._from_ints(M.ring, *_nary_ints(M, n)))
+
+
+def _nary_ints(M: Msc, n: int):
+    """The structure matrix of generate_nary(M, n) as a (rows, den) pair of
+    msc._nest_ints, before any entry is made a ring element."""
     if M.arity != 2:
         raise ValueError(f"generator must be binary, got arity {M.arity}")
     if n < 2:
@@ -32,7 +39,7 @@ def generate_nary(M: Msc, n: int) -> Msc:
     out = raw
     for _ in range(n - 2):
         out = msc._nest_ints(ring, raw, 2, 2, out)
-    return Msc(M.dim, n, msc._from_ints(ring, *out))
+    return out
 
 
 def _check_arity(m: int, n: int) -> None:

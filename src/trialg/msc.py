@@ -16,11 +16,14 @@ references.  (The isomorphism search expands its system in iso.py.)  The
 kernel runs on plain ints for every ring: a rational matrix is scaled to
 integer numerators by the lcm of its denominators, a polynomial matrix to
 {monomial: int} numerator dicts by the lcm of every coefficient
-denominator, and GF(p) entries are their residues.  Each result entry
-becomes one Fraction (one per nonzero coefficient over Q[vars]), or is
-reduced mod p once.  Chains of contractions stay in ints between steps.  A
-result of more than _MAX_ENTRIES entries is refused before it is built, and
-over Q[vars] so is the work past _MAX_ENTRIES term products x variables.
+denominator, and GF(p) entries are their residues.  Chains of contractions
+stay in ints between steps.  Where a caller asks for a Matrix, each result
+entry becomes one Fraction (one per nonzero coefficient over Q[vars]), or
+is reduced mod p once (_from_ints); the generate and assoc commands only
+print their results, and _texts writes those strings straight from the
+numerators.  A result of more than _MAX_ENTRIES entries is refused before
+it is built, and over Q[vars] so is the work past _MAX_ENTRIES term
+products x variables.
 """
 
 from __future__ import annotations
@@ -237,6 +240,19 @@ def _from_ints(ring: Ring, rows, den: int) -> Matrix:
                           else z for d in row] for row in rows])
 
 
+def _texts(ring: Ring, values, den: int) -> list:
+    """The strings of the entries values / den, one row of ints (over
+    Q[vars], of {monomial: int} dicts) as _nest_ints makes them: exactly
+    _from_ints(ring, [values], den).to_strings()[0], built without a
+    RingElem over Q and GF(p)."""
+    if ring.kind == "Q":
+        return rg._rational_texts(values, den)
+    if ring.kind == "GF":
+        p = ring.p
+        return rg._rational_texts([v % p for v in values])
+    return _from_ints(ring, [values], den).to_strings()[0] if values else []
+
+
 def _residues(mat: Matrix, p: int):
     """mat's entries as residues mod the prime p, one list per row.
 
@@ -388,11 +404,38 @@ class Msc:
         return self.mat.is_zero()
 
     def specialize(self, assignment) -> "Msc":
-        """Substitute rational values for every template parameter."""
-        if self.ring.kind != "poly":
+        """Substitute rational values for every template parameter.
+
+        The same values and refusals as rg.substitute entry by entry, in
+        integers: with the values written as numerators n_i over their
+        least common denominator D, an entry's {monomial: int} numerators
+        over den (_to_ints) give sum c * n^mono * D^(top - deg(mono)) over
+        den * D^top, top the largest degree in the template."""
+        ring = self.ring
+        if ring.kind != "poly":
             raise ValueError("specialize expects a polynomial-ring template")
-        mat = self.mat.map_entries(lambda x: rg.substitute(x, assignment), rg.QQ)
-        return Msc(self.dim, self.arity, mat)
+        vals = [None] * len(ring.vars)
+        for name, value in assignment.items():
+            if name in ring._pos:
+                vals[ring._pos[name]] = rg.as_fraction(value)
+        rows, den = _to_ints(self.mat)
+        # in the order rg.substitute meets them, so a missing variable is
+        # reported where it would be
+        monos = dict.fromkeys(mono for row in rows for d in row for mono in d)
+        top = max(map(sum, monos), default=0)
+        D = math.lcm(*(q.denominator for q in vals if q is not None))
+        nums = [0 if q is None else q.numerator * (D // q.denominator) for q in vals]
+        terms = {}  # monomial -> n^mono * D^(top - deg), shared by every entry
+        for mono in monos:
+            t = D ** (top - sum(mono))
+            for i, e in enumerate(mono):
+                if e:
+                    if vals[i] is None:
+                        raise ValueError(f"assignment is missing variable {ring.vars[i]!r}")
+                    t *= nums[i] ** e
+            terms[mono] = t
+        values = [[sum(c * terms[mono] for mono, c in d.items()) for d in row] for row in rows]
+        return Msc(self.dim, self.arity, _from_ints(rg.QQ, values, den * D ** top))
 
     def reduce_mod(self, p: int) -> "Msc":
         """Entrywise reduction modulo a prime (rational or GF(p) input)."""
@@ -499,12 +542,17 @@ def transform(A: Msc, g: BasisChange) -> Msc:
 # ---------------------------------------------------------------------------
 
 def msc_to_doc(A: Msc) -> dict:
-    return {
-        "dim": A.dim,
-        "arity": A.arity,
-        "ring": rg.ring_to_doc(A.ring),
-        "entries": A.mat.to_strings(),
-    }
+    return _doc(A.dim, A.arity, A.ring, A.mat.to_strings())
+
+
+def _ints_to_doc(ring: Ring, dim: int, arity: int, rows, den: int) -> dict:
+    """msc_to_doc of the algebra with the matrix rows / den over ring (a
+    (rows, den) pair of _nest_ints), without building that matrix."""
+    return _doc(dim, arity, ring, [_texts(ring, row, den) for row in rows])
+
+
+def _doc(dim: int, arity: int, ring: Ring, entries) -> dict:
+    return {"dim": dim, "arity": arity, "ring": rg.ring_to_doc(ring), "entries": entries}
 
 
 def msc_from_doc(doc) -> Msc:

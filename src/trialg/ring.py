@@ -262,6 +262,25 @@ def _poly_eval(terms, vals):
     return total
 
 
+def _rational_texts(values, den: int = 1) -> list:
+    """The text of each v / den, for ints v (or ints and Fractions when den
+    is 1), as str(Fraction(v, den)) writes it.  Every scalar is printed
+    here: one with more digits than the interpreter converts is refused
+    with a ValueError that names the limit."""
+    try:
+        if den == 1:
+            return list(map(str, values))
+        return [str(Fraction(v, den)) for v in values]
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"a scalar past {limit} digits is too long to print") from None
+
+
+def _rational_text(q) -> str:
+    """The text of one int or Fraction, as _rational_texts writes it."""
+    return _rational_texts((q,))[0]
+
+
 def _poly_str(ring, terms):
     if not terms:
         return "0"
@@ -276,11 +295,11 @@ def _poly_str(ring, terms):
             if e
         ]
         if not factors:
-            body = str(mag)
+            body = _rational_text(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = _rational_text(mag) + "*" + "*".join(factors)
         if k == 0:
             parts.append("-" + body if neg else body)
         else:
@@ -397,11 +416,7 @@ class RingElem:
         return hash((self.ring, v))
 
     def __str__(self):
-        try:
-            return _poly_str(self.ring, self.v) if self.ring.kind == "poly" else str(self.v)
-        except ValueError:  # an int with more digits than the interpreter converts
-            limit = sys.get_int_max_str_digits()
-            raise ValueError(f"a scalar past {limit} digits is too long to print") from None
+        return _poly_str(self.ring, self.v) if self.ring.kind == "poly" else _rational_text(self.v)
 
     def __repr__(self):
         return f"RingElem({self.ring!r}, {self})"
@@ -702,10 +717,29 @@ class _Parser:
         self.fail(f"unexpected token {tok!r}")
 
 
+# A plain entry: an ASCII integer or fraction literal with at most one minus
+_PLAIN_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?\Z")
+
+
 def parse_scalar(text: str, ring: Ring) -> RingElem:
-    """Parse one scalar in the grammar above into a canonical element."""
+    """Parse one scalar in the grammar above into a canonical element.
+
+    A plain entry such as "-3" or "7/2" is read without the tokenizer, as
+    the parser reads it: the literal, then the sign.  A zero denominator,
+    a literal past the interpreter's digit limit and everything else go
+    to the parser, which gives each refusal its message."""
     if not isinstance(text, str):
         raise ScalarParseError(f"scalar must be a string, got {type(text).__name__}")
+    m = _PLAIN_RE.match(text)
+    if m:
+        sign, num, den = m.groups()
+        try:
+            q = Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            value = from_fraction(ring, q)
+            return -value if sign else value
     return _Parser(text, ring).parse()
 
 

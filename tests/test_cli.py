@@ -601,10 +601,13 @@ LIMIT = sys.get_int_max_str_digits()
     ("1" + "0" * 4999, ["assoc"], f"integer literal of 5000 digits exceeds the limit of {LIMIT}"),
     ("1", ["totassoc-scan", "--family", "B4", "--grid=" + "1" * 5000],
      f"integer literal of 5000 digits exceeds the limit of {LIMIT}"),
-    # results too long to print: a 16000-digit entry, an 8000-digit grid value
+    # results too long to print: a 16000-digit entry, an 8000-digit grid value,
+    # and the 4399-digit square that generate forms from a 2200-digit entry
     (f"{NINES}*{NINES}", ["generate", "--arity", "3"],
      f"a scalar past {LIMIT} digits is too long to print"),
     ("1", ["totassoc-scan", "--family", "B4", f"--grid={NINES}*{NINES}"],
+     f"a scalar past {LIMIT} digits is too long to print"),
+    ("1" * 2200, ["generate", "--arity", "3"],
      f"a scalar past {LIMIT} digits is too long to print"),
 ])
 def test_integers_past_the_digit_limit_exit_2_naming_it(capsys, tmp_path, entry, argv,

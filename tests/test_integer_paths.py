@@ -1,0 +1,229 @@
+"""Each integer fast path against the code it replaces.
+
+The commands read plain entries without the tokenizer, print generated
+algebras and associativity reports from the contraction kernel's integer
+numerators, and specialize catalog templates in integers.  Each of those
+paths is checked here against the RingElem path it stands in for: the
+scalar parser, _from_ints(...).to_strings(), the report built from
+total_assoc_residuals / binary_assoc_residual, quintuple_oracle, and
+rg.substitute entry by entry.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from trialg import msc
+from trialg import ring as rg
+from trialg.generate import _nary_ints, generate_nary
+from trialg.identities import (
+    assoc_report,
+    binary_assoc_residual,
+    is_totally_associative,
+    quintuple_oracle,
+    total_assoc_residuals,
+)
+from trialg.msc import Matrix, Msc, column_tuple, msc_to_doc
+
+Q = rg.QQ
+F = Fraction
+POLY = rg.polynomial_ring(["a", "b"])
+RINGS = (Q, rg.prime_field(2), rg.prime_field(5), rg.prime_field(7), POLY)
+FIELDS = (Q, rg.prime_field(5), rg.prime_field(7))
+LIMIT = sys.get_int_max_str_digits()
+TOO_LONG = f"a scalar past {LIMIT} digits is too long to print"
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# the parser's plain-entry path
+# ---------------------------------------------------------------------------
+
+# ASCII digits, the grammar's signs and '/', a blank, and digits of other
+# scripts (Arabic-Indic three, Devanagari seven, fullwidth one), which the
+# tokenizer reads as digits and the plain-entry path must leave to it
+SCALAR_CHARS = "-+/0123456789 ٣७１"
+
+
+@SETTINGS
+@given(text=st.text(SCALAR_CHARS, max_size=8), ring=st.sampled_from(RINGS))
+def test_plain_entries_parse_as_the_parser_reads_them(text, ring):
+    assert outcome(rg.parse_scalar, text, ring) == outcome(lambda: rg._Parser(text, ring).parse())
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-0", "007", "-3", "7/2", "-7/2", "6/4", "0/5", "-0/5", "3/0", "-3/0", "0/0",
+    "10/5", "-10/5", "25/7", "2/1", "3/", "/3", "--3", "-", "", "1/2/3",
+    "1" * (LIMIT + 1), "-" + "1" * (LIMIT + 1), "1/" + "1" * (LIMIT + 1), "1" * LIMIT,
+], ids=lambda text: repr(text) if len(text) < 12 else f"{text[:3]}...({len(text)} chars)")
+@pytest.mark.parametrize("ring", RINGS)
+def test_plain_entry_edge_cases_keep_value_and_refusal(text, ring):
+    assert outcome(rg.parse_scalar, text, ring) == outcome(lambda: rg._Parser(text, ring).parse())
+
+
+# ---------------------------------------------------------------------------
+# printing from integers
+# ---------------------------------------------------------------------------
+
+def numerators(ring):
+    """One row of numerators as _nest_ints leaves it: unreduced ints over
+    every ring, {monomial: int} dicts with zero coefficients over Q[vars]."""
+    if ring.kind != "poly":
+        return st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6)
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.lists(st.dictionaries(monos, st.integers(-40, 40), max_size=3),
+                    min_size=1, max_size=6)
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(RINGS), den=st.integers(1, 60))
+def test_integer_texts_are_the_matrix_strings(data, ring, den):
+    rows = data.draw(st.lists(numerators(ring), min_size=1, max_size=3))
+    width = min(map(len, rows))
+    rows = [row[:width] for row in rows]
+    if ring.kind == "GF":
+        den = 1  # GF(p) rows are residues, den 1
+    expected = msc._from_ints(ring, rows, den)
+    assert [msc._texts(ring, row, den) for row in rows] == expected.to_strings()
+    assert msc._ints_to_doc(ring, len(rows), 2, rows, den) == {
+        "dim": len(rows), "arity": 2, "ring": rg.ring_to_doc(ring),
+        "entries": expected.to_strings()}
+
+
+@pytest.mark.parametrize("ring", [Q, POLY])  # a residue mod p is below p
+def test_integer_texts_refuse_what_str_refuses(ring):
+    big = 10 ** (LIMIT + 5)
+    value = {(1, 0): big} if ring.kind == "poly" else big
+    with pytest.raises(ValueError) as via_ring:
+        str(msc._from_ints(ring, [[value]], 3).rows[0][0])
+    with pytest.raises(ValueError) as via_ints:
+        msc._texts(ring, [value], 3)
+    assert str(via_ring.value) == str(via_ints.value) == TOO_LONG
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from((Q, rg.prime_field(5), POLY)),
+       n=st.integers(2, 5))
+def test_generate_prints_what_generate_nary_builds(data, ring, n):
+    M = data.draw(sparse_algebras(2, 2, ring))
+    rows, den = _nary_ints(M, n)
+    assert msc._ints_to_doc(ring, 2, n, rows, den) == msc_to_doc(generate_nary(M, n))
+
+
+# ---------------------------------------------------------------------------
+# associativity reports from integers
+# ---------------------------------------------------------------------------
+
+def scalars(ring):
+    if ring.kind == "GF":
+        return st.builds(lambda v: rg.RingElem(ring, v), st.integers(1, ring.p - 1))
+    if ring.kind == "Q":
+        return st.builds(lambda n, d: rg.from_fraction(ring, F(n, d)),
+                         st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3)))
+    return st.sampled_from(["a", "b", "-a", "1", "a*b", "2*a-1", "b^2", "1/2"]).map(
+        lambda s: rg.parse_scalar(s, ring))
+
+
+@st.composite
+def sparse_algebras(draw, dim, arity, ring=None):
+    """At most three nonzero entries a row: many such algebras are
+    (totally) associative, and the others violate in few entries."""
+    ring = ring or draw(st.sampled_from(RINGS))
+    rows = []
+    for _ in range(dim):
+        row = [rg.zero(ring)] * dim ** arity
+        cells = st.dictionaries(st.integers(0, dim ** arity - 1), scalars(ring), max_size=3)
+        for col, value in draw(cells).items():
+            row[col] = value
+        rows.append(row)
+    return Msc(dim, arity, Matrix(ring, rows))
+
+
+def report_from_matrices(A):
+    """The report as it was formed from the residual matrices: verdict,
+    first violating column of residual a or b, and every nonzero entry."""
+    residuals = total_assoc_residuals(A) if A.arity == 3 else (binary_assoc_residual(A),)
+    verdict = all(r.is_zero() for r in residuals)
+    tup = None
+    if not verdict and A.ring.kind != "poly":
+        col = min(j for r in residuals[:2] for row in r.rows
+                  for j, x in enumerate(row) if not x.is_zero())
+        tup = list(column_tuple(A.dim, 2 * A.arity - 1, col))
+    labels = ("a", "b", "c") if A.arity == 3 else ("binary",)
+    nonzeros = [{"which": label, "row": i + 1, "col": j + 1, "value": str(x)}
+                for label, mat in zip(labels, residuals)
+                for i, row in enumerate(mat.rows) for j, x in enumerate(row)
+                if not x.is_zero()]
+    return residuals, {"verdict": verdict, "residual_nonzeros": nonzeros, "violating_tuple": tup}
+
+
+@SETTINGS
+@given(data=st.data(), shape=st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)]))
+def test_assoc_report_is_the_report_of_the_residual_matrices(data, shape):
+    A = data.draw(sparse_algebras(*shape))
+    residuals, doc = report_from_matrices(A)
+    report = assoc_report(A)
+    assert report.to_doc() == doc
+    assert report.verdict is doc["verdict"]
+    assert report.residuals == residuals
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data(), ring=st.sampled_from(FIELDS))
+def test_is_totally_associative_agrees_with_the_quintuple_oracle(data, ring):
+    A = data.draw(sparse_algebras(2, 3, ring))
+    assert is_totally_associative(A) is quintuple_oracle(A)[0]
+
+
+def test_is_totally_associative_keeps_its_arity_check():
+    with pytest.raises(ValueError, match="arity 3, got 2"):
+        is_totally_associative(Msc.zero(Q, 2, 2))
+
+
+# ---------------------------------------------------------------------------
+# specialization in integers
+# ---------------------------------------------------------------------------
+
+TEMPLATE_RING = rg.polynomial_ring(["a", "b", "c"])
+TEMPLATE_ENTRIES = ["0", "a", "b", "-c", "a*b", "a^2-1/3", "2*b^3+a*c", "1/2", "3*a*b*c-7/5",
+                    "(a+b)^2", "c^2*b-a"]
+
+
+def substituted(A, assignment):
+    """Msc.specialize's reference: rg.substitute on every entry."""
+    return Msc(A.dim, A.arity, A.mat.map_entries(lambda x: rg.substitute(x, assignment), Q))
+
+
+rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
+
+
+@SETTINGS
+@given(data=st.data(), shape=st.sampled_from([(1, 2), (2, 2), (2, 3)]),
+       point=st.dictionaries(st.sampled_from("abcz"), rationals | st.integers(-5, 5)
+                             | st.sampled_from(["1/2", "-3", "2/7"])))
+def test_specialize_is_substitution_entry_by_entry(data, shape, point):
+    dim, arity = shape
+    texts = st.sampled_from(TEMPLATE_ENTRIES)
+    rows = [[data.draw(texts) for _ in range(dim ** arity)] for _ in range(dim)]
+    A = Msc.from_strings(TEMPLATE_RING, dim, arity, rows)
+    assert outcome(A.specialize, point) == outcome(substituted, A, point)
+
+
+def test_specialize_keeps_the_substitution_refusals():
+    A = Msc.from_strings(TEMPLATE_RING, 2, 2, [["1", "a", "b*c", "c"], ["0", "b", "0", "0"]])
+    for point in ({"a": 1}, {"a": 1, "c": 2}, {"a": "x", "b": 1, "c": 1}, {}):
+        got = outcome(A.specialize, point)
+        assert got == outcome(substituted, A, point)
+        assert issubclass(got[0], ValueError)
+    with pytest.raises(ValueError, match="missing variable 'b'"):
+        A.specialize({"a": 1, "c": 2})
