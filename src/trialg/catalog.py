@@ -23,7 +23,7 @@ from .identities import (
     total_assoc_residuals,
 )
 from .iso import DEFAULT_EVIDENCE_PRIMES, iso_search
-from .msc import Msc, column_tuple, msc_to_doc
+from .msc import Msc, _nonzero_entries, column_tuple, msc_to_doc
 from .polysolve import PolySystem, _int_value, _integer_form, certify_expressibility
 
 __all__ = [
@@ -413,13 +413,11 @@ def _claim(claim_id, kind, ok, evidence, documented=False):
 
 def _mismatch_records(table: Msc, computed: Msc):
     out = []
-    for l in range(table.dim):
-        for c in range(table.mat.ncols):
-            t, g = table.mat.rows[l][c], computed.mat.rows[l][c]
-            if t != g:
-                out.append(
-                    (l + 1, column_tuple(table.dim, table.arity, c), str(t), str(g))
-                )
+    for l, row in enumerate((table - computed).rows, 1):
+        for c, x in enumerate(row):
+            if x:
+                ijk = column_tuple(table.dim, table.arity, c)
+                out.append((l, ijk, str(table.entry(l, ijk)), str(computed.entry(l, ijk))))
     out.sort(key=lambda r: (r[1], r[0]))
     return out
 
@@ -484,15 +482,12 @@ def totassoc_constraints(family: str):
     seen = set()
     constraints = []
     for residual in total_assoc_residuals(entry.msc):
-        for row in residual.rows:
-            for x in row:
-                if x.is_zero():
-                    continue
-                # keyed on integer pairs: hashing a RingElem hashes each Fraction
-                key = frozenset((mono, q.numerator, q.denominator) for mono, q in x.v.items())
-                if key not in seen:
-                    seen.add(key)
-                    constraints.append(x)
+        for x in _nonzero_entries(residual):
+            # keyed on integer pairs: hashing a RingElem hashes each Fraction
+            key = frozenset((mono, q.numerator, q.denominator) for mono, q in x.v.items())
+            if key not in seen:
+                seen.add(key)
+                constraints.append(x)
     constraints.sort(key=lambda e: (len(e.v), sorted(e.v)))
     return PolySystem(entry.msc.ring, constraints)
 

@@ -15,6 +15,7 @@ or an inline catalog name with optional parameters, e.g.  "Cstar" or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -80,6 +81,18 @@ def _emit(doc) -> None:
 
 def _diag(message: str) -> None:
     sys.stderr.write(f"trialg: {message}\n")
+
+
+@contextlib.contextmanager
+def _warnings_as_diagnostics():
+    """Library warnings (weak evidence at p = 2 or 3) as diagnostics, each message once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                _diag(message)
 
 
 def _parse_params(text: str) -> dict:
@@ -160,11 +173,11 @@ def _parse_grid(text: str):
 
 
 def _cmd_generate(args) -> int:
-    from .generate import _nary_ints
-    from .msc import _ints_to_doc
+    from .generate import generate_nary
+    from .msc import msc_to_doc
 
     M = _load_algebra(args.input or args.name, args.params)
-    _emit(_ints_to_doc(M.ring, M.dim, args.arity, *_nary_ints(M, args.arity)))
+    _emit(msc_to_doc(generate_nary(M, args.arity)))
     return 0
 
 
@@ -182,15 +195,8 @@ def _cmd_iso(args) -> int:
 
     A = _load_algebra(args.a, args.params_a)
     B = _load_algebra(args.b, args.params_b)
-    # a library warning (weak evidence at p = 2 or 3) as one diagnostic
-    # line, without the library's file and source line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            doc = iso_report(A, B, args.prime, find_all=args.all)
-        finally:
-            for w in caught:
-                _diag(str(w.message))
+    with _warnings_as_diagnostics():
+        doc = iso_report(A, B, args.prime, find_all=args.all)
     _emit(doc)
     return 0 if doc["witness_count"] else 1
 
@@ -252,11 +258,12 @@ def _cmd_totassoc_scan(args) -> int:
 def _cmd_paper_replay(args) -> int:
     from . import catalog as cat
 
-    report = cat.paper_replay(
-        primes=_parse_primes(args.primes),
-        collision_primes=_parse_primes(args.collision_primes),
-        caps=_solver_caps(args), groebner=args.groebner,
-    )
+    with _warnings_as_diagnostics():
+        report = cat.paper_replay(
+            primes=_parse_primes(args.primes),
+            collision_primes=_parse_primes(args.collision_primes),
+            caps=_solver_caps(args), groebner=args.groebner,
+        )
     text = _json(report.to_doc()) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

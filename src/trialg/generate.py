@@ -3,11 +3,9 @@
 The n-ary product generated by a binary product mu is the right-nested
 composition f(x1, ..., xn) = mu(x1, mu(x2, ..., mu(x_{n-1}, xn)...)), so
 C_2 = M and C_k = M with C_{k-1} nested into its second slot (the
-contraction kernel msc._nest_ints); the C_k stay integer rows (over Q,
-numerators over den(M)^(k-1)) until the last step, and the generate
-command prints them from those integers (_nary_ints).  Every dimension, 1
-included, obeys one arity bound: C_n must fit the contraction's entry
-budget, and n stays below that budget's bit length.
+contraction kernel msc._nest_ints, on the algebras' integer rows).  Every
+dimension, 1 included, obeys one arity bound: C_n must fit the
+contraction's entry budget, and n stays below that budget's bit length.
 Given a target n-ary algebra C of dimension m, asking which binary M
 generate it yields a system of degree n - 1 in the m^3 unknown binary
 structure constants h{k}{r}{s}, one equation per structure constant of C.
@@ -24,22 +22,15 @@ __all__ = ["generate_nary", "expressibility_residual", "symbolic_system"]
 
 def generate_nary(M: Msc, n: int) -> Msc:
     """The n-ary algebra generated by a binary one via right-nested products."""
-    return Msc(M.dim, n, msc._from_ints(M.ring, *_nary_ints(M, n)))
-
-
-def _nary_ints(M: Msc, n: int):
-    """The structure matrix of generate_nary(M, n) as a (rows, den) pair of
-    msc._nest_ints, before any entry is made a ring element."""
     if M.arity != 2:
         raise ValueError(f"generator must be binary, got arity {M.arity}")
     if n < 2:
         raise ValueError(f"target arity must be at least 2, got {n}")
     _check_arity(M.dim, n)
-    ring, raw = M.ring, msc._to_ints(M.mat)
-    out = raw
+    raw = out = (M.rows, M.den)
     for _ in range(n - 2):
-        out = msc._nest_ints(ring, raw, 2, 2, out)
-    return out
+        out = msc._nest_ints(M.ring, raw, 2, 2, out)
+    return Msc._of(M.ring, M.dim, n, *out)
 
 
 def _check_arity(m: int, n: int) -> None:
@@ -52,7 +43,7 @@ def _check_arity(m: int, n: int) -> None:
         raise ValueError(f"a {m}x{m}^{n} matrix exceeds {budget} entries (arity {n})")
 
 
-def expressibility_residual(M: Msc, C: Msc) -> Matrix:
+def expressibility_residual(M: Msc, C: Msc) -> Msc:
     """Entrywise difference generate_nary(M, C.arity) - C; zero iff M generates C."""
     if M.arity != 2:
         raise ValueError(f"candidate generator must be binary, got arity {M.arity}")
@@ -60,7 +51,7 @@ def expressibility_residual(M: Msc, C: Msc) -> Matrix:
         raise ValueError(f"dimension mismatch: {M.dim} vs {C.dim}")
     if M.ring != C.ring:
         raise ValueError("generator and target must share one ring")
-    return generate_nary(M, C.arity).mat - C.mat
+    return generate_nary(M, C.arity) - C
 
 
 def symbolic_system(C: Msc):
@@ -91,7 +82,5 @@ def symbolic_system(C: Msc):
     idx = range(1, m + 1)
     hring = rg.polynomial_ring([f"h{k}{r}{s}" for k in idx for r in idx for s in idx])
     rows = [[rg.variable(hring, f"h{k}{r}{s}") for r in idx for s in idx] for k in idx]
-    target = C.mat.map_entries(lambda x: rg.lift_rational(x, hring), hring)
-    residual = generate_nary(Msc(m, 2, Matrix(hring, rows)), n).mat - target
-    polys = [x for row in residual.rows for x in row if not x.is_zero()]
-    return PolySystem(hring, polys)
+    residual = generate_nary(Msc(m, 2, Matrix(hring, rows)), n) - msc._lift(C, hring)
+    return PolySystem(hring, msc._nonzero_entries(residual))

@@ -7,23 +7,20 @@ two products agree on all quintuples,
 
 each side being A nested into slot 1, 2 or 3 of A (the contraction kernel
 msc._nest_ints), an m x m^5 matrix; the binary analogue compares M(M(u, v), w)
-with M(u, M(v, w)).  All sides share the denominator den(A)^2, so the
-residuals subtract integer numerators (over Q[vars], {monomial: int}
-dicts; _side_ints).  Reports and is_totally_associative read the verdict,
-the first violating tuple and the nonzero entries off those integers;
-total_assoc_residuals and binary_assoc_residual build each entry of the
-matrices once, so that parameter scans can treat their entries as
-polynomials in the family parameters.  The eval_product oracles are test
-references.
+with M(u, M(v, w)).  The sides and the residuals between them are algebras
+of arity 2n - 1 on integer rows (total_assoc_residuals,
+binary_assoc_residual); reports and is_totally_associative read the
+verdict, the first violating tuple and the nonzero entries off those
+integers, and parameter scans treat the residuals' entries as polynomials
+in the family parameters.  The eval_product oracles are test references.
 """
 
 from __future__ import annotations
 
-import operator
 from itertools import combinations, product as iter_product
 
 from . import msc
-from .msc import Matrix, Msc, basis_vector, column_tuple, eval_product
+from .msc import Msc, basis_vector, column_tuple, eval_product
 
 __all__ = [
     "total_assoc_residuals",
@@ -36,50 +33,26 @@ __all__ = [
 ]
 
 
-def _side_ints(A: Msc):
-    """A nested into each slot, sides subtracted pairwise in slot order, as
-    (rows, den) pairs of msc._nest_ints: over GF(p) residues, over Q[vars]
-    {monomial: int} dicts with no zero coefficient, so an entry is zero
-    exactly when it is falsy."""
-    ring, raw = A.ring, msc._to_ints(A.mat)
+def _residuals(A: Msc) -> tuple:
+    """A nested into each slot, sides subtracted pairwise in slot order:
+    algebras of arity 2n - 1."""
+    ring, raw = A.ring, (A.rows, A.den)
     # every side has the denominator den(A)^2, so their numerators subtract
     sides = [msc._nest_ints(ring, raw, A.arity, slot, raw) for slot in range(1, A.arity + 1)]
-    if ring.kind == "poly":  # {monomial: int} numerators, subtracted term by term
-        def minus(a, b):
-            out = dict(a)
-            for mono, c in b.items():
-                out[mono] = out.get(mono, 0) - c
-            return {mono: c for mono, c in out.items() if c}
-    elif ring.kind == "GF":
-        p = ring.p
-        minus = lambda a, b: (a - b) % p
-    else:
-        minus = operator.sub
-    return tuple(([list(map(minus, r, s)) for r, s in zip(x, y)], den)
-                 for (x, den), (y, _) in combinations(sides, 2))
+    return tuple(Msc._of(ring, A.dim, 2 * A.arity - 1, *msc._difference(ring, x, y))
+                 for x, y in combinations(sides, 2))
 
 
-def _total_assoc_ints(A: Msc):
+def total_assoc_residuals(A: Msc) -> tuple:
+    """The three total-associativity residuals, algebras of arity 5 (each
+    matrix m x m^5)."""
     if A.arity != 3:
         raise ValueError(f"total associativity is defined for arity 3, got {A.arity}")
-    return _side_ints(A)
-
-
-def _matrices(ring, ints) -> tuple:
-    return tuple(msc._from_ints(ring, rows, den) for rows, den in ints)
-
-
-def _all_zero(ints) -> bool:
-    return not any(any(row) for rows, _ in ints for row in rows)
-
-
-def total_assoc_residuals(A: Msc):
-    """The three total-associativity residual matrices, each m x m^5."""
-    return _matrices(A.ring, _total_assoc_ints(A))
+    return _residuals(A)
 
 
 def is_totally_associative(A: Msc) -> bool:
-    return _all_zero(_total_assoc_ints(A))
+    return all(R.is_zero() for R in total_assoc_residuals(A))
 
 
 def quintuple_oracle(A: Msc):
@@ -103,11 +76,12 @@ def quintuple_oracle(A: Msc):
     return True, None
 
 
-def binary_assoc_residual(M: Msc) -> Matrix:
-    """M(M(u, v), w) - M(u, M(v, w)); the zero matrix iff M is associative."""
+def binary_assoc_residual(M: Msc) -> Msc:
+    """M(M(u, v), w) - M(u, M(v, w)), an algebra of arity 3; zero iff M is
+    associative."""
     if M.arity != 2:
         raise ValueError(f"binary associativity is defined for arity 2, got {M.arity}")
-    return _matrices(M.ring, _side_ints(M))[0]
+    return _residuals(M)[0]
 
 
 def binary_triple_oracle(M: Msc):
@@ -127,33 +101,23 @@ def binary_triple_oracle(M: Msc):
 
 
 class AssocReport:
-    """Residuals plus verdict for one algebra (ternary or binary).
+    """Residuals plus verdict for one algebra (ternary or binary); the
+    report reads the residuals' integers."""
 
-    The residuals are kept as the (rows, den) pairs of _side_ints; the
-    report reads them as integers, and ``residuals`` builds the matrices on
-    first access."""
+    __slots__ = ("ring", "residuals", "verdict", "violating_tuple")
 
-    __slots__ = ("ring", "ints", "verdict", "violating_tuple", "_residuals")
-
-    def __init__(self, ring, ints, verdict, violating_tuple=None):
+    def __init__(self, ring, residuals, verdict, violating_tuple=None):
         self.ring = ring
-        self.ints = ints
+        self.residuals = residuals
         self.verdict = verdict
         self.violating_tuple = violating_tuple
-        self._residuals = None
-
-    @property
-    def residuals(self) -> tuple:
-        if self._residuals is None:
-            self._residuals = _matrices(self.ring, self.ints)
-        return self._residuals
 
     def to_doc(self) -> dict:
-        labels = ("a", "b", "c") if len(self.ints) == 3 else ("binary",)
+        labels = ("a", "b", "c") if len(self.residuals) == 3 else ("binary",)
         nonzeros = []
-        for label, (rows, den) in zip(labels, self.ints):
-            found = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
-            texts = msc._texts(self.ring, [x for _, _, x in found], den)
+        for label, R in zip(labels, self.residuals):
+            found = [(i, j, x) for i, row in enumerate(R.rows) for j, x in enumerate(row) if x]
+            texts = msc._texts(self.ring, [x for _, _, x in found], R.den)
             nonzeros += [{"which": label, "row": i + 1, "col": j + 1, "value": text}
                          for (i, j, _), text in zip(found, texts)]
         return {
@@ -170,11 +134,11 @@ def assoc_report(A: Msc) -> AssocReport:
     sides differ exactly where residual a or b is nonzero, as c = b - a."""
     if A.arity not in (2, 3):
         raise ValueError(f"associativity reports cover arity 2 and 3, got {A.arity}")
-    ints = _side_ints(A)
-    verdict = _all_zero(ints)
+    residuals = total_assoc_residuals(A) if A.arity == 3 else (binary_assoc_residual(A),)
+    verdict = all(R.is_zero() for R in residuals)
     tup = None
     if not verdict and A.ring.kind != "poly":
-        col = min(j for rows, _ in ints[:2] for row in rows
+        col = min(j for R in residuals[:2] for row in R.rows
                   for j, x in enumerate(row) if x)
         tup = column_tuple(A.dim, 2 * A.arity - 1, col)
-    return AssocReport(A.ring, ints, verdict, tup)
+    return AssocReport(A.ring, residuals, verdict, tup)

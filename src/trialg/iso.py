@@ -18,8 +18,8 @@ The search writes the equivalent identity B . g^(tensor n) = g . A, together
 with t . det(g) = 1 for invertibility, as one polynomial system in the
 entries of g and t, and hands it as an integer form to polysolve's sweep
 core, the one path that sweeps take too.  A and B are reduced mod p once
-(msc._residues), and those residue rows serve the invariants, the system
-and the GF(p) algebras the witnesses are verified on.  The system is
+(Msc.reduce_mod): the witnesses are verified on those GF(p) algebras, and
+their residue rows serve the invariants and the system.  The system is
 expanded straight from them: each entry of B . g^(tensor n) is a sum of
 products of entries of g, collected by monomial in plain ints, and det(g)
 is the permutation expansion.  An algebra whose expansion would form more
@@ -208,14 +208,11 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     # refused before the screen, so that whether p is accepted never
     # depends on the pair
     _check_modulus(p)
-    a, b = msc._residues(A.mat, p), msc._residues(B.mat, p)
-    if _invariants(a, m, n, p) != _invariants(b, m, n, p):
+    Ap, Bp = A.reduce_mod(p), B.reduce_mod(p)
+    if _invariants(Ap.rows, m, n, p) != _invariants(Bp.rows, m, n, p):
         return []
-    hits = _sweep(_iso_polys(a, b, m, n), m * m + 1, p,
+    hits = _sweep(_iso_polys(Ap.rows, Bp.rows, m, n), m * m + 1, p,
                   polysolve._MAX_WITNESSES if find_all else 1)
-    if not hits:
-        return []
-    Ap, Bp = (Msc(m, n, msc._from_ints(gf, x, 1)) for x in (a, b))
     witnesses = []
     for values in hits:
         g = BasisChange(Matrix(gf, [

@@ -8,22 +8,24 @@ index most significant: the tuple (i1, ..., in) sits in column
 
 A basis change g in GL(m) acts by A |-> g . A . (g^-1 tensor ... tensor g^-1).
 
+An Msc holds that matrix as integers, the pair (rows, den) in lowest
+terms: over Q integer numerators over one denominator, over Q[vars]
+{monomial: int} numerator dicts over one denominator, over GF(p) residues.
+Every operation reads and writes those integers; a Matrix of RingElems
+exists only at the boundary, where an Msc is built from one
+(Msc(dim, arity, Matrix), _to_ints) or one is asked for (Msc.mat, built on
+first access by _from_ints).  Reports print straight from the integers
+(_texts).
+
 Composite products are built by one contraction kernel, _nest_ints, which
 puts a product or a linear map into one argument slot of another: n-ary
 generation, the associativity residuals and transform (g . A with g as a
 unary outer map) call it; matrix products, kron and eval_product are test
 references.  (The isomorphism search expands its system in iso.py.)  The
-kernel runs on plain ints for every ring: a rational matrix is scaled to
-integer numerators by the lcm of its denominators, a polynomial matrix to
-{monomial: int} numerator dicts by the lcm of every coefficient
-denominator, and GF(p) entries are their residues.  Chains of contractions
-stay in ints between steps.  Where a caller asks for a Matrix, each result
-entry becomes one Fraction (one per nonzero coefficient over Q[vars]), or
-is reduced mod p once (_from_ints); the generate and assoc commands only
-print their results, and _texts writes those strings straight from the
-numerators.  A result of more than _MAX_ENTRIES entries is refused before
-it is built, and over Q[vars] so is the work past _MAX_ENTRIES term
-products x variables.
+kernel runs on plain ints for every ring, and chains of contractions stay
+in ints between steps.  A result of more than _MAX_ENTRIES entries is
+refused before it is built, and over Q[vars] so is the work past
+_MAX_ENTRIES term products x variables.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 
 from . import ring as rg
 from .ring import Ring, RingElem
@@ -205,7 +208,8 @@ _MAX_ENTRIES = 1 << 18  # largest matrix a contraction builds: ~100 MB of exact 
 
 
 def _to_ints(mat: Matrix):
-    """mat as the pair (rows, den) that _nest_ints works on: mat = rows / den.
+    """mat as the pair (rows, den) that Msc holds and _nest_ints works on:
+    mat = rows / den, in lowest terms.
 
     Over Q the rows hold integer numerators over the least common
     denominator of the entries; over Q[vars] each entry is a {monomial:
@@ -240,47 +244,30 @@ def _from_ints(ring: Ring, rows, den: int) -> Matrix:
                           else z for d in row] for row in rows])
 
 
+def _elems(ring: Ring, values, den: int) -> tuple:
+    """The RingElems values / den of one row of Msc entries."""
+    return _from_ints(ring, [values], den).rows[0] if values else ()
+
+
 def _texts(ring: Ring, values, den: int) -> list:
-    """The strings of the entries values / den, one row of ints (over
-    Q[vars], of {monomial: int} dicts) as _nest_ints makes them: exactly
-    _from_ints(ring, [values], den).to_strings()[0], built without a
+    """The strings of the entries values / den, one row of Msc entries:
+    exactly the str of each of _elems(ring, values, den), built without a
     RingElem over Q and GF(p)."""
-    if ring.kind == "Q":
-        return rg._rational_texts(values, den)
-    if ring.kind == "GF":
-        p = ring.p
-        return rg._rational_texts([v % p for v in values])
-    return _from_ints(ring, [values], den).to_strings()[0] if values else []
-
-
-def _residues(mat: Matrix, p: int):
-    """mat's entries as residues mod the prime p, one list per row.
-
-    Over Q: the integer numerators of _to_ints times one inverse of their
-    common denominator; over GF(p): the values.  Anything else (p dividing
-    a denominator, another field, a polynomial ring) raises rg.reduce_mod's
-    error at the first entry it rejects."""
-    kind = mat.ring.kind
-    if kind == "Q":
-        rows, den = _to_ints(mat)
-        if den % p:
-            inv = pow(den, -1, p)
-            return [[v * inv % p for v in row] for row in rows]
-    elif kind == "GF" and mat.ring.p == p:
-        return [[x.v for x in row] for row in mat.rows]
-    return [[rg.reduce_mod(x, p).v for x in row] for row in mat.rows]
+    if ring.kind == "poly":
+        return [str(x) for x in _elems(ring, values, den)]
+    return rg._rational_texts(values, den)
 
 
 def _nest_ints(ring: Ring, outer, arity: int, slot: int, inner):
     """outer(x1, ..., inner(y1, ..., yb), ..., x_arity) on (rows, den) pairs
-    made by _to_ints; returns another one.  outer is m x m^arity and inner
+    as Msc holds them; returns another one.  outer is m x m^arity and inner
     m x m^b (b = 1: a linear map on that slot); the m x m^(arity + b - 1)
     result has inner's indices in the slot's place.
 
     The numerators are contracted as plain ints, never reduced, over the
     product of the two denominators: over Q[vars] each product of two terms
     is added straight into the result entry's dict (cancelled coefficients
-    stay as zeros until _from_ints), and over GF(p) each result entry is
+    stay as zeros until Msc drops them), and over GF(p) each result entry is
     reduced once.  The shape and the _MAX_ENTRIES budget are checked before
     anything is allocated, so every caller gets both checks.  Over Q[vars]
     the budget also bounds the work: each product of two entries counts its
@@ -355,9 +342,11 @@ def column_tuple(dim: int, arity: int, col: int):
 
 
 class Msc:
-    """An m-dimensional n-ary algebra as its m x m^n structure-constant matrix."""
+    """An m-dimensional n-ary algebra as its m x m^n structure-constant matrix,
+    held as rows / den in lowest terms (no zero coefficient, den 1 over GF(p)
+    and for zero), so that equal algebras hold equal pairs."""
 
-    __slots__ = ("dim", "arity", "mat")
+    __slots__ = ("ring", "dim", "arity", "rows", "den", "_mat")
 
     def __init__(self, dim: int, arity: int, mat: Matrix):
         if dim < 1:
@@ -369,13 +358,38 @@ class Msc:
                 f"entries must be {dim}x{dim ** arity} for dim {dim}, arity {arity}; "
                 f"got {mat.nrows}x{mat.ncols}"
             )
-        self.dim = dim
-        self.arity = arity
-        self.mat = mat
+        # a Matrix of canonical RingElems converts to lowest terms
+        self.ring, self.dim, self.arity, self._mat = mat.ring, dim, arity, None
+        self.rows, self.den = _to_ints(mat)
+
+    @classmethod
+    def _of(cls, ring: Ring, dim: int, arity: int, rows, den: int) -> "Msc":
+        """The algebra rows / den over ring, a pair of _nest_ints brought to
+        lowest terms (the shape is the caller's to get right)."""
+        if ring.kind == "GF":
+            p = ring.p
+            rows, den = [[v % p for v in row] for row in rows], 1
+        elif ring.kind == "Q":
+            if not any(map(any, rows)):  # zero, as most residuals are: no gcd pass
+                den = 1
+            elif den != 1 and (g := math.gcd(den, *chain.from_iterable(rows))) != 1:
+                rows, den = [[v // g for v in row] for row in rows], den // g
+        else:
+            rows = [[{m: c for m, c in d.items() if c} for d in row] for row in rows]
+            coeffs = (c for row in rows for d in row for c in d.values())
+            if den != 1 and (g := math.gcd(den, *coeffs)) != 1:
+                rows = [[{m: c // g for m, c in d.items()} for d in row] for row in rows]
+                den //= g
+        A = cls.__new__(cls)
+        A.ring, A.dim, A.arity, A.rows, A.den, A._mat = ring, dim, arity, rows, den, None
+        return A
 
     @property
-    def ring(self) -> Ring:
-        return self.mat.ring
+    def mat(self) -> Matrix:
+        """The Matrix of RingElems, built on first access."""
+        if self._mat is None:
+            self._mat = _from_ints(self.ring, self.rows, self.den)
+        return self._mat
 
     @classmethod
     def from_strings(cls, ring: Ring, dim: int, arity: int, rows) -> "Msc":
@@ -387,21 +401,26 @@ class Msc:
 
     def entry(self, l: int, indices) -> RingElem:
         """Coefficient of e_l in the product of the 1-based basis tuple."""
-        return self.mat.rows[l - 1][column_index(self.dim, indices)]
+        return _elems(self.ring, [self.rows[l - 1][column_index(self.dim, indices)]], self.den)[0]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Msc)
-            and self.dim == other.dim
-            and self.arity == other.arity
-            and self.mat == other.mat
-        )
+        return isinstance(other, Msc) and self.ring == other.ring and (
+            (self.dim, self.arity, self.den, self.rows)
+            == (other.dim, other.arity, other.den, other.rows))
 
     def __hash__(self):
-        return hash((self.dim, self.arity, self.mat))
+        entry = (lambda d: frozenset(d.items())) if self.ring.kind == "poly" else None
+        rows = tuple(tuple(map(entry, row)) if entry else tuple(row) for row in self.rows)
+        return hash((self.ring, self.dim, self.arity, self.den, rows))
+
+    def __sub__(self, other: "Msc") -> "Msc":
+        if (self.dim, self.arity) != (other.dim, other.arity) or self.ring != other.ring:
+            raise ValueError("algebras must share dimension, arity and ring")
+        raw = _difference(self.ring, (self.rows, self.den), (other.rows, other.den))
+        return Msc._of(self.ring, self.dim, self.arity, *raw)
 
     def is_zero(self) -> bool:
-        return self.mat.is_zero()
+        return not any(map(any, self.rows))
 
     def specialize(self, assignment) -> "Msc":
         """Substitute rational values for every template parameter.
@@ -409,7 +428,7 @@ class Msc:
         The same values and refusals as rg.substitute entry by entry, in
         integers: with the values written as numerators n_i over their
         least common denominator D, an entry's {monomial: int} numerators
-        over den (_to_ints) give sum c * n^mono * D^(top - deg(mono)) over
+        over den give sum c * n^mono * D^(top - deg(mono)) over
         den * D^top, top the largest degree in the template."""
         ring = self.ring
         if ring.kind != "poly":
@@ -418,10 +437,9 @@ class Msc:
         for name, value in assignment.items():
             if name in ring._pos:
                 vals[ring._pos[name]] = rg.as_fraction(value)
-        rows, den = _to_ints(self.mat)
         # in the order rg.substitute meets them, so a missing variable is
         # reported where it would be
-        monos = dict.fromkeys(mono for row in rows for d in row for mono in d)
+        monos = dict.fromkeys(mono for row in self.rows for d in row for mono in d)
         top = max(map(sum, monos), default=0)
         D = math.lcm(*(q.denominator for q in vals if q is not None))
         nums = [0 if q is None else q.numerator * (D // q.denominator) for q in vals]
@@ -434,16 +452,55 @@ class Msc:
                         raise ValueError(f"assignment is missing variable {ring.vars[i]!r}")
                     t *= nums[i] ** e
             terms[mono] = t
-        values = [[sum(c * terms[mono] for mono, c in d.items()) for d in row] for row in rows]
-        return Msc(self.dim, self.arity, _from_ints(rg.QQ, values, den * D ** top))
+        values = [[sum(c * terms[mono] for mono, c in d.items()) for d in row]
+                  for row in self.rows]
+        return Msc._of(rg.QQ, self.dim, self.arity, values, self.den * D ** top)
 
     def reduce_mod(self, p: int) -> "Msc":
-        """Entrywise reduction modulo a prime (rational or GF(p) input)."""
-        gf = rg.prime_field(p)
-        return Msc(self.dim, self.arity, _from_ints(gf, _residues(self.mat, p), 1))
+        """Entrywise reduction modulo a prime (rational or GF(p) input).
+
+        Over Q the numerators times one inverse of den mod p; over GF(p)
+        the residues.  Anything else (p dividing a denominator, another
+        field, a polynomial ring) raises rg.reduce_mod's error at the first
+        entry it rejects."""
+        gf, ring, rows = rg.prime_field(p), self.ring, self.rows
+        if ring.kind == "Q" and self.den % p:
+            inv = pow(self.den, -1, p)
+            rows = [[v * inv for v in row] for row in rows]
+        elif ring != gf:
+            rows = [[rg.reduce_mod(x, p).v for x in _elems(ring, row, self.den)] for row in rows]
+        return Msc._of(gf, self.dim, self.arity, rows, 1)
 
     def __repr__(self):
         return f"Msc(dim={self.dim}, arity={self.arity}, ring={self.ring!r})"
+
+
+def _difference(ring: Ring, x, y):
+    """x - y on (rows, den) pairs, over the lcm of the two denominators, as
+    _nest_ints leaves its results (Msc._of brings them to lowest terms)."""
+    (xrows, xden), (yrows, yden) = x, y
+    g = math.gcd(xden, yden)
+    s, t = yden // g, xden // g
+    if ring.kind == "poly":
+        def minus(a, b):
+            out = {mono: c * s for mono, c in a.items()} if s != 1 else dict(a)
+            for mono, c in b.items():
+                out[mono] = out.get(mono, 0) - c * t
+            return out
+    else:
+        minus = operator.sub if s == t == 1 else lambda a, b: a * s - b * t
+    return [list(map(minus, r, q)) for r, q in zip(xrows, yrows)], xden * s
+
+
+def _lift(A: Msc, ring: Ring) -> Msc:
+    """The rational algebra A over the polynomial ring ``ring``: constant entries."""
+    one = (0,) * len(ring.vars)
+    return Msc._of(ring, A.dim, A.arity, [[{one: v} for v in row] for row in A.rows], A.den)
+
+
+def _nonzero_entries(A: Msc) -> tuple:
+    """A's nonzero entries as RingElems, row by row."""
+    return _elems(A.ring, [v for row in A.rows for v in row if v], A.den)
 
 
 def basis_vector(ring: Ring, dim: int, i: int):
@@ -531,10 +588,10 @@ def transform(A: Msc, g: BasisChange) -> Msc:
     if g.mat.ring != A.ring:
         raise ValueError("basis change and algebra must share one field")
     ring, inv = A.ring, _to_ints(g.inv_mat)
-    raw = _nest_ints(ring, _to_ints(g.mat), 1, 1, _to_ints(A.mat))
+    raw = _nest_ints(ring, _to_ints(g.mat), 1, 1, (A.rows, A.den))
     for slot in range(1, A.arity + 1):
         raw = _nest_ints(ring, raw, A.arity, slot, inv)
-    return Msc(A.dim, A.arity, _from_ints(ring, *raw))
+    return Msc._of(ring, A.dim, A.arity, *raw)
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +599,8 @@ def transform(A: Msc, g: BasisChange) -> Msc:
 # ---------------------------------------------------------------------------
 
 def msc_to_doc(A: Msc) -> dict:
-    return _doc(A.dim, A.arity, A.ring, A.mat.to_strings())
-
-
-def _ints_to_doc(ring: Ring, dim: int, arity: int, rows, den: int) -> dict:
-    """msc_to_doc of the algebra with the matrix rows / den over ring (a
-    (rows, den) pair of _nest_ints), without building that matrix."""
-    return _doc(dim, arity, ring, [_texts(ring, row, den) for row in rows])
-
-
-def _doc(dim: int, arity: int, ring: Ring, entries) -> dict:
-    return {"dim": dim, "arity": arity, "ring": rg.ring_to_doc(ring), "entries": entries}
+    return {"dim": A.dim, "arity": A.arity, "ring": rg.ring_to_doc(A.ring),
+            "entries": [_texts(A.ring, row, A.den) for row in A.rows]}
 
 
 def msc_from_doc(doc) -> Msc:

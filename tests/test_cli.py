@@ -147,6 +147,21 @@ def test_iso_weak_characteristic_warns_in_one_line(capsys, prime):
                    "characteristics 2 and 3 sit outside the intended evidence range\n")
 
 
+@pytest.mark.parametrize("prime", [2, 3])
+def test_paper_replay_weak_characteristic_warns_once_in_one_line(capsys, prime):
+    # both collision claims search at the prime and warn alike; p = 3
+    # divides a denominator of the Cdagger pair, which ends the replay
+    code, out, err = run_cli(capsys, "paper-replay", "--collision-primes", f"11,{prime}")
+    warning = (f"trialg: isomorphism evidence over GF({prime}) is weak: "
+               "characteristics 2 and 3 sit outside the intended evidence range\n")
+    if prime == 2:
+        assert code == 1 and load(out)["summary"]["clean"] is False
+        assert err == warning
+    else:
+        assert (code, out) == (2, "")
+        assert err == warning + "trialg: denominator of 1/3 vanishes mod 3\n"
+
+
 def test_express_witness_exits_0(capsys):
     code, out, _ = run_cli(capsys, "express", "--name", "Cdagger", "--primes", "5,7")
     assert code == 0
@@ -319,7 +334,7 @@ def test_iso_past_its_work_budget_exits_2(capsys, monkeypatch):
     p = 3037000493
     pair = [catalog_get("A4", {"a1": Fraction(1, 3), "b2": Fraction(-1, 3)}),
             catalog_get("A5", {"a1": Fraction(1, 3)})]
-    assert len({iso._invariants(msc._residues(X.mat, p), 2, 2, p) for X in pair}) == 1
+    assert len({iso._invariants(X.reduce_mod(p).rows, 2, 2, p) for X in pair}) == 1
     monkeypatch.setattr(polysolve, "_MAX_TOTAL_ROWS", 1 << 20)
     code, out, err = run_cli(capsys, "iso", "--a", "A4(a1=1/3,b2=-1/3)",
                              "--b", "A5(a1=1/3)", "--prime", str(p))
@@ -367,7 +382,7 @@ def test_iso_on_a_dimension_10_ternary_algebra_exits_2_before_building(
     def refuse(*args):
         raise AssertionError("the system was built")
 
-    monkeypatch.setattr(msc, "_residues", refuse)
+    monkeypatch.setattr(msc.Msc, "reduce_mod", refuse)
     monkeypatch.setattr(iso, "_iso_polys", refuse)
     doc = msc_to_doc(Msc.zero(rg.QQ, 10, 3))
     doc["entries"][0][0] = "1"
@@ -656,9 +671,13 @@ def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
 
     for owner, name in ((identities, "quintuple_oracle"), (identities, "binary_triple_oracle"),
                         (msc, "eval_product"), (msc.Matrix, "__mul__"), (msc.Matrix, "kron"),
+                        (msc.Matrix, "__add__"), (msc.Matrix, "__sub__"),
+                        (msc.Matrix, "map_entries"),
                         (polysolve, "solve_ff_reference"), (polysolve, "reduce_poly"),
                         (polysolve, "groebner_selfcheck")):
         monkeypatch.setattr(owner, name, refuse)
+    # an algebra's Matrix of RingElems is built only where one is asked for
+    monkeypatch.setattr(msc.Msc, "mat", property(refuse))
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
 
 

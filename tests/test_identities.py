@@ -37,7 +37,7 @@ def test_residuals_zero_on_listed_members():
 
 def test_residual_shapes():
     residuals = total_assoc_residuals(catalog_get("B11"))
-    assert all(r.nrows == 2 and r.ncols == 32 for r in residuals)
+    assert all(r.mat.nrows == 2 and r.mat.ncols == 32 for r in residuals)
 
 
 def test_b3_has_nonzero_residual_and_oracle_agrees():
@@ -125,7 +125,7 @@ def test_residual_linear_dependence(gf5, rng):
     for _ in range(100):
         A = rand_msc(gf5, 2, 3, rng)
         ra, rb, rc = total_assoc_residuals(A)
-        assert (ra - rb + rc).is_zero()
+        assert (ra.mat - rb.mat + rc.mat).is_zero()
 
 
 def test_symbolic_numeric_consistency():
@@ -134,8 +134,8 @@ def test_symbolic_numeric_consistency():
     symbolic = total_assoc_residuals(template)
     numeric = total_assoc_residuals(b4(F(1, 2), F(1, 2)))
     for sym, num in zip(symbolic, numeric):
-        substituted = sym.map_entries(lambda x: rg.substitute(x, point), Q)
-        assert substituted == num
+        substituted = sym.mat.map_entries(lambda x: rg.substitute(x, point), Q)
+        assert substituted == num.mat
 
 
 def test_assoc_report_ternary_doc():

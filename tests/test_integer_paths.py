@@ -1,10 +1,11 @@
 """Each integer fast path against the code it replaces.
 
-The commands read plain entries without the tokenizer, print generated
-algebras and associativity reports from the contraction kernel's integer
-numerators, and specialize catalog templates in integers.  Each of those
-paths is checked here against the RingElem path it stands in for: the
-scalar parser, _from_ints(...).to_strings(), the report built from
+The commands read plain entries without the tokenizer, hold algebras as
+the contraction kernel's integer numerators, print generated algebras and
+associativity reports from them, and specialize catalog templates in
+integers.  Each of those paths is checked here against the RingElem path it
+stands in for: the scalar parser, the Matrix of _from_ints and its
+to_strings(), nesting on Matrices, the report built from
 total_assoc_residuals / binary_assoc_residual, quintuple_oracle, and
 rg.substitute entry by entry.
 """
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from trialg import msc
 from trialg import ring as rg
-from trialg.generate import _nary_ints, generate_nary
+from trialg.generate import generate_nary
 from trialg.identities import (
     assoc_report,
     binary_assoc_residual,
@@ -26,6 +27,8 @@ from trialg.identities import (
     total_assoc_residuals,
 )
 from trialg.msc import Matrix, Msc, column_tuple, msc_to_doc
+
+from conftest import nest
 
 Q = rg.QQ
 F = Fraction
@@ -75,29 +78,58 @@ def test_plain_entry_edge_cases_keep_value_and_refusal(text, ring):
 # printing from integers
 # ---------------------------------------------------------------------------
 
-def numerators(ring):
+def numerators(ring, width):
     """One row of numerators as _nest_ints leaves it: unreduced ints over
     every ring, {monomial: int} dicts with zero coefficients over Q[vars]."""
     if ring.kind != "poly":
-        return st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=6)
+        return st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=width, max_size=width)
     monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
     return st.lists(st.dictionaries(monos, st.integers(-40, 40), max_size=3),
-                    min_size=1, max_size=6)
+                    min_size=width, max_size=width)
+
+
+SHAPES = st.sampled_from([(1, 2), (2, 2), (3, 2), (1, 3), (2, 3)])
+
+
+def kernel_output(data, ring, shape, den):
+    """Drawn (rows, den) numerators of a dim x dim^arity matrix (den 1 over
+    GF(p), whose rows are residues), or these nested into themselves."""
+    dim, arity = shape
+    rows = data.draw(st.lists(numerators(ring, dim ** arity), min_size=dim, max_size=dim))
+    if ring.kind == "GF":
+        rows, den = [[v % ring.p for v in row] for row in rows], 1
+    if dim ** (2 * arity) <= 64 and data.draw(st.booleans()):
+        rows, den = msc._nest_ints(ring, (rows, den), arity, arity, (rows, den))
+        arity = 2 * arity - 1
+    return dim, arity, rows, den
 
 
 @SETTINGS
-@given(data=st.data(), ring=st.sampled_from(RINGS), den=st.integers(1, 60))
-def test_integer_texts_are_the_matrix_strings(data, ring, den):
-    rows = data.draw(st.lists(numerators(ring), min_size=1, max_size=3))
-    width = min(map(len, rows))
-    rows = [row[:width] for row in rows]
-    if ring.kind == "GF":
-        den = 1  # GF(p) rows are residues, den 1
+@given(data=st.data(), ring=st.sampled_from(RINGS), shape=SHAPES, den=st.integers(1, 60))
+def test_integer_texts_are_the_matrix_strings(data, ring, shape, den):
+    dim, arity, rows, den = kernel_output(data, ring, shape, den)
+    A = msc.Msc._of(ring, dim, arity, rows, den)
     expected = msc._from_ints(ring, rows, den)
-    assert [msc._texts(ring, row, den) for row in rows] == expected.to_strings()
-    assert msc._ints_to_doc(ring, len(rows), 2, rows, den) == {
-        "dim": len(rows), "arity": 2, "ring": rg.ring_to_doc(ring),
+    assert [msc._texts(ring, row, A.den) for row in A.rows] == expected.to_strings()
+    assert msc_to_doc(A) == {
+        "dim": dim, "arity": arity, "ring": rg.ring_to_doc(ring),
         "entries": expected.to_strings()}
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(RINGS), shape=SHAPES, den=st.integers(1, 60))
+def test_an_algebra_on_kernel_output_is_the_algebra_of_its_matrix(data, ring, shape, den):
+    dim, arity, rows, den = kernel_output(data, ring, shape, den)
+    A = msc.Msc._of(ring, dim, arity, rows, den)
+    B = Msc(dim, arity, msc._from_ints(ring, rows, den))
+    assert A == B and hash(A) == hash(B)
+    # lowest terms: exactly the pair the Matrix converts to
+    assert (A.rows, A.den) == msc._to_ints(A.mat) == (B.rows, B.den)
+    assert A.mat == B.mat
+    assert msc_to_doc(A) == msc_to_doc(B) == {
+        "dim": dim, "arity": arity, "ring": rg.ring_to_doc(ring),
+        "entries": A.mat.to_strings()}
+    assert A.is_zero() is B.mat.is_zero()
 
 
 @pytest.mark.parametrize("ring", [Q, POLY])  # a residue mod p is below p
@@ -116,8 +148,13 @@ def test_integer_texts_refuse_what_str_refuses(ring):
        n=st.integers(2, 5))
 def test_generate_prints_what_generate_nary_builds(data, ring, n):
     M = data.draw(sparse_algebras(2, 2, ring))
-    rows, den = _nary_ints(M, n)
-    assert msc._ints_to_doc(ring, 2, n, rows, den) == msc_to_doc(generate_nary(M, n))
+    expected = M.mat
+    for _ in range(n - 2):
+        expected = nest(M.mat, 2, 2, expected)
+    C = generate_nary(M, n)
+    assert C.mat == expected
+    assert msc_to_doc(C) == {"dim": 2, "arity": n, "ring": rg.ring_to_doc(ring),
+                             "entries": expected.to_strings()}
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +193,13 @@ def report_from_matrices(A):
     verdict = all(r.is_zero() for r in residuals)
     tup = None
     if not verdict and A.ring.kind != "poly":
-        col = min(j for r in residuals[:2] for row in r.rows
+        col = min(j for r in residuals[:2] for row in r.mat.rows
                   for j, x in enumerate(row) if not x.is_zero())
         tup = list(column_tuple(A.dim, 2 * A.arity - 1, col))
     labels = ("a", "b", "c") if A.arity == 3 else ("binary",)
     nonzeros = [{"which": label, "row": i + 1, "col": j + 1, "value": str(x)}
-                for label, mat in zip(labels, residuals)
-                for i, row in enumerate(mat.rows) for j, x in enumerate(row)
+                for label, R in zip(labels, residuals)
+                for i, row in enumerate(R.mat.rows) for j, x in enumerate(row)
                 if not x.is_zero()]
     return residuals, {"verdict": verdict, "residual_nonzeros": nonzeros, "violating_tuple": tup}
 

@@ -263,7 +263,7 @@ def oracle_iso_system(A, B, p):
 def iso_system(A, B, p):
     """iso_search's system for A and B mod p: its integer form, and that form
     compiled mod p as the sweep core compiles it."""
-    form = iso._iso_polys(msc._residues(A.mat, p), msc._residues(B.mat, p), A.dim, A.arity)
+    form = iso._iso_polys(A.reduce_mod(p).rows, B.reduce_mod(p).rows, A.dim, A.arity)
     compiled, obstructed = _compile_mod_p(form, p)
     assert not obstructed
     assert all(gap <= form[1] for _, terms in form[0] for _, _, gap in terms)
@@ -349,24 +349,27 @@ def test_builder_reduces_rationals_once_and_keeps_the_zero_division():
     a9 = catalog_get("A9")
     assert canonical(iso_system(a9, a9, 5)[1]) == canonical(oracle_iso_system(a9, a9, 5)[1])
     with pytest.raises(ZeroDivisionError, match="mod 3"):
-        msc._residues(a9.mat, 3)
+        a9.reduce_mod(3)
     with pytest.raises(ValueError):
-        msc._residues(Msc.zero(rg.prime_field(7), 2, 2).mat, 5)
+        Msc.zero(rg.prime_field(7), 2, 2).reduce_mod(5)
 
 
 def test_gf_algebras_are_built_only_for_a_hit(monkeypatch):
+    # the GF(p) algebras are integer rows; no Matrix of them is built
+    # without a hit to re-check
     def refuse(*args):
-        raise AssertionError("GF(p) algebras built without a hit to re-check")
+        raise AssertionError("GF(p) matrices built without a hit to re-check")
 
     A, B = catalog_get("Cstar"), catalog_get("B11")
     monkeypatch.setattr(msc, "_from_ints", refuse)
+    monkeypatch.setattr(msc.Msc, "mat", property(refuse))
     assert iso_search(A, B, 5) == []
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_witness_algebras_are_the_reductions_mod_p(p):
-    # the GF(p) algebras are built from the search's residues, not by
-    # reduce_mod, and must be what reduce_mod gives
+    # the witnesses carry the GF(p) algebras the search reduced once, and
+    # they must be what reduce_mod gives
     rng = random.Random(p)
     g = BasisChange.from_strings(Q, [["1", "1"], ["0", "2"]])
     for ring in (Q, rg.prime_field(p)):
@@ -504,7 +507,7 @@ def oracle_invariants(A, p):
 
 
 def invariants(A, p):
-    return iso._invariants(msc._residues(A.mat, p), A.dim, A.arity, p)
+    return iso._invariants(A.reduce_mod(p).rows, A.dim, A.arity, p)
 
 
 @st.composite

@@ -43,7 +43,7 @@ def test_constraints_deduplicate_like_ring_elements(family):
     # on integer coefficient pairs and must keep the same entries in order
     seen, reference = set(), []
     for residual in total_assoc_residuals(FAMILIES[family].msc):
-        for row in residual.rows:
+        for row in residual.mat.rows:
             for x in row:
                 if not x.is_zero() and x not in seen:
                     seen.add(x)
