@@ -23,8 +23,8 @@ from .identities import (
     total_assoc_residuals,
 )
 from .iso import DEFAULT_EVIDENCE_PRIMES, iso_search
-from .msc import Msc, _nonzero_entries, column_tuple, msc_to_doc
-from .polysolve import PolySystem, _int_value, _integer_form, certify_expressibility
+from .msc import Msc, column_tuple, msc_to_doc
+from .polysolve import PolySystem, _int_poly, _int_value, _integer_form, certify_expressibility
 
 __all__ = [
     "FamilyEntry",
@@ -477,19 +477,24 @@ def _parametric_ternary(family: str) -> FamilyEntry:
 
 def totassoc_constraints(family: str):
     """The total-associativity residual entries of a parametric family, as
-    a polynomial system in the family's parameters."""
+    a polynomial system in the family's parameters: each distinct nonzero
+    entry once, built from the residuals' integer rows, ordered by term
+    count and then by sorted monomials."""
     entry = _parametric_ternary(family)
     seen = set()
     constraints = []
     for residual in total_assoc_residuals(entry.msc):
-        for x in _nonzero_entries(residual):
-            # keyed on integer pairs: hashing a RingElem hashes each Fraction
-            key = frozenset((mono, q.numerator, q.denominator) for mono, q in x.v.items())
-            if key not in seen:
-                seen.add(key)
-                constraints.append(x)
-    constraints.sort(key=lambda e: (len(e.v), sorted(e.v)))
-    return PolySystem(entry.msc.ring, constraints)
+        for row in residual.rows:
+            for d in row:
+                if d:
+                    L, nums = _int_poly(d, residual.den)
+                    # a lowest-terms pair is the polynomial's one integer key
+                    key = (L, frozenset(nums.items()))
+                    if key not in seen:
+                        seen.add(key)
+                        constraints.append((L, nums))
+    constraints.sort(key=lambda c: (len(c[1]), sorted(c[1])))
+    return PolySystem._of(entry.msc.ring, constraints)
 
 
 _MAX_SCAN_POINTS = 10 ** 5  # grid points a scan may span, counted before pruning

@@ -60,7 +60,10 @@ def symbolic_system(C: Msc):
     C is an m-dimensional n-ary algebra with rational entries.  The system
     lives in Q[h111, ..., hmmm], the m^3 unknowns h{k}{r}{s} (the coefficient
     of e_k in mu(e_r, e_s)) ordered k, r, s, and has one polynomial of degree
-    n - 1 per structure constant of C, zero polynomials dropped.
+    n - 1 per structure constant of C, zero polynomials dropped.  The
+    polynomials are the nonzero entries of the residual generate_nary(H, n)
+    - C, row by row, taken from its integer rows as the lowest-terms
+    numerator pairs that PolySystem holds, with no Fraction formed.
 
     A shape past the contraction's budgets is refused before any ring is
     built, with the kernel's message.  The work count is that of the last
@@ -71,7 +74,7 @@ def symbolic_system(C: Msc):
     kernel.  So m <= 8 at arity 2, 4 at arity 3, 3 at arity 4 and 2 up to
     arity 8, and each index of a name is one digit.
     """
-    from .polysolve import PolySystem
+    from .polysolve import PolySystem, _int_poly
 
     if C.ring.kind != "Q":
         raise ValueError("the symbolic system needs rational target entries")
@@ -83,4 +86,5 @@ def symbolic_system(C: Msc):
     hring = rg.polynomial_ring([f"h{k}{r}{s}" for k in idx for r in idx for s in idx])
     rows = [[rg.variable(hring, f"h{k}{r}{s}") for r in idx for s in idx] for k in idx]
     residual = generate_nary(Msc(m, 2, Matrix(hring, rows)), n) - msc._lift(C, hring)
-    return PolySystem(hring, msc._nonzero_entries(residual))
+    den = residual.den
+    return PolySystem._of(hring, [_int_poly(d, den) for row in residual.rows for d in row if d])

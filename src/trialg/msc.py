@@ -498,11 +498,6 @@ def _lift(A: Msc, ring: Ring) -> Msc:
     return Msc._of(ring, A.dim, A.arity, [[{one: v} for v in row] for row in A.rows], A.den)
 
 
-def _nonzero_entries(A: Msc) -> tuple:
-    """A's nonzero entries as RingElems, row by row."""
-    return _elems(A.ring, [v for row in A.rows for v in row if v], A.den)
-
-
 def basis_vector(ring: Ring, dim: int, i: int):
     """Coordinate vector of the 1-based basis element e_i."""
     if not 1 <= i <= dim:

@@ -18,28 +18,34 @@ Two engines back every verdict:
   a sweep.  A separate straightforward per-assignment evaluator exists
   purely as an independent cross-check.
 
-* a bounded Buchberger engine over Q in graded reverse lexicographic
-  order, with the normal selection strategy, coprime-lead and chain
-  criteria, and content removal after every reduction.  A reduced basis
-  {1} certifies that the system has no solution over the algebraic
-  closure; hitting a cap yields "inconclusive", never a wrong verdict.
-  Its monomials are packed ints (_Packing): one field per variable under
-  a guard bit, the total degree on top, so that products, quotients,
-  divisibility, lcms and grevlex comparisons are a few int operations.
-  The inputs are packed once on entry and the reduced basis and
-  cofactors unpacked once on exit; the fields are sized so that no
-  exponent passes one unnoticed.  Besides the max_pairs and max_degree
-  caps, the pairs a run may form (_MAX_TOTAL_PAIRS) bound its pair heap.
+* a bounded Buchberger engine for Q[vars] in graded reverse
+  lexicographic order, with the normal selection strategy, coprime-lead
+  and chain criteria, run fraction free over Z (Bareiss-style): every
+  polynomial it forms is a positive integer multiple of the one the same
+  steps form over Q, and each element joins the basis as its primitive
+  part, the same over Z as over Q, so the pairs, counters and reduced
+  basis are those of the run over Q.  A reduced basis {1} certifies that
+  the system has no solution over the algebraic closure; hitting a cap
+  yields "inconclusive", never a wrong verdict.  Its monomials are packed
+  ints (_Packing): one field per variable under a guard bit, the total
+  degree on top, so that products, quotients, divisibility, lcms and
+  grevlex comparisons are a few int operations.  The inputs are packed
+  straight from the system's integer numerators, and the monic reduced
+  basis and cofactors become Fractions, unpacked, once on exit; the
+  fields are sized so that no exponent passes one unnoticed.  Besides the
+  max_pairs and max_degree caps, the pairs a run may form
+  (_MAX_TOTAL_PAIRS) bound its pair heap.
 
 certify_expressibility chains both: per-prime sweeps (with a bounded
 rational-reconstruction lift of any witness found, verified exactly over
 Q) followed by the Groebner run, reporting the strongest outcome with all
 evidence attached.
 
-A system has one integer encoding, its integer form, built at first use and
-kept: each polynomial times the lcm L of its coefficient denominators, each
-term an integer coefficient, its variable factors and its degree gap to the
-polynomial's degree.  The sweep core takes it (iso.py builds its own, with
+A system holds each polynomial as integer numerators over a denominator L
+in lowest terms (PolySystem.int_polys), and has one integer encoding for
+evaluation, its integer form, built from those at first use and kept: each
+polynomial times L, each term an integer coefficient, its variable factors
+and its degree gap to the polynomial's degree.  The sweep core takes it (iso.py builds its own, with
 L = 1) and reduces it mod p (c * L^-1 per term); p dividing L is refused.
 A point n / d (one denominator d for all variables) zeroes a polynomial
 exactly when the sum of c * d^gap * prod n_i^e is 0: rational-lift
@@ -85,13 +91,17 @@ _MAX_TOTAL_PAIRS = 1 << 20
 # the largest max_degree cap a run takes: the packed fields are sized from
 # the cap, so each bit of it widens every monomial the run forms
 _MAX_DEGREE_CAP = 1 << 10
-_F1 = Fraction(1)
 
 
 class PolySystem:
-    """A finite set of polynomials over one Q[vars] ring; zero polys dropped."""
+    """A finite set of polynomials over one Q[vars] ring; zero polys dropped.
 
-    __slots__ = ("ring", "polys", "_ints")
+    Each polynomial is held as integers, the pair (L, {monomial: int}) in
+    lowest terms: the polynomial is the dict over L.  ``polys`` is a view
+    of them as RingElems, built on each access, for documents and oracles.
+    """
+
+    __slots__ = ("ring", "int_polys", "_ints")
 
     def __init__(self, ring: Ring, polys):
         if ring.kind != "poly":
@@ -101,10 +111,25 @@ class PolySystem:
             if not isinstance(p, RingElem) or (p.ring is not ring and p.ring != ring):
                 raise ValueError("system polynomial outside the declared ring")
             if not p.is_zero():
-                kept.append(p)
+                kept.append(_numerators(p.v))
         self.ring = ring
-        self.polys = tuple(kept)
+        self.int_polys = tuple(kept)
         self._ints = None  # the integer form, built by _integer_form
+
+    @classmethod
+    def _of(cls, ring: Ring, int_polys) -> "PolySystem":
+        """The system of nonzero (L, {monomial: int}) pairs in lowest terms
+        (_int_poly), taken as they are; the dicts are shared, never changed."""
+        system = cls.__new__(cls)
+        system.ring, system.int_polys, system._ints = ring, tuple(int_polys), None
+        return system
+
+    @property
+    def polys(self) -> tuple:
+        """The polynomials as RingElems, built on each access."""
+        ring = self.ring
+        return tuple(RingElem(ring, {m: Fraction(c, L) for m, c in nums.items()})
+                     for L, nums in self.int_polys)
 
     @property
     def vars(self):
@@ -125,7 +150,15 @@ class PolySystem:
         return cls.from_strings(doc["vars"], doc["polys"])
 
     def __repr__(self):
-        return f"PolySystem({len(self.polys)} polys in {', '.join(self.vars)})"
+        return f"PolySystem({len(self.int_polys)} polys in {', '.join(self.vars)})"
+
+
+def _int_poly(nums: dict, den: int):
+    """The polynomial nums / den (nonzero integer coefficients, den > 0) as
+    the lowest-terms pair (L, {monomial: int}) that PolySystem holds; nums
+    itself when it is already in lowest terms."""
+    g = math.gcd(den, *nums.values())
+    return (den, nums) if g == 1 else (den // g, {m: c // g for m, c in nums.items()})
 
 
 class SolveOutcome:
@@ -430,21 +463,18 @@ def solve_ff_exhaustive(system: PolySystem, p: int) -> SolveOutcome:
 
 def _integer_form(system: PolySystem):
     """The system's polynomials as (L, terms) pairs, built on first use and
-    kept: L is the lcm of a polynomial's coefficient denominators and each
+    kept: L is the polynomial's denominator (PolySystem.int_polys) and each
     term of L times the polynomial is (integer coefficient, factors, degree
     gap), ``factors`` the (variable index, exponent) pairs of its monomial
     and the gap its degree's distance to the polynomial's degree.  Returns
     (polys, top), ``top`` the largest degree, which bounds every gap."""
     if system._ints is None:
         polys, top = [], 0
-        for poly in system.polys:
-            L = math.lcm(*(q.denominator for q in poly.v.values()))
-            degree = max(map(sum, poly.v))
+        for L, nums in system.int_polys:
+            degree = max(map(sum, nums))
             polys.append((L, tuple(
-                (q.numerator * (L // q.denominator),
-                 tuple((i, e) for i, e in enumerate(mono) if e),
-                 degree - sum(mono))
-                for mono, q in poly.v.items()
+                (c, tuple((i, e) for i, e in enumerate(mono) if e), degree - sum(mono))
+                for mono, c in nums.items()
             )))
             top = max(top, degree)
         system._ints = tuple(polys), top
@@ -565,20 +595,17 @@ def _lm(terms, pk):
     return max(terms, key=pk.low.__xor__)
 
 
-def _make_primitive(terms, pk, rep=None):
-    """Divide by the content and make the leading coefficient positive."""
-    if not terms:
-        return terms, rep
-    num_gcd, den_lcm = 0, 1
-    for c in terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd)
+def _primitive(terms, pk, rep=None):
+    """Integer terms divided by their content, signed so that the leading
+    coefficient comes out positive, and the cofactor pair ``rep`` divided
+    by the same (_rep_divide)."""
+    g = math.gcd(*terms.values())
     if terms[_lm(terms, pk)] < 0:
-        scale = -scale
-    terms = {m: c * scale for m, c in terms.items()}
+        g = -g
+    if g != 1:
+        terms = {m: c // g for m, c in terms.items()}
     if rep is not None:
-        rep = [{m: c * scale for m, c in r.items()} for r in rep]
+        rep = _rep_divide(rep, g)
     return terms, rep
 
 
@@ -597,21 +624,61 @@ def _sub_multiple(acc, q, u, row, guard):
             del acc[mm]
 
 
-def _normal_form(f, basis, lms, lcs, pk, rep=None, reps=None):
-    """Full multivariate division remainder of f by the basis, all packed
-    by ``pk``.  The work terms' grevlex keys wait in a heap, largest first;
-    a term cancelled before its turn leaves its key behind, skipped when
-    it comes up.  No monomial formed passes the degree of f.
+# A basis element's cofactors ride along as one pair (rows, den): integer
+# rows, one per input polynomial, over one positive denominator, in lowest
+# terms after each division; cofactor t is rows[t] / den.
 
-    When ``rep``/``reps`` carry representations over the original inputs,
-    the remainder's representation is updated alongside, in place; its
-    exponents have no such bound and are checked (_sub_multiple).
+def _rep_combine(f, g, a, u, b, v, guard):
+    """a * x^u * f - b * x^v * g on cofactor pairs, over the lcm of their
+    denominators; raises _FieldOverflow as _sub_multiple does."""
+    (frows, fden), (grows, gden) = f, g
+    d = math.gcd(fden, gden)
+    a, b = a * (gden // d), b * (fden // d)
+    rows = []
+    for fr, gr in zip(frows, grows):
+        acc = {}
+        _sub_multiple(acc, -a, u, fr, guard)
+        _sub_multiple(acc, b, v, gr, guard)
+        rows.append(acc)
+    return rows, fden // d * gden
+
+
+def _rep_divide(rep, g):
+    """The cofactor pair divided by the nonzero int g, in lowest terms."""
+    rows, den = rep
+    if g < 0:
+        rows, g = [{m: -c for m, c in r.items()} for r in rows], -g
+    den *= g
+    h = math.gcd(den, *(c for r in rows for c in r.values()))
+    if h != 1:
+        rows, den = [{m: c // h for m, c in r.items()} for r in rows], den // h
+    return rows, den
+
+
+def _normal_form(f, basis, lms, lcs, pk, rep=None, reps=None):
+    """Full multivariate division remainder of f by the basis, fraction
+    free: all packed by ``pk``, integer coefficients, every leading
+    coefficient in ``lcs`` positive.  The work terms' grevlex keys wait in a
+    heap, largest first; a term cancelled before its turn leaves its key
+    behind, skipped when it comes up.  No monomial formed passes the degree
+    of f.
+
+    A step that meets the work's lead c * x^m, divisible by the lead
+    lc * x^n of basis element h, multiplies the work and the remainder
+    collected so far by lc / g, g = gcd(c, lc), and subtracts
+    c / g * x^(m - n) * h.  Returns (rem, scale, rep): rem is ``scale``, the
+    product of those positive multipliers, times the remainder over Q.
+
+    When ``rep``/``reps`` carry cofactor pairs over the original inputs,
+    the remainder's is formed alongside (_rep_combine); its exponents have
+    no such bound and are checked.
     """
     low, guard = pk.low, pk.guard
     work = dict(f)
     heap = [-(m ^ low) for m in work]
     heapq.heapify(heap)
     rem = {}
+    scale = 1
     while heap:
         lm_w = -heapq.heappop(heap) ^ low
         lc_w = work.pop(lm_w, None)
@@ -625,7 +692,14 @@ def _normal_form(f, basis, lms, lcs, pk, rep=None, reps=None):
             rem[lm_w] = lc_w
             continue
         u = lm_w - lmg
-        q = lc_w / lcs[hit]
+        lc = lcs[hit]
+        g = math.gcd(lc_w, lc)
+        a, q = lc // g, lc_w // g
+        if a != 1:
+            work = {m: c * a for m, c in work.items()}
+            if rem:
+                rem = {m: c * a for m, c in rem.items()}
+            scale *= a
         for m, c in basis[hit].items():
             if m == lmg:
                 continue  # the divisor's lead cancels lm_w, already out of the work
@@ -641,10 +715,8 @@ def _normal_form(f, basis, lms, lcs, pk, rep=None, reps=None):
                 else:
                     del work[mm]
         if rep is not None:
-            for acc, r in zip(rep, reps[hit]):
-                if r:
-                    _sub_multiple(acc, q, u, r, guard)
-    return rem, rep
+            rep = _rep_combine(rep, reps[hit], a, 0, q, u, guard)
+    return rem, scale, rep
 
 
 def _skip_pair(lms, done, i, j, L, guard) -> bool:
@@ -670,14 +742,24 @@ def _skip_pair(lms, done, i, j, L, guard) -> bool:
     return False
 
 
-def _s_poly(f, g, lmf, lmg, lcf, lcg, L, guard):
-    """The S-polynomial of f and g, given their leading monomials and
-    coefficients and the lcm L of the two leads; f and g may also be
-    cofactor rows carried along with the basis elements whose leading data
-    is given.  Raises _FieldOverflow when an exponent reaches a guard bit."""
+def _s_multipliers(lmf, lmg, lcf, lcg, L):
+    """(a, u, b, v) such that a * x^u * f - b * x^v * g is the
+    S-polynomial of f and g, of leading monomials lmf and lmg, positive
+    leading coefficients lcf and lcg and lead lcm L, times lcf * lcg / d,
+    d = gcd(lcf, lcg): its least integer multiple when f and g are
+    primitive."""
+    d = math.gcd(lcf, lcg)
+    return lcg // d, L - lmf, lcf // d, L - lmg
+
+
+def _s_poly(f, g, mult, guard):
+    """The S-polynomial a * x^u * f - b * x^v * g of packed integer terms,
+    ``mult`` = (a, u, b, v) from _s_multipliers.  Raises _FieldOverflow when
+    an exponent reaches a guard bit."""
+    a, u, b, v = mult
     out = {}
-    _sub_multiple(out, -1 / lcf, L - lmf, f, guard)
-    _sub_multiple(out, 1 / lcg, L - lmg, g, guard)
+    _sub_multiple(out, -a, u, f, guard)
+    _sub_multiple(out, b, v, g, guard)
     return out
 
 
@@ -701,6 +783,17 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
     ``track`` every basis element carries cofactors over the input
     polynomials.
 
+    The run is fraction free over Z.  The inputs are the system's integer
+    numerators, each made primitive (content divided out, leading
+    coefficient positive).  An S-polynomial is (lc_g/d) x^u f -
+    (lc_f/d) x^v g, d = gcd(lc_f, lc_g), and a reduction step scales the
+    work and the remainder collected so far (_normal_form), each by a
+    positive integer, so every polynomial formed is a positive multiple of
+    the one the run over Q forms, and its primitive part, which joins the
+    basis, is the same.  Cofactors ride along as integer rows over one
+    denominator, scaled by the same integers and divided by the same
+    contents, so they equal the cofactors over Q.
+
     Monomials are packed (_Packing) once on entry, with fields sized for
     the larger of max_degree and the input degree, which no basis monomial
     passes.  A cofactor has no such bound; one that reaches a guard bit
@@ -709,7 +802,7 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
     """
     caps = {**DEFAULT_CAPS, **(caps or {})}
     _check_caps(caps)
-    bound = max([caps["max_degree"], *(_degree(p.v) for p in system.polys)])
+    bound = max([caps["max_degree"], *(_degree(nums) for _, nums in system.int_polys)])
     while True:
         try:
             return _buchberger(system, caps, track, _Packing(len(system.vars), bound))
@@ -720,7 +813,7 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
 def _buchberger(system, caps, track, pk):
     """buchberger on monomials packed by ``pk``."""
     max_pairs, max_degree = caps["max_pairs"], caps["max_degree"]
-    nin = len(system.polys)
+    nin = len(system.int_polys)
     low, shift, guard = pk.low, pk.shift, pk.guard
 
     basis, lms, lcs = [], [], []
@@ -733,11 +826,12 @@ def _buchberger(system, caps, track, pk):
         if track:
             reps.append(rep)
 
-    for j, poly in enumerate(system.polys):
+    for j, (L, nums) in enumerate(system.int_polys):
         rep = None
         if track:
-            rep = [({0: _F1} if t == j else {}) for t in range(nin)]
-        terms, rep = _make_primitive(pk.pack_terms(poly.v), pk, rep)
+            # input j is nums / L, so nums is L times it
+            rep = ([{0: L} if t == j else {} for t in range(nin)], 1)
+        terms, rep = _primitive(pk.pack_terms(nums), pk, rep)
         push_basis(terms, rep)
 
     # a pair waits as (grevlex key of its lcm, i, j); the degree tops the key
@@ -770,17 +864,13 @@ def _buchberger(system, caps, track, pk):
 
         processed += 1
         max_deg_seen = max(max_deg_seen, deg)
-        s_terms = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j], L, guard)
-        s_rep = None
-        if track:
-            s_rep = [
-                _s_poly(reps[i][t], reps[j][t], lms[i], lms[j], lcs[i], lcs[j], L, guard)
-                for t in range(nin)
-            ]
-        rem, s_rep = _normal_form(s_terms, basis, lms, lcs, pk, s_rep, reps)
+        mult = _s_multipliers(lms[i], lms[j], lcs[i], lcs[j], L)
+        s_terms = _s_poly(basis[i], basis[j], mult, guard)
+        s_rep = _rep_combine(reps[i], reps[j], *mult, guard) if track else None
+        rem, _, s_rep = _normal_form(s_terms, basis, lms, lcs, pk, s_rep, reps)
         if not rem:
             continue
-        rem, s_rep = _make_primitive(rem, pk, s_rep)
+        rem, s_rep = _primitive(rem, pk, s_rep)
         idx = len(basis)
         push_basis(rem, s_rep)
         if lms[idx] == 0:
@@ -795,7 +885,7 @@ def _buchberger(system, caps, track, pk):
 
     caps_hit = pairs_capped or degree_skipped > 0 or budget_hit
     red_basis, red_reps = _reduced_basis(basis, lms, lcs, reps, pk)
-    certified = red_basis == [{0: _F1}]
+    certified = red_basis == [{0: 1}]
     effort = {
         "pairs_processed": processed,
         "pairs_skipped_by_criteria": skipped,
@@ -819,7 +909,9 @@ def _buchberger(system, caps, track, pk):
 
 
 def _reduced_basis(basis, lms, lcs, reps, pk):
-    """Minimalize, fully inter-reduce and make monic; deterministic order."""
+    """Minimalize, fully inter-reduce and make monic; deterministic order.
+    The monic elements and their cofactors come out as Fractions, for the
+    RingElems of the outcome."""
     order = sorted(range(len(basis)), key=lambda i: (lms[i] ^ pk.low, i))
     kept = []
     for i in order:
@@ -831,25 +923,34 @@ def _reduced_basis(basis, lms, lcs, reps, pk):
         ob = [basis[k] for k in others]
         ol = [lms[k] for k in others]
         oc = [lcs[k] for k in others]
-        rep = [dict(r) for r in reps[i]] if reps is not None else None
+        rep = reps[i] if reps is not None else None
         oreps = [reps[k] for k in others] if reps is not None else None
         # kept is minimal: lms[i] leads the remainder, and kept stays sorted
-        rem, rep = _normal_form(basis[i], ob, ol, oc, pk, rep, oreps)
+        rem, _, rep = _normal_form(basis[i], ob, ol, oc, pk, rep, oreps)
         lc = rem[lms[i]]
-        rem = {m: c / lc for m, c in rem.items()}
+        out_terms.append({m: Fraction(c, lc) for m, c in rem.items()})
         if rep is not None:
-            rep = [{m: c / lc for m, c in r.items()} for r in rep]
-        out_terms.append(rem)
+            rows, den = rep
+            rep = [{m: Fraction(c, den * lc) for m, c in r.items()} for r in rows]
         out_reps.append(rep)
     return out_terms, out_reps if reps is not None else None
 
 
+def _numerators(terms):
+    """A dict of lowest-terms Fraction coefficients as (L, {monomial:
+    int}) in lowest terms: L the lcm of the denominators, the dict L times
+    the terms."""
+    L = math.lcm(*(q.denominator for q in terms.values()))
+    return L, {m: q.numerator * (L // q.denominator) for m, q in terms.items()}
+
+
 def _packed(nvars, polys, bound):
     """A _Packing of ``nvars`` variables for degree ``bound``, with the
-    nonzero term dicts of ``polys`` packed by it, their leading monomials
-    and their leading coefficients: (pk, terms, lms, lcs)."""
+    primitive parts of the nonzero term dicts of ``polys`` (_numerators)
+    packed by it, their leading monomials and their leading coefficients:
+    (pk, terms, lms, lcs)."""
     pk = _Packing(nvars, bound)
-    terms = [pk.pack_terms(p) for p in polys if p]
+    terms = [_primitive(pk.pack_terms(_numerators(p)[1]), pk)[0] for p in polys if p]
     lms = [_lm(t, pk) for t in terms]
     return pk, terms, lms, [t[lm] for t, lm in zip(terms, lms)]
 
@@ -859,11 +960,18 @@ def _degree(terms) -> int:
 
 
 def reduce_poly(f: RingElem, basis_elems) -> RingElem:
-    """Normal form of f modulo a list of polynomials in the same ring."""
+    """Normal form of f modulo a list of polynomials in the same ring.
+
+    f and the basis elements are divided as positive integer multiples
+    (_numerators, the basis made primitive), which leaves every division
+    step as it is; the remainder is divided by f's multiplier and the scale
+    the division accumulated (_normal_form)."""
+    L, nums = _numerators(f.v)
     polys = [b.v for b in basis_elems]
-    pk, basis, lms, lcs = _packed(len(f.ring.vars), polys, max(map(_degree, [f.v, *polys])))
-    rem, _ = _normal_form(pk.pack_terms(f.v), basis, lms, lcs, pk)
-    return RingElem(f.ring, pk.unpack_terms(rem))
+    pk, basis, lms, lcs = _packed(len(f.ring.vars), polys, max(map(_degree, [nums, *polys])))
+    rem, scale, _ = _normal_form(pk.pack_terms(nums), basis, lms, lcs, pk)
+    den = L * scale
+    return RingElem(f.ring, {pk.unpack(m): Fraction(c, den) for m, c in rem.items()})
 
 
 def groebner_selfcheck(basis_elems) -> bool:
@@ -876,10 +984,8 @@ def groebner_selfcheck(basis_elems) -> bool:
                                   2 * max(map(_degree, polys)))
     for j in range(len(basis)):
         for i in range(j):
-            L = pk.lcm(lms[i], lms[j])
-            s = _s_poly(basis[i], basis[j], lms[i], lms[j], lcs[i], lcs[j], L, pk.guard)
-            rem, _ = _normal_form(s, basis, lms, lcs, pk)
-            if rem:
+            mult = _s_multipliers(lms[i], lms[j], lcs[i], lcs[j], pk.lcm(lms[i], lms[j]))
+            if _normal_form(_s_poly(basis[i], basis[j], mult, pk.guard), basis, lms, lcs, pk)[0]:
                 return False
     return True
 
@@ -955,7 +1061,7 @@ def certify_expressibility(C, primes=(5, 7), caps=None,
     effort = {"primes": list(primes)}
     evidence = []
 
-    if not system.polys:
+    if not system.int_polys:
         effort["trivial"] = True
         witness = {n: rg.zero(rg.QQ) for n in system.vars}
         return SolveOutcome("witness", witness=witness, effort=effort, evidence=evidence)

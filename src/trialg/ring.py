@@ -11,6 +11,7 @@ leading terms, the Groebner engine).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -176,7 +177,11 @@ def rationals() -> Ring:
     return QQ
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def prime_field(p: int) -> Ring:
+    """GF(p), validated once per modulus and then shared.  A refused
+    modulus raises on every call, as an exception is not cached; the cache
+    is typed, so 5.0 is refused even after 5 is cached."""
     return Ring("GF", p=p)
 
 

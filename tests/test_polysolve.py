@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import json
 import math
 import random
@@ -28,6 +29,7 @@ from trialg.polysolve import (
     solve_ff_reference,
 )
 
+import reference_groebner
 from conftest import GOLDEN
 
 Q = rg.QQ
@@ -695,6 +697,106 @@ def test_buchberger_bases_and_counters_are_pinned(name):
         ("basis_size", len(basis)), ("caps_hit", False), ("completed", True),
     ]
     assert out.status == ("certified_empty_over_closure" if basis == ["1"] else "inconclusive")
+
+
+# the sha256 of json.dumps({"basis", "effort" (as items), "status",
+# "cofactors"}) of buchberger(track=True), recorded from the engine over Q
+GROEBNER_COFACTOR_PINS = {
+    "Cstar": "769c62cbcc4203e44db70841e9142c8faec5e4bb45f3b7550bb3cb4a6a157eaa",
+    "Cdagger": "2b0a8f1cfc3f050d810057ac0e49cf4ecf99fb7a8d482df1cbb57fad92b749ce",
+    "B9": "72462c8b762d2dc671d17c92ef9abb3060374ec93fb87fa14b508b37e7e86f89",
+    "B1": "a6681f97fb93f690feba579942ff296dc6828ac5057c2330590a7f57f6cdd94f",
+    "B2": "5436dbc4bca282abf8379275abc3ccb672136a869e1e404f56b4abeecc67f173",
+    "B3": "160b4280bd6c06eb9d9e16dcbf7aab0ed9599f2e1960a5cd3b0dacd0b2012fa6",
+    "B4": "d4b6cdf8a04819352944f1fbfc7462f3c964d1b8f1d4f8be9329a1f1618a5f6d",
+    "B5": "347f8cb0faa96b7377edc1392065cea2b4bfe39b2322d3dcfbfc39aa7b60d485",
+    "B6": "0a7f2a3d54ac642611d422d9295ffdf489ae4362b2a8fa6632f1e61237d205dd",
+    "B7": "a4cbb662eb3edd33f50ff02eeef7b3c0020642526ca13da0288c82070c2b4948",
+    "B8": "74f002cf7cef274d4303d6fff9f816073f07b7557479c86d4310de4436d6a226",
+    "A9^4": "b75bc4a2250e6a75f20ec1ebc5221084c42b1945b45d5b5d1a5cc41ae870b8ce",
+}
+
+
+@pytest.mark.parametrize("name", list(GROEBNER_COFACTOR_PINS))
+def test_buchberger_cofactors_are_pinned(name):
+    out = buchberger(pinned_system(name), track=True)
+    text = json.dumps({"basis": [str(b) for b in out.basis], "effort": list(out.effort.items()),
+                       "status": out.status,
+                       "cofactors": [[str(q) for q in row] for row in out.cofactors]})
+    assert hashlib.sha256(text.encode()).hexdigest() == GROEBNER_COFACTOR_PINS[name]
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free engine against the engine over Q (reference_groebner)
+# ---------------------------------------------------------------------------
+
+XYZ = rg.polynomial_ring(["x", "y", "z"])
+
+
+@st.composite
+def cubic_monomials(draw):
+    """An exponent triple of total degree at most 3."""
+    a = draw(st.integers(0, 3))
+    b = draw(st.integers(0, 3 - a))
+    return a, b, draw(st.integers(0, 3 - a - b))
+
+
+def rational_polys(ring):
+    """Nonzero polynomials in x, y, z of degree at most 3 and 1-3 terms,
+    with rational coefficients whose denominators run to 6."""
+    coeffs = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+    return st.dictionaries(cubic_monomials(), coeffs, min_size=1, max_size=3).map(
+        functools.partial(rg.RingElem, ring))
+
+
+def outcome_texts(out):
+    return ([str(b) for b in out.basis], list(out.effort.items()), out.status,
+            out.cofactors and [[str(q) for q in row] for row in out.cofactors])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(rational_polys(XYZ), min_size=1, max_size=4), rational_polys(XYZ))
+def test_buchberger_matches_the_engine_over_q(polys, f):
+    system = PolySystem(XYZ, polys)
+    for caps in (None, {"max_pairs": 2}, {"max_degree": 2}):
+        for track in (False, True):
+            out = buchberger(system, caps=caps, track=track)
+            assert outcome_texts(out) == outcome_texts(
+                reference_groebner.buchberger(system, caps=caps, track=track))
+        for basis in (out.basis, polys):
+            assert str(reduce_poly(f, basis)) == str(reference_groebner.reduce_poly(f, basis))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.lists(rational_polys(XYZ), min_size=1, max_size=4), rational_polys(XYZ))
+def test_each_integer_step_is_a_positive_multiple_of_the_step_over_q(polys, f):
+    # the primitive part is the one over Q; an S-polynomial and a remainder
+    # are positive multiples of theirs
+    pk = polysolve._Packing(3, 6)
+    nums = [pk.pack_terms(polysolve._numerators(p.v)[1]) for p in polys]
+    basis = [polysolve._primitive(t, pk)[0] for t in nums]
+    ref_basis = [reference_groebner._make_primitive(pk.pack_terms(p.v), pk)[0] for p in polys]
+    assert basis == ref_basis
+    lms = [polysolve._lm(t, pk) for t in basis]
+    lcs = [t[lm] for t, lm in zip(basis, lms)]
+
+    def positive_multiple(terms, ref, scale):
+        assert scale > 0 and terms == {m: scale * c for m, c in ref.items()}
+
+    for j in range(len(basis)):
+        for i in range(j):
+            L = pk.lcm(lms[i], lms[j])
+            s = polysolve._s_poly(basis[i], basis[j],
+                                  polysolve._s_multipliers(lms[i], lms[j], lcs[i], lcs[j], L),
+                                  pk.guard)
+            ref = reference_groebner._s_poly(basis[i], basis[j], lms[i], lms[j],
+                                             F(lcs[i]), F(lcs[j]), L, pk.guard)
+            positive_multiple(s, ref, lcs[i] * lcs[j] // math.gcd(lcs[i], lcs[j]))
+    L, nums_f = polysolve._numerators(f.v)
+    rem, scale, _ = polysolve._normal_form(pk.pack_terms(nums_f), basis, lms, lcs, pk)
+    ref, _ = reference_groebner._normal_form(pk.pack_terms(f.v), ref_basis, lms,
+                                             [F(c) for c in lcs], pk)
+    positive_multiple(rem, ref, scale * L)
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,21 @@ def test_prime_field_validation():
     assert rg.prime_field(2).p == 2
 
 
+def test_prime_field_is_validated_once_per_modulus(monkeypatch):
+    assert rg.prime_field(7919) is rg.prime_field(7919) == rg.Ring("GF", p=7919)
+    # the cache is typed: a float equal to a cached prime is still refused
+    with pytest.raises(ValueError, match="^prime field modulus must be prime, got '7919.0'$"):
+        rg.prime_field(7919.0)
+    checks = []
+    monkeypatch.setattr(rg, "is_prime", lambda n: checks.append(n) or n == 7)
+    assert rg.prime_field(7919).p == 7919 and checks == []
+    # a refusal is not cached: the modulus is checked again each time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^prime field modulus must be prime, got '4'$"):
+            rg.prime_field(4)
+    assert checks == [4, 4]
+
+
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 97, 7919}
     for n in range(-2, 100):
