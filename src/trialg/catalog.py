@@ -695,7 +695,7 @@ def _claim_sign_pair(claim_id, family, values_plus, values_minus, prime):
         "family": family,
         "prime": prime,
         "witnesses": len(found),
-        "first_witness": found[0].g.mat.to_strings() if found else None,
+        "first_witness": found[0].g.to_strings() if found else None,
     })
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import msc
 from . import ring as rg
-from .msc import Matrix, Msc
+from .msc import Msc
 
 __all__ = ["generate_nary", "expressibility_residual", "symbolic_system"]
 
@@ -84,7 +84,8 @@ def symbolic_system(C: Msc):
         raise msc._work_refusal(m ** 3)
     idx = range(1, m + 1)
     hring = rg.polynomial_ring([f"h{k}{r}{s}" for k in idx for r in idx for s in idx])
-    rows = [[rg.variable(hring, f"h{k}{r}{s}") for r in idx for s in idx] for k in idx]
-    residual = generate_nary(Msc(m, 2, Matrix(hring, rows)), n) - msc._lift(C, hring)
+    rows = [[{tuple(int(v == i) for v in range(m ** 3)): 1} for i in range(k, k + m * m)]
+            for k in range(0, m ** 3, m * m)]  # H's unknowns as unit monomials, in order
+    residual = generate_nary(Msc._of(hring, m, 2, rows, 1), n) - msc._lift(C, hring)
     den = residual.den
     return PolySystem._of(hring, [_int_poly(d, den) for row in residual.rows for d in row if d])

@@ -27,10 +27,10 @@ than msc's _MAX_ENTRIES products, or whose arity reaches that budget's bit
 length (19), is refused before anything is built; past that the core's row
 budget (polysolve's _MAX_TOTAL_ROWS) is the only limit, so no input runs
 without end.  Candidates g come out in row-major lexicographic order of
-their entries over 0..p-1, so results are reproducible bit for bit; every
-witness is re-checked by the core's scalar path and then verified through
-the exact transform path (iso_verify) before it is returned.  Like a sweep,
-a search keeps at most polysolve's _MAX_WITNESSES witnesses.
+their entries over 0..p-1, so results are reproducible bit for bit.  Each
+witness, those residues held as integer rows (BasisChange._of), is
+re-checked by the core's scalar path and verified exactly (iso_verify).
+Like a sweep, a search keeps at most polysolve's _MAX_WITNESSES witnesses.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from itertools import product as iter_product
 
 from . import msc, polysolve
 from . import ring as rg
-from .msc import BasisChange, Matrix, Msc, transform
+from .msc import BasisChange, Msc, transform
 from .polysolve import _check_modulus, _sweep
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
@@ -65,7 +65,7 @@ class IsoWitness:
         self.target = target
 
     def __repr__(self):
-        return f"IsoWitness(g={self.g.mat.to_strings()})"
+        return f"IsoWitness(g={self.g.to_strings()})"
 
 
 def iso_verify(A: Msc, B: Msc, g: BasisChange) -> bool:
@@ -215,9 +215,7 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
                   polysolve._MAX_WITNESSES if find_all else 1)
     witnesses = []
     for values in hits:
-        g = BasisChange(Matrix(gf, [
-            [rg.RingElem(gf, x) for x in values[r * m:(r + 1) * m]] for r in range(m)
-        ]))
+        g = BasisChange._of(gf, [list(values[r * m:(r + 1) * m]) for r in range(m)])
         if not iso_verify(Ap, Bp, g):
             raise RuntimeError("search produced a candidate the exact check rejects")
         witnesses.append(IsoWitness(g, Ap, Bp))
@@ -232,6 +230,6 @@ def iso_report(A: Msc, B: Msc, p: int, find_all: bool = False) -> dict:
     return {
         "prime": p,
         "witness_count": len(witnesses),
-        "witnesses": [w.g.mat.to_strings() for w in witnesses],
+        "witnesses": [w.g.to_strings() for w in witnesses],
         "exhaustive": exhaustive,
     }

@@ -11,11 +11,11 @@ A basis change g in GL(m) acts by A |-> g . A . (g^-1 tensor ... tensor g^-1).
 An Msc holds that matrix as integers, the pair (rows, den) in lowest
 terms: over Q integer numerators over one denominator, over Q[vars]
 {monomial: int} numerator dicts over one denominator, over GF(p) residues.
-Every operation reads and writes those integers; a Matrix of RingElems
-exists only at the boundary, where an Msc is built from one
-(Msc(dim, arity, Matrix), _to_ints) or one is asked for (Msc.mat, built on
-first access by _from_ints).  Reports print straight from the integers
-(_texts).
+A BasisChange holds g and g^-1 the same way.  Every operation reads and
+writes those integers, scalars parse straight to them and reports print
+from them (_texts).  Matrix, of RingElems, is a type for tests and
+benchmarks that no command builds: they pass one to Msc(dim, arity, Matrix)
+and BasisChange(Matrix), and Msc.mat and BasisChange.mat are views.
 
 Composite products are built by one contraction kernel, _nest_ints, which
 puts a product or a linear map into one argument slot of another: n-ary
@@ -59,18 +59,7 @@ class Matrix:
     __slots__ = ("ring", "rows")
 
     def __init__(self, ring: Ring, rows):
-        rows = tuple(tuple(row) for row in rows)
-        if not rows or not rows[0]:
-            raise ValueError("matrix must have at least one row and column")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("ragged matrix rows")
-            for x in row:
-                if not isinstance(x, RingElem) or (x.ring is not ring and x.ring != ring):
-                    raise ValueError("matrix entry outside the declared ring")
-        self.ring = ring
-        self.rows = rows
+        self.ring, self.rows = ring, _checked_rows(ring, rows)
 
     @property
     def nrows(self) -> int:
@@ -93,9 +82,6 @@ class Matrix:
     def zeros(cls, ring: Ring, nrows: int, ncols: int) -> "Matrix":
         z = rg.zero(ring)
         return cls(ring, [[z] * ncols for _ in range(nrows)])
-
-    def entry(self, i: int, j: int) -> RingElem:
-        return self.rows[i][j]
 
     def _same_ring(self, other: "Matrix"):
         if other.ring is not self.ring and other.ring != self.ring:
@@ -169,29 +155,6 @@ class Matrix:
     def map_entries(self, fn, ring: Ring | None = None) -> "Matrix":
         return Matrix(ring or self.ring, [[fn(x) for x in row] for row in self.rows])
 
-    def inverse(self) -> "Matrix":
-        """Exact inverse by Gaussian elimination; field scalars only."""
-        if not self.ring.is_field:
-            raise ValueError("matrix inversion needs a field, not a polynomial ring")
-        n = self.nrows
-        if n != self.ncols:
-            raise ValueError("only square matrices can be inverted")
-        ident = Matrix.identity(self.ring, n)
-        work = [list(r1) + list(r2) for r1, r2 in zip(self.rows, ident.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not work[r][col].is_zero()), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = work[col][col].inv()
-            work[col] = [inv * x for x in work[col]]
-            for r in range(n):
-                if r == col or work[r][col].is_zero():
-                    continue
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return Matrix(self.ring, [row[n:] for row in work])
-
     def to_strings(self):
         return [[str(x) for x in row] for row in self.rows]
 
@@ -204,49 +167,61 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return a.kron(b)
 
 
+def _checked_rows(ring: Ring, rows) -> tuple:
+    """rows as a tuple of tuples, refused as a Matrix refuses them."""
+    rows = tuple(tuple(row) for row in rows)
+    if not rows or not rows[0]:
+        raise ValueError("matrix must have at least one row and column")
+    width = len(rows[0])
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("ragged matrix rows")
+        for x in row:
+            if not isinstance(x, RingElem) or (x.ring is not ring and x.ring != ring):
+                raise ValueError("matrix entry outside the declared ring")
+    return rows
+
+
 _MAX_ENTRIES = 1 << 18  # largest matrix a contraction builds: ~100 MB of exact scalars
 
 
-def _to_ints(mat: Matrix):
-    """mat as the pair (rows, den) that Msc holds and _nest_ints works on:
-    mat = rows / den, in lowest terms.
+def _to_ints(ring: Ring, rows):
+    """Rows of canonical RingElems over ring as the pair (rows, den) that
+    Msc holds and _nest_ints works on: rows / den, in lowest terms.
 
     Over Q the rows hold integer numerators over the least common
     denominator of the entries; over Q[vars] each entry is a {monomial:
     int} dict of numerators over the lcm of every coefficient denominator;
     over GF(p) the rows hold the residues, den 1."""
-    kind = mat.ring.kind
+    kind = ring.kind
     if kind == "GF":
-        return [[x.v for x in row] for row in mat.rows], 1
+        return [[x.v for x in row] for row in rows], 1
     if kind == "Q":
-        den = math.lcm(*(x.v.denominator for row in mat.rows for x in row))
-        return [[x.v.numerator * (den // x.v.denominator) for x in row]
-                for row in mat.rows], den
-    den = math.lcm(*(q.denominator for row in mat.rows for x in row for q in x.v.values()))
+        den = math.lcm(*(x.v.denominator for row in rows for x in row))
+        return [[x.v.numerator * (den // x.v.denominator) for x in row] for row in rows], den
+    den = math.lcm(*(q.denominator for row in rows for x in row for q in x.v.values()))
     return [[{mono: q.numerator * (den // q.denominator) for mono, q in x.v.items()}
-             for x in row] for row in mat.rows], den
-
-
-def _from_ints(ring: Ring, rows, den: int) -> Matrix:
-    """The Matrix rows / den over ring, in canonical form: one Fraction (or
-    one residue mod p) per nonzero entry or coefficient, no zero coefficient
-    kept, and the ring's zero elsewhere."""
-    z = rg.zero(ring)
-    if ring.kind == "GF":
-        p = ring.p
-        return Matrix(ring, [[RingElem(ring, r) if (r := v % p) else z for v in row]
-                             for row in rows])
-    frac = Fraction if den == 1 else lambda v: Fraction(v, den)  # Fraction(v) skips the gcd
-    if ring.kind == "Q":
-        return Matrix(ring, [[RingElem(ring, frac(v)) if v else z for v in row]
-                             for row in rows])
-    return Matrix(ring, [[RingElem(ring, t) if (t := {m: frac(v) for m, v in d.items() if v})
-                          else z for d in row] for row in rows])
+             for x in row] for row in rows], den
 
 
 def _elems(ring: Ring, values, den: int) -> tuple:
-    """The RingElems values / den of one row of Msc entries."""
-    return _from_ints(ring, [values], den).rows[0] if values else ()
+    """The RingElems values / den of one row of Msc entries, in canonical
+    form: one Fraction (or one residue mod p) per nonzero entry or
+    coefficient, no zero coefficient kept, and the ring's zero elsewhere."""
+    z = rg.zero(ring)
+    if ring.kind == "GF":
+        p = ring.p
+        return tuple(RingElem(ring, r) if (r := v % p) else z for v in values)
+    frac = Fraction if den == 1 else lambda v: Fraction(v, den)  # Fraction(v) skips the gcd
+    if ring.kind == "Q":
+        return tuple(RingElem(ring, frac(v)) if v else z for v in values)
+    return tuple(RingElem(ring, t) if (t := {m: frac(v) for m, v in d.items() if v}) else z
+                 for d in values)
+
+
+def _from_ints(ring: Ring, rows, den: int) -> Matrix:
+    """The Matrix rows / den over ring, the view Msc.mat and BasisChange.mat give."""
+    return Matrix(ring, [_elems(ring, row, den) for row in rows])
 
 
 def _texts(ring: Ring, values, den: int) -> list:
@@ -346,21 +321,13 @@ class Msc:
     held as rows / den in lowest terms (no zero coefficient, den 1 over GF(p)
     and for zero), so that equal algebras hold equal pairs."""
 
-    __slots__ = ("ring", "dim", "arity", "rows", "den", "_mat")
+    __slots__ = ("ring", "dim", "arity", "rows", "den")
 
     def __init__(self, dim: int, arity: int, mat: Matrix):
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
-        if arity < 2:
-            raise ValueError("arity must be at least 2")
-        if mat.nrows != dim or mat.ncols != dim ** arity:
-            raise ValueError(
-                f"entries must be {dim}x{dim ** arity} for dim {dim}, arity {arity}; "
-                f"got {mat.nrows}x{mat.ncols}"
-            )
+        _check_shape(dim, arity, mat.nrows, mat.ncols)
         # a Matrix of canonical RingElems converts to lowest terms
-        self.ring, self.dim, self.arity, self._mat = mat.ring, dim, arity, None
-        self.rows, self.den = _to_ints(mat)
+        self.ring, self.dim, self.arity = mat.ring, dim, arity
+        self.rows, self.den = _to_ints(mat.ring, mat.rows)
 
     @classmethod
     def _of(cls, ring: Ring, dim: int, arity: int, rows, den: int) -> "Msc":
@@ -381,23 +348,24 @@ class Msc:
                 rows = [[{m: c // g for m, c in d.items()} for d in row] for row in rows]
                 den //= g
         A = cls.__new__(cls)
-        A.ring, A.dim, A.arity, A.rows, A.den, A._mat = ring, dim, arity, rows, den, None
+        A.ring, A.dim, A.arity, A.rows, A.den = ring, dim, arity, rows, den
         return A
 
     @property
     def mat(self) -> Matrix:
-        """The Matrix of RingElems, built on first access."""
-        if self._mat is None:
-            self._mat = _from_ints(self.ring, self.rows, self.den)
-        return self._mat
+        """The Matrix of RingElems, built on each access."""
+        return _from_ints(self.ring, self.rows, self.den)
 
     @classmethod
     def from_strings(cls, ring: Ring, dim: int, arity: int, rows) -> "Msc":
-        return cls(dim, arity, Matrix.from_strings(ring, rows))
+        """Msc(dim, arity, Matrix.from_strings(ring, rows)), built without a Matrix."""
+        rows = _checked_rows(ring, [[rg.parse_scalar(s, ring) for s in row] for row in rows])
+        _check_shape(dim, arity, len(rows), len(rows[0]))
+        return cls._of(ring, dim, arity, *_to_ints(ring, rows))
 
     @classmethod
     def zero(cls, ring: Ring, dim: int, arity: int) -> "Msc":
-        return cls(dim, arity, Matrix.zeros(ring, dim, dim ** arity))
+        return cls.from_strings(ring, dim, arity, [["0"] * dim ** arity for _ in range(dim)])
 
     def entry(self, l: int, indices) -> RingElem:
         """Coefficient of e_l in the product of the 1-based basis tuple."""
@@ -475,6 +443,19 @@ class Msc:
         return f"Msc(dim={self.dim}, arity={self.arity}, ring={self.ring!r})"
 
 
+def _check_shape(dim: int, arity: int, nrows: int, ncols: int) -> None:
+    """Refuse an nrows x ncols matrix as the algebra of dim and arity."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if arity < 2:
+        raise ValueError("arity must be at least 2")
+    if nrows != dim or ncols != dim ** arity:
+        raise ValueError(
+            f"entries must be {dim}x{dim ** arity} for dim {dim}, arity {arity}; "
+            f"got {nrows}x{ncols}"
+        )
+
+
 def _difference(ring: Ring, x, y):
     """x - y on (rows, den) pairs, over the lcm of the two denominators, as
     _nest_ints leaves its results (Msc._of brings them to lowest terms)."""
@@ -532,18 +513,35 @@ def eval_product(A: Msc, args) -> tuple:
 
 
 class BasisChange:
-    """Invertible basis-change matrix with its exact inverse cached."""
+    """An invertible basis change g as Msc holds an algebra, with g^-1 as inv."""
 
-    __slots__ = ("dim", "mat", "inv_mat")
+    __slots__ = ("ring", "dim", "rows", "den", "inv")
 
     def __init__(self, mat: Matrix):
         if mat.nrows != mat.ncols:
             raise ValueError("basis change must be square")
         if not mat.ring.is_field:
             raise ValueError("basis change needs field scalars")
-        self.dim = mat.nrows
-        self.mat = mat
-        self.inv_mat = mat.inverse()
+        self.ring, self.dim = mat.ring, mat.nrows
+        self.rows, self.den = _to_ints(mat.ring, mat.rows)
+        self.inv = _inverse(self.ring, self.rows, self.den)
+
+    @classmethod
+    def _of(cls, ring: Ring, rows) -> "BasisChange":
+        """The basis change of square rows of residues mod p over GF(p)."""
+        g = cls.__new__(cls)
+        g.ring, g.dim, g.rows, g.den, g.inv = ring, len(rows), rows, 1, _inverse(ring, rows, 1)
+        return g
+
+    @property
+    def mat(self) -> Matrix:
+        """g as a Matrix of RingElems, built on each access."""
+        return _from_ints(self.ring, self.rows, self.den)
+
+    @property
+    def inv_mat(self) -> Matrix:
+        """g^-1 as a Matrix of RingElems, built on each access."""
+        return _from_ints(self.ring, *self.inv)
 
     @classmethod
     def identity(cls, ring: Ring, dim: int) -> "BasisChange":
@@ -553,13 +551,17 @@ class BasisChange:
     def from_strings(cls, ring: Ring, rows) -> "BasisChange":
         return cls(Matrix.from_strings(ring, rows))
 
+    def to_strings(self) -> list:
+        """The strings of g's entries, as self.mat.to_strings() gives them."""
+        return [_texts(self.ring, row, self.den) for row in self.rows]
+
     def compose(self, other: "BasisChange") -> "BasisChange":
         return BasisChange(self.mat * other.mat)
 
     def apply(self, vector) -> tuple:
         out = []
         for row in self.mat.rows:
-            s = rg.zero(self.mat.ring)
+            s = rg.zero(self.ring)
             for a, x in zip(row, vector):
                 if not a.is_zero() and not x.is_zero():
                     s = s + a * x
@@ -567,26 +569,48 @@ class BasisChange:
         return tuple(out)
 
     def __eq__(self, other):
-        return isinstance(other, BasisChange) and self.mat == other.mat
+        return isinstance(other, BasisChange) and self.ring == other.ring and (
+            (self.den, self.rows) == (other.den, other.rows))
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash((self.ring, self.den, tuple(map(tuple, self.rows))))
 
     def __repr__(self):
-        return f"BasisChange(dim={self.dim}, ring={self.mat.ring!r})"
+        return f"BasisChange(dim={self.dim}, ring={self.ring!r})"
+
+
+def _inverse(ring: Ring, rows, den: int):
+    """(rows / den)^-1 as a (rows, den) pair in lowest terms, by Gauss-Jordan
+    elimination on [rows | I]: over GF(p) on the residues, over Q on
+    Fractions of the numerators, as (rows / den)^-1 = den . rows^-1."""
+    n, p = len(rows), ring.p
+    norm = (lambda x: x % p) if p else (lambda x: x)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        scale = pow(work[col][col], -1, p) if p else Fraction(1, work[col][col])
+        work[col] = [norm(scale * x) for x in work[col]]
+        for r, row in enumerate(work):
+            if r != col and (f := row[col]):
+                work[r] = [norm(x - f * y) for x, y in zip(row, work[col])]
+    inv = [[den * x for x in row[n:]] for row in work]  # Fractions in lowest terms, or residues
+    lcd = math.lcm(*(x.denominator for row in inv for x in row))
+    return [[x.numerator * (lcd // x.denominator) for x in row] for row in inv], lcd
 
 
 def transform(A: Msc, g: BasisChange) -> Msc:
     """The basis-change action g . A . (g^-1)^(tensor n)."""
     if g.dim != A.dim:
         raise ValueError(f"basis change of dim {g.dim} cannot act on dim {A.dim}")
-    if g.mat.ring != A.ring:
+    if g.ring != A.ring:
         raise ValueError("basis change and algebra must share one field")
-    ring, inv = A.ring, _to_ints(g.inv_mat)
-    raw = _nest_ints(ring, _to_ints(g.mat), 1, 1, (A.rows, A.den))
+    raw = _nest_ints(A.ring, (g.rows, g.den), 1, 1, (A.rows, A.den))
     for slot in range(1, A.arity + 1):
-        raw = _nest_ints(ring, raw, A.arity, slot, inv)
-    return Msc._of(ring, A.dim, A.arity, *raw)
+        raw = _nest_ints(A.ring, raw, A.arity, slot, g.inv)
+    return Msc._of(A.ring, A.dim, A.arity, *raw)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +655,6 @@ def msc_from_doc(doc) -> Msc:
             f"msc: field 'entries' must be a {dim}x{width} array of scalar strings"
         )
     try:
-        mat = Matrix.from_strings(ring, entries)
-    except rg.ScalarParseError as exc:
+        return Msc.from_strings(ring, dim, arity, entries)
+    except (rg.ScalarParseError, ZeroDivisionError) as exc:
         raise ValueError(f"msc: bad entry: {exc}") from exc
-    return Msc(dim, arity, mat)

@@ -32,7 +32,6 @@ __all__ = [
     "from_fraction",
     "variable",
     "reduce_mod",
-    "lift_rational",
     "as_fraction",
     "is_prime",
     "ring_to_doc",
@@ -465,15 +464,6 @@ def variable(ring: Ring, name: str) -> RingElem:
     i = ring.var_index(name)
     mono = tuple(1 if j == i else 0 for j in range(len(ring.vars)))
     return RingElem(ring, {mono: Fraction(1)})
-
-
-def lift_rational(q, ring: Ring) -> RingElem:
-    """Embed a rational constant (Fraction/int/RingElem over Q) into ``ring``."""
-    if isinstance(q, RingElem):
-        if q.ring.kind != "Q":
-            raise ValueError("lift_rational expects a rational value")
-        q = q.v
-    return from_fraction(ring, q)
 
 
 def as_fraction(value) -> Fraction:

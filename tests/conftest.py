@@ -30,7 +30,8 @@ def golden_argv(argv):
 
 def nest(outer, arity, slot, inner):
     """The contraction kernel msc._nest_ints on Matrix operands, as a Matrix."""
-    ints = msc._nest_ints(outer.ring, msc._to_ints(outer), arity, slot, msc._to_ints(inner))
+    ints = msc._nest_ints(outer.ring, msc._to_ints(outer.ring, outer.rows), arity, slot,
+                          msc._to_ints(inner.ring, inner.rows))
     return msc._from_ints(outer.ring, *ints)
 
 

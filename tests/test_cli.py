@@ -676,8 +676,9 @@ def test_no_command_reaches_a_reference_path(capsys, tmp_path, monkeypatch):
                         (polysolve, "solve_ff_reference"), (polysolve, "reduce_poly"),
                         (polysolve, "groebner_selfcheck")):
         monkeypatch.setattr(owner, name, refuse)
-    # an algebra's Matrix of RingElems, and a polynomial system's RingElems,
-    # are built only where one is asked for
+    # no command builds a Matrix: an algebra's Matrix of RingElems, and a
+    # polynomial system's RingElems, are built only where one is asked for
+    monkeypatch.setattr(msc.Matrix, "__init__", refuse)
     monkeypatch.setattr(msc.Msc, "mat", property(refuse))
     monkeypatch.setattr(polysolve.PolySystem, "polys", property(refuse))
     assert [run_cli(capsys, *argv) for argv in argvs] == expected

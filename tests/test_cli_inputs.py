@@ -160,6 +160,20 @@ def test_a_long_malformed_entry_gives_a_short_diagnostic(tmp_path, entry):
     assert len(message) < 200
 
 
+@pytest.mark.parametrize("entry, why", [("1/5", "denominator of 1/5 vanishes mod 5"),
+                                        ("1/0", "zero denominator in '1/0'")],
+                         ids=["vanishing-mod-p", "zero"])
+def test_a_bad_denominator_is_a_bad_entry(tmp_path, entry, why):
+    # a denominator that p divides used to escape without the document's prefix
+    path = tmp_path / "gf5.json"
+    path.write_text(json.dumps({"dim": 1, "arity": 2, "ring": {"kind": "GF", "p": 5},
+                                "entries": [[entry]]}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["assoc", "--input", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"trialg: msc: bad entry: {why}\n")
+
+
 @pytest.mark.parametrize("argv, prime", [
     (["express", "--name", "Cstar", "--no-groebner", "--primes=5,5"], 5),
     (["express", "--name", "Cstar", "--primes=7,5,11,7"], 7),

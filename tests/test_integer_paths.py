@@ -1,17 +1,22 @@
 """Each integer fast path against the code it replaces.
 
-The commands read plain entries without the tokenizer, hold algebras as
-the contraction kernel's integer numerators, print generated algebras and
-associativity reports from them, and specialize catalog templates in
-integers.  Each of those paths is checked here against the RingElem path it
-stands in for: the scalar parser, the Matrix of _from_ints and its
-to_strings(), nesting on Matrices, the report built from
-total_assoc_residuals / binary_assoc_residual, quintuple_oracle, and
-rg.substitute entry by entry.
+The commands read plain entries without the tokenizer, hold algebras and
+basis changes as the contraction kernel's integer numerators, print
+generated algebras and associativity reports from them, specialize catalog
+templates in integers, and parse documents straight to them.  Each of
+those paths is checked here against the RingElem path it stands in for:
+the scalar parser, the Matrix of _from_ints and its to_strings(), nesting
+on Matrices, the report built from total_assoc_residuals /
+binary_assoc_residual, quintuple_oracle, rg.substitute entry by entry, the
+Matrix products g . g^-1 and g . A . (g^-1)^(tensor n), and the Matrix of
+a document's parsed entries.
 """
 
 import sys
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +31,16 @@ from trialg.identities import (
     quintuple_oracle,
     total_assoc_residuals,
 )
-from trialg.msc import Matrix, Msc, column_tuple, msc_to_doc
+from trialg.msc import (
+    BasisChange,
+    Matrix,
+    Msc,
+    column_tuple,
+    kron,
+    msc_from_doc,
+    msc_to_doc,
+    transform,
+)
 
 from conftest import nest
 
@@ -124,7 +138,7 @@ def test_an_algebra_on_kernel_output_is_the_algebra_of_its_matrix(data, ring, sh
     B = Msc(dim, arity, msc._from_ints(ring, rows, den))
     assert A == B and hash(A) == hash(B)
     # lowest terms: exactly the pair the Matrix converts to
-    assert (A.rows, A.den) == msc._to_ints(A.mat) == (B.rows, B.den)
+    assert (A.rows, A.den) == msc._to_ints(A.ring, A.mat.rows) == (B.rows, B.den)
     assert A.mat == B.mat
     assert msc_to_doc(A) == msc_to_doc(B) == {
         "dim": dim, "arity": arity, "ring": rg.ring_to_doc(ring),
@@ -264,3 +278,96 @@ def test_specialize_keeps_the_substitution_refusals():
         assert issubclass(got[0], ValueError)
     with pytest.raises(ValueError, match="missing variable 'b'"):
         A.specialize({"a": 1, "c": 2})
+
+
+# ---------------------------------------------------------------------------
+# basis changes and documents on integer rows
+# ---------------------------------------------------------------------------
+
+BASIS_FIELDS = (Q, rg.prime_field(2), rg.prime_field(5), rg.prime_field(3037000493))
+
+
+def leibniz_det(rows):
+    """The determinant of a square matrix of Fractions or ints, by the
+    permutation expansion."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        sign = (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1:])
+        total += sign * prod(rows[r][c] for r, c in enumerate(perm))
+    return total
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from(BASIS_FIELDS), m=st.integers(1, 3),
+       arity=st.integers(2, 3))
+def test_a_basis_change_and_its_inverse_are_integer_rows(data, ring, m, arity):
+    values = (st.integers(0, ring.p - 1) if ring.kind == "GF"
+              else st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+    rows = data.draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=m, max_size=m))
+    mat = Matrix(ring, [[rg.from_fraction(ring, x) for x in row] for row in rows])
+    det = leibniz_det(rows)
+    if (det % ring.p if ring.kind == "GF" else det) == 0:
+        with pytest.raises(ValueError) as refused:
+            BasisChange(mat)
+        assert str(refused.value) == "matrix is singular"
+        return
+    g = BasisChange(mat)
+    assert g.mat == mat and g.to_strings() == mat.to_strings()
+    ident = Matrix.identity(ring, m)
+    assert g.mat * g.inv_mat == ident == g.inv_mat * g.mat
+    A = data.draw(sparse_algebras(m, arity, ring))
+    B = transform(A, g)
+    assert B.mat == (g.mat * A.mat) * reduce(kron, [g.inv_mat] * arity)
+    assert transform(B, BasisChange(g.inv_mat)) == A
+    if ring.kind == "GF":
+        # a witness as the isomorphism search builds it, from residues
+        witness = BasisChange._of(ring, [list(row) for row in rows])
+        assert witness == g and hash(witness) == hash(g)
+        assert (witness.inv, witness.to_strings()) == (g.inv, g.to_strings())
+    if m > 1:
+        with pytest.raises(ValueError) as refused:
+            BasisChange(Matrix(ring, mat.rows[:-1]))
+        assert str(refused.value) == "basis change must be square"
+
+
+def document_via_matrix(doc):
+    """msc_from_doc's reference on a well-shaped document: the Matrix of the
+    parsed entries, every bad entry refused with the document's prefix."""
+    try:
+        mat = Matrix.from_strings(rg.ring_from_doc(doc["ring"]), doc["entries"])
+    except (rg.ScalarParseError, ZeroDivisionError) as exc:
+        raise ValueError(f"msc: bad entry: {exc}") from exc
+    return Msc(doc["dim"], doc["arity"], mat)
+
+
+ENTRY_TEXTS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-20, 20), st.integers(0, 15)),
+    st.sampled_from(["a", "-b", "a*b - 1/2", "(a+b)^2", "2*(3/10)", "a/2", "1/x", "", "x"]),
+)
+
+
+@SETTINGS
+@given(data=st.data(), ring=st.sampled_from((Q, rg.prime_field(5), rg.prime_field(7), POLY)),
+       shape=SHAPES)
+def test_a_document_parses_to_the_algebra_of_its_matrix(data, ring, shape):
+    dim, arity = shape
+    entries = [[data.draw(ENTRY_TEXTS) for _ in range(dim ** arity)] for _ in range(dim)]
+    doc = {"dim": dim, "arity": arity, "ring": rg.ring_to_doc(ring), "entries": entries}
+    got, expected = outcome(msc_from_doc, doc), outcome(document_via_matrix, doc)
+    assert got == expected
+    if isinstance(got, Msc):
+        assert hash(got) == hash(expected) and msc_to_doc(got) == msc_to_doc(expected)
+
+
+@pytest.mark.parametrize("dim, arity, rows", [
+    (1, 2, [["2"]]), (2, 2, [["1", "0", "a/2", "0"], ["0"] * 4]), (1, 2, []), (1, 2, [[]]),
+    (2, 2, [["1", "0", "0", "0"], ["0"] * 3]), (0, 2, [["1"]]), (1, 1, [["1"]]),
+    (2, 2, [["1", "0", "0"], ["0"] * 3]), (2, 2, [["1", "x", "0", "0"], ["0"] * 4]),
+])
+@pytest.mark.parametrize("ring", [Q, rg.prime_field(5), POLY])
+def test_from_strings_builds_and_refuses_as_the_matrix_path(dim, arity, rows, ring):
+    assert (outcome(Msc.from_strings, ring, dim, arity, rows)
+            == outcome(lambda: Msc(dim, arity, Matrix.from_strings(ring, rows))))
+    assert (outcome(Msc.zero, ring, dim, arity)
+            == outcome(lambda: Msc(dim, arity, Matrix.zeros(ring, dim, dim ** arity))))

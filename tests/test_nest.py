@@ -445,9 +445,10 @@ def peak_bytes(fn):
 
 # (caller, its operand, the call, the operand conversions it makes, result
 # shape): every result row is far larger than the conversions' row copies;
-# only the Matrix helper nest converts, the others read the algebra's integers
+# only the Matrix helper nest converts (its operand is a Matrix), the others
+# read the algebra's integers
 BUDGET_CASES = {
-    "nest": (sparse_algebra(5, 3, 1), lambda A: nest(A.mat, 3, 2, A.mat), 2, (5, 5 ** 5)),
+    "nest": (sparse_algebra(5, 3, 1).mat, lambda a: nest(a, 3, 2, a), 2, (5, 5 ** 5)),
     "generate_nary": (sparse_algebra(5, 2, 2), lambda M: generate_nary(M, 5), 0, (5, 5 ** 5)),
     "total_assoc_residuals": (sparse_algebra(5, 3, 3), total_assoc_residuals, 0, (5, 5 ** 5)),
     "total_assoc_residuals over Q[a, b]": (sparse_algebra(5, 3, 5, POLY), total_assoc_residuals,
@@ -463,7 +464,7 @@ def test_budget_holds_on_every_path_into_the_kernel(caller, monkeypatch):
     monkeypatch.setattr(msc, "_MAX_ENTRIES", nrows * ncols)
     call(A)
     monkeypatch.setattr(msc, "_MAX_ENTRIES", nrows * ncols - 1)
-    baseline, _ = peak_bytes(lambda: [msc._to_ints(A.mat) for _ in range(conversions)])
+    baseline, _ = peak_bytes(lambda: [msc._to_ints(A.ring, A.rows) for _ in range(conversions)])
     peak, error = peak_bytes(lambda: call(A))
     assert error is not None and f"exceeds {nrows * ncols - 1} entries" in str(error)
     # refused before allocating even one result row (8 bytes per slot)
