@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in (
-        ("ring", "Ring RingElem rationals prime_field polynomial_ring parse_scalar substitute"),
+        ("ring", "Ring RingElem prime_field polynomial_ring parse_scalar substitute"),
         ("msc", "Matrix Msc BasisChange kron eval_product transform basis_vector "
                 "msc_to_doc msc_from_doc"),
         ("generate", "generate_nary expressibility_residual symbolic_system"),

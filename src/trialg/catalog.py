@@ -13,7 +13,7 @@ replay whose findings match those sets exactly is considered clean.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from . import ring as rg
 from .generate import expressibility_residual, generate_nary
@@ -24,7 +24,7 @@ from .identities import (
 )
 from .iso import DEFAULT_EVIDENCE_PRIMES, iso_search
 from .msc import Msc, column_tuple, msc_to_doc
-from .polysolve import PolySystem, _int_poly, _int_value, _integer_form, certify_expressibility
+from .polysolve import PolySystem, _int_poly, _lowest_terms, certify_expressibility, grid_zeros
 
 __all__ = [
     "FamilyEntry",
@@ -479,7 +479,8 @@ def totassoc_constraints(family: str):
     """The total-associativity residual entries of a parametric family, as
     a polynomial system in the family's parameters: each distinct nonzero
     entry once, built from the residuals' integer rows, ordered by term
-    count and then by sorted monomials."""
+    count and then by sorted monomials; only the entries kept are brought
+    to PolySystem's layout."""
     entry = _parametric_ternary(family)
     seen = set()
     constraints = []
@@ -487,14 +488,14 @@ def totassoc_constraints(family: str):
         for row in residual.rows:
             for d in row:
                 if d:
-                    L, nums = _int_poly(d, residual.den)
+                    L, nums = _lowest_terms(d, residual.den)
                     # a lowest-terms pair is the polynomial's one integer key
                     key = (L, frozenset(nums.items()))
                     if key not in seen:
                         seen.add(key)
                         constraints.append((L, nums))
     constraints.sort(key=lambda c: (len(c[1]), sorted(c[1])))
-    return PolySystem._of(entry.msc.ring, constraints)
+    return PolySystem._of(entry.msc.ring, [_int_poly(nums, L) for L, nums in constraints])
 
 
 _MAX_SCAN_POINTS = 10 ** 5  # grid points a scan may span, counted before pruning
@@ -503,48 +504,21 @@ _MAX_SCAN_POINTS = 10 ** 5  # grid points a scan may span, counted before prunin
 def totassoc_scan(family: str, grid=None):
     """Grid points at which a parametric ternary family is totally associative.
 
-    The family's symbolic residuals are computed once and each nonzero entry
-    is filed under the last parameter it uses (a constant under the first).
-    The grid is walked depth first over the sorted axes, first parameter
-    most significant; an entry is tested as soon as its last parameter is
-    assigned, and a prefix that fails one is dropped with every completion
-    below it.  Points are returned in lexicographic order over the sorted
-    grid axes, once per repeated grid value, exactly as a test of every grid
-    point would list them.  A grid of more than _MAX_SCAN_POINTS points is
-    refused with ValueError before any test.
-
-    The test is exact and in integers: every grid value is a numerator over
-    D, the lcm of all the grid's denominators, and an entry vanishes at a
-    point exactly when its integer form (polysolve._integer_form),
-    homogenized by D, sums to 0 at the numerators.
+    The family's residual system (totassoc_constraints) is solved on the
+    grid by polysolve.grid_zeros, an exact integer walk over the sorted
+    grid axes, first parameter most significant, that drops a prefix as
+    soon as an entry whose parameters are all assigned fails.  Points are
+    returned in lexicographic order over the sorted grid axes, once per
+    repeated grid value, exactly as a test of every grid point would list
+    them.  A grid of more than _MAX_SCAN_POINTS points is refused with
+    ValueError before any test.
     """
     entry = _parametric_ternary(family)
     axes = _scan_axes(entry, grid)
     size = prod(len(axis) for axis in axes)
     if size > _MAX_SCAN_POINTS:
         raise ValueError(f"a grid of {size} points exceeds the scan budget of {_MAX_SCAN_POINTS}")
-    polys, top = _integer_form(totassoc_constraints(family))
-    buckets = [[] for _ in axes]
-    for _, terms in polys:
-        buckets[max((i for _, factors, _ in terms for i, _ in factors), default=0)].append(terms)
-    D = lcm(*(x.denominator for axis in axes for x in axis))
-    dpows = [D ** k for k in range(top + 1)]
-    levels = [[(x, x.numerator * (D // x.denominator)) for x in axis] for axis in axes]
-    return list(_walk(levels, buckets, dpows, [None] * len(axes), [None] * len(axes)))
-
-
-def _walk(levels, buckets, dpows, point, nums, k=0):
-    """Yield, in walk order, the grid points that extend the prefix point[:k]
-    (whose numerators over D are nums[:k]) and make every entry of
-    buckets[k:] vanish.  A module-level generator: a nested function that
-    calls itself is a reference cycle, which kept the scan's tables alive
-    until a full garbage collection."""
-    for point[k], nums[k] in levels[k]:
-        if not any(_int_value(terms, nums, dpows) for terms in buckets[k]):
-            if k + 1 < len(levels):
-                yield from _walk(levels, buckets, dpows, point, nums, k + 1)
-            else:
-                yield tuple(point)
+    return grid_zeros(totassoc_constraints(family), axes)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,8 @@ def symbolic_system(C: Msc):
     of e_k in mu(e_r, e_s)) ordered k, r, s, and has one polynomial of degree
     n - 1 per structure constant of C, zero polynomials dropped.  The
     polynomials are the nonzero entries of the residual generate_nary(H, n)
-    - C, row by row, taken from its integer rows as the lowest-terms
-    numerator pairs that PolySystem holds, with no Fraction formed.
+    - C, row by row, brought from its integer rows to PolySystem's integer
+    layout (_int_poly), with no Fraction formed.
 
     A shape past the contraction's budgets is refused before any ring is
     built, with the kernel's message.  The work count is that of the last

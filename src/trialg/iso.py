@@ -15,22 +15,24 @@ scan, that is decisive mod p only.  Equal invariants decide nothing, and
 the scan below runs as before.
 
 The search writes the equivalent identity B . g^(tensor n) = g . A, together
-with t . det(g) = 1 for invertibility, as one polynomial system in the
-entries of g and t, and hands it as an integer form to polysolve's sweep
-core, the one path that sweeps take too.  A and B are reduced mod p once
-(Msc.reduce_mod): the witnesses are verified on those GF(p) algebras, and
-their residue rows serve the invariants and the system.  The system is
-expanded straight from them: each entry of B . g^(tensor n) is a sum of
-products of entries of g, collected by monomial in plain ints, and det(g)
-is the permutation expansion.  An algebra whose expansion would form more
-than msc's _MAX_ENTRIES products, or whose arity reaches that budget's bit
-length (19), is refused before anything is built; past that the core's row
-budget (polysolve's _MAX_TOTAL_ROWS) is the only limit, so no input runs
-without end.  Candidates g come out in row-major lexicographic order of
-their entries over 0..p-1, so results are reproducible bit for bit.  Each
-witness, those residues held as integer rows (BasisChange._of), is
-re-checked by the core's scalar path and verified exactly (iso_verify).
-Like a sweep, a search keeps at most polysolve's _MAX_WITNESSES witnesses.
+with t . det(g) = 1 for invertibility, as one PolySystem over Q[g11, ...,
+gmm, t], and hands it to polysolve's sweep core, the one path that sweeps
+take too.  A and B are reduced mod p once (Msc.reduce_mod): the witnesses
+are verified on those GF(p) algebras, and their residue rows serve the
+invariants and the system.  The system is expanded straight from them:
+each entry of B . g^(tensor n) is a sum of products of entries of g,
+collected by monomial in plain ints, and det(g) is the permutation
+expansion.  Fed integer numerators instead, the same builder poses the
+system over Q, for Buchberger and the rational lift.  An algebra whose
+expansion would form more than msc's _MAX_ENTRIES products, or whose arity
+reaches that budget's bit length (19), is refused before anything is
+built; past that the core's row budget (polysolve's _MAX_TOTAL_ROWS) is
+the only limit, so no input runs without end.  Candidates g come out in
+row-major lexicographic order of their entries over 0..p-1, so results are
+reproducible bit for bit.  Each witness, those residues held as integer
+rows (BasisChange._of), is re-checked by the core's scalar path and
+verified exactly (iso_verify).  Like a sweep, a search keeps at most
+polysolve's _MAX_WITNESSES witnesses.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from itertools import product as iter_product
 from . import msc, polysolve
 from . import ring as rg
 from .msc import BasisChange, Msc, transform
-from .polysolve import _check_modulus, _sweep
+from .polysolve import PolySystem, _check_modulus, _sweep
 
 __all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
            "DEFAULT_EVIDENCE_PRIMES"]
@@ -122,49 +124,52 @@ def _invariants(a, m: int, n: int, p: int):
 
 @functools.lru_cache(maxsize=4)
 def _expansion(m: int, n: int):
-    """Per column I of B . g^(tensor n), the monomial g[j1, i1] ... g[jn, in]
-    that each column J of B contributes, as (variable, exponent) pairs.  It
-    depends on the shape alone, so one table serves every search of it."""
+    """The ring Q[g11, ..., gmm, t] of the shape's system, and per column I
+    of B . g^(tensor n) the monomial g[j1, i1] ... g[jn, in] that each
+    column J of B contributes, as (variable, exponent) pairs.  Both depend
+    on the shape alone, so they serve every search of it."""
+    idx = range(1, m + 1)
+    ring = rg.polynomial_ring([f"g{r}{c}" for r in idx for c in idx] + ["t"])
     cols = list(iter_product(range(m), repeat=n))
-    return tuple(
+    return ring, tuple(
         tuple(tuple(sorted(Counter(j * m + i for j, i in zip(J, I)).items())) for J in cols)
         for I in cols
     )
 
 
-def _iso_polys(a, b, m: int, n: int):
+def _iso_polys(a, b, m: int, n: int) -> PolySystem:
     """B . g^(tensor n) - g . A and t . det(g) - 1 for the integer rows a, b,
-    as an integer form (polysolve._integer_form) with L = 1.
+    as a PolySystem over Q[g11, ..., gmm, t] with L = 1.
 
     Variable r * m + c is g's entry (r, c) and m * m is t.  Entry (k, I) of
     B . g^(tensor n) is the sum over B's columns J of B[k, J] . g[j1, i1]
-    ... g[jn, in], of degree n; the terms of g . A are linear, n - 1 below
-    the degree of an entry that keeps a term of B (n >= 2, so the two never
-    share a monomial).  The polynomials come in row-major order of (k, I),
-    then the determinant equation; zero coefficients and polynomials that
-    cancel are left out.  It never reduces to a nonzero constant mod p.
+    ... g[jn, in], of degree n; the terms of g . A are linear (n >= 2, so
+    the two never share a monomial).  The polynomials come in row-major
+    order of (k, I), then the determinant equation; zero coefficients and
+    polynomials that cancel are left out.  It never reduces to a nonzero
+    constant mod p.
     """
+    ring, expansion = _expansion(m, n)
     polys = []
     for k, brow in enumerate(b):
         terms = [(J, c) for J, c in enumerate(brow) if c]
         linear = [((k * m + l, 1),) for l in range(m)]
-        for I, monomials in enumerate(_expansion(m, n)):
+        for I, monomials in enumerate(expansion):
             high = {}
             for J, c in terms:
                 mono = monomials[J]
                 high[mono] = high.get(mono, 0) + c
-            poly = [(c, mono, 0) for mono, c in high.items() if c]
-            gap = n - 1 if poly else 0
-            poly += [(-arow[I], mono, gap) for mono, arow in zip(linear, a) if arow[I]]
+            poly = [(c, mono, n) for mono, c in high.items() if c]
+            poly += [(-arow[I], mono, 1) for mono, arow in zip(linear, a) if arow[I]]
             if poly:
                 polys.append((1, tuple(poly)))
-    unit = [(-1, (), m + 1)]
+    unit = [(-1, (), 0)]
     for perm in permutations(range(m)):
         inversions = sum(x > y for s, x in enumerate(perm) for y in perm[s + 1:])
         mono = tuple((r * m + c, 1) for r, c in enumerate(perm)) + ((m * m, 1),)
-        unit.append((-1 if inversions % 2 else 1, mono, 0))
+        unit.append((-1 if inversions % 2 else 1, mono, m + 1))
     polys.append((1, tuple(unit)))
-    return tuple(polys), max(n, m + 1)
+    return PolySystem._of(ring, polys)
 
 
 def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
@@ -211,7 +216,7 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     Ap, Bp = A.reduce_mod(p), B.reduce_mod(p)
     if _invariants(Ap.rows, m, n, p) != _invariants(Bp.rows, m, n, p):
         return []
-    hits = _sweep(_iso_polys(Ap.rows, Bp.rows, m, n), m * m + 1, p,
+    hits = _sweep(_iso_polys(Ap.rows, Bp.rows, m, n), p,
                   polysolve._MAX_WITNESSES if find_all else 1)
     witnesses = []
     for values in hits:

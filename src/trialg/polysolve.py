@@ -30,7 +30,7 @@ Two engines back every verdict:
   ints (_Packing): one field per variable under a guard bit, the total
   degree on top, so that products, quotients, divisibility, lcms and
   grevlex comparisons are a few int operations.  The inputs are packed
-  straight from the system's integer numerators, and the monic reduced
+  straight from the system's integer terms, and the monic reduced
   basis and cofactors become Fractions, unpacked, once on exit; the
   fields are sized so that no exponent passes one unnoticed.  Besides the
   max_pairs and max_degree caps, the pairs a run may form
@@ -41,17 +41,17 @@ rational-reconstruction lift of any witness found, verified exactly over
 Q) followed by the Groebner run, reporting the strongest outcome with all
 evidence attached.
 
-A system holds each polynomial as integer numerators over a denominator L
-in lowest terms (PolySystem.int_polys), and has one integer encoding for
-evaluation, its integer form, built from those at first use and kept: each
-polynomial times L, each term an integer coefficient, its variable factors
-and its degree gap to the polynomial's degree.  The sweep core takes it (iso.py builds its own, with
-L = 1) and reduces it mod p (c * L^-1 per term); p dividing L is refused.
-A point n / d (one denominator d for all variables) zeroes a polynomial
-exactly when the sum of c * d^gap * prod n_i^e is 0: rational-lift
-candidates are tested so, and so is every point of catalog.totassoc_scan.
-A sweep hit's scalar re-check, independent of the vectorized path, fails
-when p divides L and otherwise asks the sum of c * prod v^e to be 0 mod p.
+A system holds each polynomial in one integer layout (PolySystem.int_polys),
+built with the system and read by every evaluator: the pair (L, terms) in
+lowest terms, the polynomial times L being the sum of its terms, each term
+an integer coefficient c, its variable factors and its degree d.  The sweep
+reduces it mod p (c * L^-1 per term); p dividing L is refused.  With top the
+system's largest degree, a point n / D (one denominator D for all
+variables) zeroes a polynomial exactly when the sum of c * D^(top - d) *
+prod n_i^e is 0: rational-lift candidates are tested so, and so is every
+point of a grid (grid_zeros, which catalog.totassoc_scan calls).  A sweep
+hit's scalar re-check, independent of the vectorized path, fails when p
+divides L and otherwise asks the sum of c * prod v^e to be 0 mod p.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ __all__ = [
     "certify_expressibility",
     "reduce_poly",
     "groebner_selfcheck",
+    "grid_zeros",
     "DEFAULT_CAPS",
 ]
 
@@ -96,12 +97,13 @@ _MAX_DEGREE_CAP = 1 << 10
 class PolySystem:
     """A finite set of polynomials over one Q[vars] ring; zero polys dropped.
 
-    Each polynomial is held as integers, the pair (L, {monomial: int}) in
-    lowest terms: the polynomial is the dict over L.  ``polys`` is a view
-    of them as RingElems, built on each access, for documents and oracles.
+    Each polynomial is held in the integer layout of _int_poly, the pair
+    (L, terms) in lowest terms, and ``top`` is the largest degree of a
+    term (0 for no polynomial).  ``polys`` is a view of them as RingElems,
+    built on each access, for documents and oracles.
     """
 
-    __slots__ = ("ring", "int_polys", "_ints")
+    __slots__ = ("ring", "int_polys", "top")
 
     def __init__(self, ring: Ring, polys):
         if ring.kind != "poly":
@@ -111,25 +113,29 @@ class PolySystem:
             if not isinstance(p, RingElem) or (p.ring is not ring and p.ring != ring):
                 raise ValueError("system polynomial outside the declared ring")
             if not p.is_zero():
-                kept.append(_numerators(p.v))
-        self.ring = ring
-        self.int_polys = tuple(kept)
-        self._ints = None  # the integer form, built by _integer_form
+                L, nums = _numerators(p.v)
+                kept.append(_int_poly(nums, L))
+        self._init(ring, kept)
 
     @classmethod
     def _of(cls, ring: Ring, int_polys) -> "PolySystem":
-        """The system of nonzero (L, {monomial: int}) pairs in lowest terms
-        (_int_poly), taken as they are; the dicts are shared, never changed."""
+        """The system of nonzero polynomials in _int_poly's layout, taken as
+        they are."""
         system = cls.__new__(cls)
-        system.ring, system.int_polys, system._ints = ring, tuple(int_polys), None
+        system._init(ring, int_polys)
         return system
+
+    def _init(self, ring, int_polys):
+        self.ring, self.int_polys = ring, tuple(int_polys)
+        self.top = max((d for _, terms in self.int_polys for _, _, d in terms), default=0)
 
     @property
     def polys(self) -> tuple:
         """The polynomials as RingElems, built on each access."""
-        ring = self.ring
-        return tuple(RingElem(ring, {m: Fraction(c, L) for m, c in nums.items()})
-                     for L, nums in self.int_polys)
+        ring, n = self.ring, len(self.ring.vars)
+        return tuple(RingElem(ring, {tuple(dict(f).get(i, 0) for i in range(n)): Fraction(c, L)
+                                     for c, f, _ in terms})
+                     for L, terms in self.int_polys)
 
     @property
     def vars(self):
@@ -153,12 +159,22 @@ class PolySystem:
         return f"PolySystem({len(self.int_polys)} polys in {', '.join(self.vars)})"
 
 
-def _int_poly(nums: dict, den: int):
+def _lowest_terms(nums: dict, den: int):
     """The polynomial nums / den (nonzero integer coefficients, den > 0) as
-    the lowest-terms pair (L, {monomial: int}) that PolySystem holds; nums
-    itself when it is already in lowest terms."""
+    the pair (L, {monomial: int}) in lowest terms; nums itself when it
+    already is."""
     g = math.gcd(den, *nums.values())
     return (den, nums) if g == 1 else (den // g, {m: c // g for m, c in nums.items()})
+
+
+def _int_poly(nums: dict, den: int):
+    """The polynomial nums / den (_lowest_terms' input) in the layout that
+    PolySystem holds: (L, terms) in lowest terms, each term (c, factors, d)
+    for the term c * x^mono of L times the polynomial, ``factors`` the
+    (variable index, exponent) pairs of mono and d its degree."""
+    L, nums = _lowest_terms(nums, den)
+    return L, tuple((c, tuple((i, e) for i, e in enumerate(mono) if e), sum(mono))
+                    for mono, c in nums.items())
 
 
 class SolveOutcome:
@@ -210,15 +226,15 @@ class SolveOutcome:
 # exhaustive finite-field sweep
 # ---------------------------------------------------------------------------
 
-def _compile_mod_p(form, p: int):
-    """Reduce every polynomial of an integer form (_integer_form) mod p to a
-    list of (coeff, factors) terms: c * L^-1 mod p for each term c of L times
-    the polynomial, ``factors`` the (variable index, exponent) pairs of its
+def _compile_mod_p(system: PolySystem, p: int):
+    """Reduce every polynomial of the system mod p to a list of (coeff,
+    factors) terms: c * L^-1 mod p for each term c of L times the
+    polynomial, ``factors`` the (variable index, exponent) pairs of its
     monomial.  Returns (compiled, obstructed) where obstructed means some
     polynomial reduced to a nonzero constant, so no assignment can work.
     """
     compiled = []
-    for L, terms in form[0]:
+    for L, terms in system.int_polys:
         if L % p == 0:
             q = next(q for c, _, _ in terms if (q := Fraction(c, L)).denominator % p == 0)
             raise ValueError(f"prime {p} divides the denominator of coefficient {q}")
@@ -409,10 +425,10 @@ def _descend(np, p, buckets, tables, prefixes, built=0):
     return built
 
 
-def _sweep(form, nvars, p, cap):
-    """The first ``cap`` assignments in GF(p)^nvars, in lexicographic order,
-    that zero every polynomial of an integer form (_integer_form's layout),
-    or None when the form reduces mod p to a nonzero constant.
+def _sweep(system: PolySystem, p, cap):
+    """The first ``cap`` assignments of the system's variables over GF(p),
+    in lexicographic order, that zero every polynomial of the system, or
+    None when it reduces mod p to a nonzero constant.
 
     The one path to the enumerator, for a sweep and an isomorphism search
     alike.  The modulus is checked before anything is compiled, so whether
@@ -420,11 +436,11 @@ def _sweep(form, nvars, p, cap):
     _check_assignment_mod_p; EnumerationBudgetError propagates.
     """
     _check_modulus(p)
-    compiled, obstructed = _compile_mod_p(form, p)
+    compiled, obstructed = _compile_mod_p(system, p)
     if obstructed:
         return None
-    hits = _enumerate(compiled, p, nvars, cap)
-    if not all(_check_assignment_mod_p(form, p, values) for values in hits):
+    hits = _enumerate(compiled, p, len(system.vars), cap)
+    if not all(_check_assignment_mod_p(system, p, values) for values in hits):
         raise RuntimeError("sweep produced an assignment the scalar check rejects")
     return hits
 
@@ -443,10 +459,9 @@ def solve_ff_exhaustive(system: PolySystem, p: int) -> SolveOutcome:
     effort["row_budget_hit"].
     """
     gf = rg.prime_field(p)
-    nvars = len(system.vars)
-    effort = {"prime": p, "assignments": p ** nvars, "exhaustive": True}
+    effort = {"prime": p, "assignments": p ** len(system.vars), "exhaustive": True}
     try:
-        hits = _sweep(_integer_form(system), nvars, p, _MAX_WITNESSES)
+        hits = _sweep(system, p, _MAX_WITNESSES)
     except EnumerationBudgetError:
         effort.update(exhaustive=False, row_budget_hit=True)
         return SolveOutcome("inconclusive", prime=p, effort=effort)
@@ -461,43 +476,59 @@ def solve_ff_exhaustive(system: PolySystem, p: int) -> SolveOutcome:
     return SolveOutcome("witness", witness=witness, prime=p, effort=effort, witnesses=hits)
 
 
-def _integer_form(system: PolySystem):
-    """The system's polynomials as (L, terms) pairs, built on first use and
-    kept: L is the polynomial's denominator (PolySystem.int_polys) and each
-    term of L times the polynomial is (integer coefficient, factors, degree
-    gap), ``factors`` the (variable index, exponent) pairs of its monomial
-    and the gap its degree's distance to the polynomial's degree.  Returns
-    (polys, top), ``top`` the largest degree, which bounds every gap."""
-    if system._ints is None:
-        polys, top = [], 0
-        for L, nums in system.int_polys:
-            degree = max(map(sum, nums))
-            polys.append((L, tuple(
-                (c, tuple((i, e) for i, e in enumerate(mono) if e), degree - sum(mono))
-                for mono, c in nums.items()
-            )))
-            top = max(top, degree)
-        system._ints = tuple(polys), top
-    return system._ints
-
-
 def _int_value(terms, values, dpows):
-    """The sum over ``terms`` of c * dpows[gap] * prod values[i]^e."""
+    """The sum over ``terms`` of c * dpows[d] * prod values[i]^e."""
     total = 0
-    for c, factors, gap in terms:
+    for c, factors, d in terms:
         for i, e in factors:
             c *= values[i] ** e
-        total += c * dpows[gap]
+        total += c * dpows[d]
     return total
 
 
-def _check_assignment_mod_p(form, p: int, values) -> bool:
+def _check_assignment_mod_p(system: PolySystem, p: int, values) -> bool:
     """Scalar re-check of one assignment, independent of the vectorized path:
-    every polynomial of the integer form is 0 mod p at ``values``, and p
-    divides none of its denominators."""
-    polys, top = form
-    ones = (1,) * (top + 1)
-    return all(L % p and _int_value(terms, values, ones) % p == 0 for L, terms in polys)
+    every polynomial of the system is 0 mod p at ``values``, and p divides
+    none of its denominators."""
+    ones = (1,) * (system.top + 1)
+    return all(L % p and _int_value(terms, values, ones) % p == 0
+               for L, terms in system.int_polys)
+
+
+def grid_zeros(system: PolySystem, axes):
+    """The points of the grid axes[0] x axes[1] x ... (one axis of
+    rationals per variable) at which every polynomial of the system
+    vanishes, in lexicographic order of the axes as given, once per
+    repeated value, as a test of every point would list them.
+
+    The walk is depth first, first variable most significant; a polynomial
+    is tested as soon as the last variable it uses is assigned (a constant
+    at the first), and a prefix that fails one is dropped with every
+    completion below it.  The test is exact and in integers, at the
+    numerators of the axis values over D, the lcm of all their
+    denominators.
+    """
+    buckets = [[] for _ in axes]
+    for _, terms in system.int_polys:
+        buckets[max((i for _, factors, _ in terms for i, _ in factors), default=0)].append(terms)
+    D = math.lcm(*(x.denominator for axis in axes for x in axis))
+    dpows = [D ** k for k in range(system.top, -1, -1)]
+    levels = [[(x, x.numerator * (D // x.denominator)) for x in axis] for axis in axes]
+    return list(_walk(levels, buckets, dpows, [None] * len(axes), [None] * len(axes)))
+
+
+def _walk(levels, buckets, dpows, point, nums, k=0):
+    """Yield, in walk order, the grid points that extend the prefix point[:k]
+    (whose numerators over D are nums[:k]) and make every polynomial of
+    buckets[k:] vanish.  Module level: a nested function that calls itself
+    is a reference cycle, which kept a walk's tables alive until a full
+    garbage collection."""
+    for point[k], nums[k] in levels[k]:
+        if not any(_int_value(terms, nums, dpows) for terms in buckets[k]):
+            if k + 1 < len(levels):
+                yield from _walk(levels, buckets, dpows, point, nums, k + 1)
+            else:
+                yield tuple(point)
 
 
 def solve_ff_reference(system: PolySystem, p: int):
@@ -802,7 +833,7 @@ def buchberger(system: PolySystem, caps=None, track: bool = False) -> SolveOutco
     """
     caps = {**DEFAULT_CAPS, **(caps or {})}
     _check_caps(caps)
-    bound = max([caps["max_degree"], *(_degree(nums) for _, nums in system.int_polys)])
+    bound = max(caps["max_degree"], system.top)
     while True:
         try:
             return _buchberger(system, caps, track, _Packing(len(system.vars), bound))
@@ -814,7 +845,7 @@ def _buchberger(system, caps, track, pk):
     """buchberger on monomials packed by ``pk``."""
     max_pairs, max_degree = caps["max_pairs"], caps["max_degree"]
     nin = len(system.int_polys)
-    low, shift, guard = pk.low, pk.shift, pk.guard
+    low, shift, guard, width = pk.low, pk.shift, pk.guard, pk.width
 
     basis, lms, lcs = [], [], []
     reps = [] if track else None
@@ -826,12 +857,14 @@ def _buchberger(system, caps, track, pk):
         if track:
             reps.append(rep)
 
-    for j, (L, nums) in enumerate(system.int_polys):
+    for j, (L, terms) in enumerate(system.int_polys):
         rep = None
         if track:
-            # input j is nums / L, so nums is L times it
+            # the terms sum to L times input j
             rep = ([{0: L} if t == j else {} for t in range(nin)], 1)
-        terms, rep = _primitive(pk.pack_terms(nums), pk, rep)
+        # packed straight from the terms: no exponent passes the input degree
+        packed = {sum(e << (i * width) for i, e in f) + (d << shift): c for c, f, d in terms}
+        terms, rep = _primitive(packed, pk, rep)
         push_basis(terms, rep)
 
     # a pair waits as (grevlex key of its lcm, i, j); the degree tops the key
@@ -1016,20 +1049,19 @@ def _try_lift(system: PolySystem, residue_vectors, modulus, bound=64,
     """First exact rational witness reconstructed from mod-``modulus`` data,
     with the count of candidates tried.
 
-    A candidate n / d is tested in integers, exactly over Q: every
-    polynomial of the integer form, homogenized by d, sums to 0 at the
-    numerators (see _integer_form).  Only the accepted candidate becomes
-    Fractions.
+    A candidate n / d is tested in integers, exactly over Q: the terms of
+    every polynomial, homogenized by d^(top - degree), sum to 0 at the
+    numerators.  Only the accepted candidate becomes Fractions.
     """
     attempts = 0
-    polys, top = _integer_form(system)
+    top = system.top
     for residues in residue_vectors:
         for nums, d in _lift_candidates(residues, modulus, bound):
             attempts += 1
             if attempts > max_attempts:
                 return None, attempts
-            dpows = [d ** k for k in range(top + 1)]
-            if not any(_int_value(terms, nums, dpows) for _, terms in polys):
+            dpows = [d ** k for k in range(top, -1, -1)]
+            if not any(_int_value(terms, nums, dpows) for _, terms in system.int_polys):
                 witness = (RingElem(rg.QQ, Fraction(n, d)) for n in nums)
                 return dict(zip(system.vars, witness)), attempts
     return None, attempts

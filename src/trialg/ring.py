@@ -20,7 +20,6 @@ from fractions import Fraction
 __all__ = [
     "Ring",
     "RingElem",
-    "rationals",
     "prime_field",
     "polynomial_ring",
     "QQ",
@@ -170,10 +169,6 @@ class Ring:
         if self.kind == "GF":
             return f"Ring(GF({self.p}))"
         return f"Ring(Q[{', '.join(self.vars)}])"
-
-
-def rationals() -> Ring:
-    return QQ
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -394,17 +389,6 @@ class RingElem:
             return RingElem(r, pow(self.v, k, r.p))
         return RingElem(r, _poly_pow(self.v, k) if self.v else
                         ({} if k else {(0,) * len(r.vars): Fraction(1)}))
-
-    def inv(self) -> "RingElem":
-        """Multiplicative inverse; defined only for nonzero field elements."""
-        r = self.ring
-        if r.kind == "poly":
-            raise ValueError("inversion is not defined in a polynomial ring")
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero")
-        if r.kind == "Q":
-            return RingElem(r, 1 / self.v)
-        return RingElem(r, pow(self.v, r.p - 2, r.p))
 
     def __eq__(self, other):
         return (

@@ -13,7 +13,7 @@ from trialg.catalog import catalog_get, claims_verify
 from trialg.identities import is_totally_associative
 from trialg.iso import iso_report, iso_search, iso_verify
 from trialg.msc import BasisChange, Matrix, Msc, transform
-from trialg.polysolve import PolySystem, _compile_mod_p, _integer_form
+from trialg.polysolve import PolySystem, _compile_mod_p
 
 from conftest import nest, rand_basis_change, rand_msc
 
@@ -138,7 +138,7 @@ def test_search_hits_are_rechecked_by_the_scalar_path(monkeypatch):
     # iso_verify sees it
     plus = catalog_get("A2", {"a1": 1, "b1": 1, "b2": 1})
     minus = catalog_get("A2", {"a1": 1, "b1": -1, "b2": 1})
-    monkeypatch.setattr(polysolve, "_check_assignment_mod_p", lambda form, p, values: False)
+    monkeypatch.setattr(polysolve, "_check_assignment_mod_p", lambda system, p, values: False)
     with pytest.raises(RuntimeError, match="the scalar check rejects"):
         iso_search(plus, minus, 5)
 
@@ -241,7 +241,8 @@ def _cofactor_det(rows):
 def oracle_iso_system(A, B, p):
     """B . g^(x n) - g . A = 0 and t . det(g) - 1 = 0 built over Q[g, t] (g
     nested into each slot of B, a cofactor determinant) from the residues of
-    A and B mod p: its integer form, and that form compiled mod p."""
+    A and B mod p: the int_polys of PolySystem(ring, RingElems), and the
+    system compiled mod p."""
     Ap, Bp = A.reduce_mod(p), B.reduce_mod(p)
     m = A.dim
     names = [f"g{r}_{c}" for r in range(1, m + 1) for c in range(1, m + 1)]
@@ -254,20 +255,19 @@ def oracle_iso_system(A, B, p):
         b = nest(b, A.arity, slot, g)
     unit = rg.variable(ring, "t") * _cofactor_det(g.rows) - rg.one(ring)
     system = PolySystem(ring, [x for row in (b - g * a).rows for x in row] + [unit])
-    form = _integer_form(system)
-    compiled, obstructed = _compile_mod_p(form, p)
+    compiled, obstructed = _compile_mod_p(system, p)
     assert not obstructed
-    return form[0], compiled
+    return system.int_polys, compiled
 
 
 def iso_system(A, B, p):
-    """iso_search's system for A and B mod p: its integer form, and that form
+    """iso_search's system for A and B mod p: its int_polys, and the system
     compiled mod p as the sweep core compiles it."""
-    form = iso._iso_polys(A.reduce_mod(p).rows, B.reduce_mod(p).rows, A.dim, A.arity)
-    compiled, obstructed = _compile_mod_p(form, p)
+    system = iso._iso_polys(A.reduce_mod(p).rows, B.reduce_mod(p).rows, A.dim, A.arity)
+    compiled, obstructed = _compile_mod_p(system, p)
     assert not obstructed
-    assert all(gap <= form[1] for _, terms in form[0] for _, _, gap in terms)
-    return form[0], compiled
+    assert all(d <= system.top for _, terms in system.int_polys for _, _, d in terms)
+    return system.int_polys, compiled
 
 
 def canonical(polys):
@@ -326,7 +326,7 @@ def test_builder_matches_the_polynomial_ring_oracle(dim, arity, p):
     for kind, (A, B) in builder_pairs(dim, arity, p, rng).items():
         polys, got = iso_system(A, B, p)
         expected_polys, expected = oracle_iso_system(A, B, p)
-        # the same integers, L = 1 and degree gaps included, and the same residues
+        # the same integers, L = 1 and degrees included, and the same residues
         assert [(L, sorted(terms)) for L, terms in polys] == \
             [(L, sorted(terms)) for L, terms in expected_polys], kind
         assert canonical(got) == canonical(expected), kind
@@ -352,6 +352,41 @@ def test_builder_reduces_rationals_once_and_keeps_the_zero_division():
         a9.reduce_mod(3)
     with pytest.raises(ValueError):
         Msc.zero(rg.prime_field(7), 2, 2).reduce_mod(5)
+
+
+def iso_system_over_q(A, B):
+    """_iso_polys over Q: B . g^(x n) = g . A for A and B over Q, each
+    algebra's numerators scaled by the other algebra's denominator."""
+    a = [[x * B.den for x in row] for row in A.rows]
+    b = [[x * A.den for x in row] for row in B.rows]
+    return iso._iso_polys(a, b, A.dim, A.arity)
+
+
+@pytest.mark.parametrize("A, B, pairs", [
+    (a4(1, 1), a4(1, -1), 12),
+    (a4(F(1, 3), F(-1, 3)), catalog_get("A5", {"a1": F(1, 3)}), 13),
+], ids=["A4-sign-flip", "Cdagger-collision"])
+def test_buchberger_certifies_a_non_isomorphism_over_q(A, B, pairs):
+    system = iso_system_over_q(A, B)
+    assert isinstance(system, PolySystem) and system.vars == ("g11", "g12", "g21", "g22", "t")
+    out = polysolve.buchberger(system)
+    assert out.status == "certified_empty_over_closure"
+    assert [str(b) for b in out.basis] == ["1"]
+    assert out.effort["pairs_processed"] == pairs
+
+
+def test_a_sign_flip_witness_lifts_to_an_isomorphism_over_q():
+    A = catalog_get("A2", {"a1": 1, "b1": 1, "b2": 1})
+    B = catalog_get("A2", {"a1": 1, "b1": -1, "b2": 1})
+    system = iso_system_over_q(A, B)
+    out = polysolve.solve_ff_exhaustive(system, 5)
+    assert out.status == "witness" and len(out.witnesses) == 1
+    lifted, attempts = polysolve._try_lift(system, out.witnesses, 5)
+    assert attempts == 1
+    assert {k: str(v) for k, v in lifted.items()} == \
+        {"g11": "1", "g12": "0", "g21": "0", "g22": "-1", "t": "-1"}
+    g = BasisChange.from_strings(Q, [[str(lifted[f"g{r}{c}"]) for c in (1, 2)] for r in (1, 2)])
+    assert iso_verify(A, B, g)
 
 
 def test_gf_algebras_are_built_only_for_a_hit(monkeypatch):
@@ -582,9 +617,9 @@ def test_the_replay_enumerates_only_what_the_invariants_leave(monkeypatch):
     calls = []
     sweep = iso._sweep
 
-    def counted(form, nvars, p, cap):
+    def counted(system, p, cap):
         calls.append(p)
-        return sweep(form, nvars, p, cap)
+        return sweep(system, p, cap)
 
     monkeypatch.setattr(iso, "_sweep", counted)
     screened = claims_verify().to_doc()

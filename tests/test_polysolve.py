@@ -12,7 +12,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trialg import polysolve
+from trialg import generate, polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get, totassoc_constraints
 from trialg.generate import expressibility_residual, generate_nary, symbolic_system
@@ -163,8 +163,7 @@ def test_scalar_recheck_matches_reference_evaluator():
         names = (["x", "y"], ["x", "y", "z"])[trial % 3 % 2]
         system = _random_rational_system(rng, names, p, trial % 4 == 3)
         assignments = list(iter_product(range(p), repeat=len(names)))
-        form = polysolve._integer_form(system)
-        got = [a for a in assignments if polysolve._check_assignment_mod_p(form, p, a)]
+        got = [a for a in assignments if polysolve._check_assignment_mod_p(system, p, a)]
         bad = [poly for poly in system.polys if any(q.denominator % p == 0 for q in poly.v.values())]
         if bad:
             with pytest.raises(ZeroDivisionError):
@@ -202,7 +201,7 @@ def fraction_compile_mod_p(system: PolySystem, p: int):
 
 
 def integer_compile_mod_p(system: PolySystem, p: int):
-    return polysolve._compile_mod_p(polysolve._integer_form(system), p)
+    return polysolve._compile_mod_p(system, p)
 
 
 def compile_result(compile_mod_p, system, p):
@@ -347,11 +346,11 @@ def test_sweep_is_exact_at_the_largest_modulus():
     # more and would pass the row budget at this p
     p = 3037000493  # the largest prime with (p - 1)^2 < 2^63
     root = 60000  # root^2 exceeds p, so -x^2 multiplies two large residues
-    form = polysolve._integer_form(sys_of(["x"], [f"{root ** 2 % p} - x^2"]))
-    compiled, obstructed = polysolve._compile_mod_p(form, p)
+    system = sys_of(["x"], [f"{root ** 2 % p} - x^2"])
+    compiled, obstructed = polysolve._compile_mod_p(system, p)
     assert not obstructed
     assert polysolve._enumerate(compiled, p, 1, 1) == [(root,)]
-    assert polysolve._check_assignment_mod_p(form, p, (root,))
+    assert polysolve._check_assignment_mod_p(system, p, (root,))
 
 
 def test_enumeration_work_budget_is_exact(monkeypatch):
@@ -437,6 +436,64 @@ def test_sweep_b9_system_contains_a9_mod_7():
         a9.entry(k, (r, s)).v for k in (1, 2) for r in (1, 2) for s in (1, 2)
     )
     assert expected in out.witnesses
+
+
+# ---------------------------------------------------------------------------
+# grid zeros
+# ---------------------------------------------------------------------------
+
+GRID_VALUES = (F(-2), F(-1), F(-1, 2), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2))
+XYZ = rg.polynomial_ring(["x", "y", "z"])
+
+
+@st.composite
+def grid_systems(draw, axes):
+    """Up to four polynomials over Q[x, y, z] with coefficients over mixed
+    denominators; most vanish on a hyperplane x_i = r through a value of
+    axis i, some are nonzero constants, some use one variable or none."""
+    coeffs = st.builds(F, st.integers(-30, 30).filter(bool), st.sampled_from((1, 2, 3, 5, 7, 12)))
+    polys = []
+    for k in range(draw(st.integers(0, 4), label="polys")):
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), coeffs, max_size=3),
+                     label=f"terms {k}")
+        poly = rg.RingElem(XYZ, terms) if terms else rg.one(XYZ)
+        kind = draw(st.sampled_from(("root",) * 4 + ("constant", "plain")), label=f"kind {k}")
+        if kind == "constant":
+            poly = rg.from_fraction(XYZ, draw(coeffs, label=f"constant {k}"))
+        elif kind == "root":
+            i = draw(st.integers(0, 2), label=f"var {k}")
+            root = draw(st.sampled_from(axes[i] or GRID_VALUES), label=f"root {k}")
+            poly = poly * (rg.variable(XYZ, XYZ.vars[i]) - rg.from_fraction(XYZ, root))
+        polys.append(poly)
+    return PolySystem(XYZ, polys)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_grid_zeros_matches_fraction_evaluation_at_every_point(data):
+    # the points in the order of the axes as given, repeated values as often
+    # as they repeat, against a plain loop over the whole grid
+    axes = [data.draw(st.lists(st.sampled_from(GRID_VALUES), min_size=1, max_size=4),
+                      label=f"axis {i}") for i in range(3)]
+    if data.draw(st.integers(0, 9), label="empty axis") in (3, 5, 7):
+        axes[data.draw(st.integers(0, 2), label="emptied")] = []
+    system = data.draw(grid_systems(axes), label="system")
+    expected = [point for point in iter_product(*axes)
+                if all(rg._poly_eval(poly.v, point) == 0 for poly in system.polys)]
+    assert polysolve.grid_zeros(system, axes) == expected
+
+
+def test_grid_zeros_walks_an_unused_variable_and_a_repeated_value():
+    system = sys_of(["x", "y", "z"], ["x^2 - 1/4", "3/2*z - 1"])
+    axes = [[F(1, 2), F(0), F(-1, 2), F(1, 2)], [F(5), F(-1, 7)], [F(2, 3)]]
+    assert polysolve.grid_zeros(system, axes) == [
+        (F(1, 2), F(5), F(2, 3)), (F(1, 2), F(-1, 7), F(2, 3)),
+        (F(-1, 2), F(5), F(2, 3)), (F(-1, 2), F(-1, 7), F(2, 3)),
+        (F(1, 2), F(5), F(2, 3)), (F(1, 2), F(-1, 7), F(2, 3)),
+    ]
+    assert polysolve.grid_zeros(system, [axes[0], [], axes[2]]) == []
+    assert polysolve.grid_zeros(sys_of(["x", "y", "z"], ["2/3"]), axes) == []
+    assert len(polysolve.grid_zeros(sys_of(["x", "y", "z"], []), axes)) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -1004,22 +1061,26 @@ def test_integer_lift_matches_the_fraction_lift_on_drawn_residues(data):
 @pytest.mark.parametrize("target", ["Cstar", "Cdagger"])
 def test_certify_builds_the_integer_form_once(monkeypatch, target):
     # Cstar is swept mod 5, 7 and 11 without a hit; Cdagger's sweep mod 5
-    # re-checks its hits and lifts one.  Each sweep and each lift reads the
-    # one integer form that the first sweep built; a sweep's re-check of its
-    # hits is handed the form the sweep read
-    builds, calls = [], []
-    integer_form = polysolve._integer_form
+    # re-checks its hits and lifts one.  The system's integer layout is
+    # built with it, one _int_poly call per polynomial, and every sweep,
+    # re-check and lift reads those very layouts
+    builds, systems = [], []
+    int_poly, build_system = polysolve._int_poly, generate.symbolic_system
 
-    def counted(system):
-        calls.append(system)
-        if system._ints is None:
-            builds.append(system)
-        return integer_form(system)
+    def counted(nums, den):
+        builds.append(int_poly(nums, den))
+        return builds[-1]
 
-    monkeypatch.setattr(polysolve, "_integer_form", counted)
-    certify_expressibility(catalog_get(target), primes=(5, 7, 11), groebner=False)
-    assert len(builds) == 1 and len(calls) == {"Cstar": 3, "Cdagger": 2}[target]
-    assert all(system is builds[0] for system in calls)
+    def built(C):
+        systems.append(build_system(C))
+        return systems[-1]
+
+    monkeypatch.setattr(polysolve, "_int_poly", counted)
+    monkeypatch.setattr(generate, "symbolic_system", built)
+    out = certify_expressibility(catalog_get(target), primes=(5, 7, 11), groebner=False)
+    assert out.status == {"Cstar": "no_solution_mod_p", "Cdagger": "witness"}[target]
+    assert len(systems) == 1 and len(builds) == len(systems[0].int_polys) == 16
+    assert all(a is b for a, b in zip(systems[0].int_polys, builds))
 
 
 def test_certify_refuses_a_repeated_prime():

@@ -155,7 +155,6 @@ def test_arith_examples():
     third = rg.parse_scalar("1/3", Q)
     two_thirds = rg.parse_scalar("2/3", Q)
     assert (third + two_thirds) == rg.one(Q)
-    assert rg.from_int(GF5, 3).inv().v == 2
     a1 = rg.variable(POLY1, "a1")
     one = rg.one(POLY1)
     assert (a1 - one) * (a1 + one) == a1 ** 2 - one
@@ -179,16 +178,6 @@ def test_fermat_little_exhaustive(p):
     gf = rg.prime_field(p)
     for x in range(1, p):
         assert (rg.RingElem(gf, x) ** (p - 1)) == rg.one(gf)
-        assert rg.RingElem(gf, x) * rg.RingElem(gf, x).inv() == rg.one(gf)
-
-
-def test_inversion_errors():
-    with pytest.raises(ZeroDivisionError):
-        rg.zero(Q).inv()
-    with pytest.raises(ZeroDivisionError):
-        rg.zero(GF5).inv()
-    with pytest.raises(ValueError):
-        rg.variable(POLY1, "a1").inv()
 
 
 def test_ring_mismatch_rejected():

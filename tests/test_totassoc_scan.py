@@ -134,17 +134,19 @@ def test_scan_walks_in_integers_and_returns_the_grid_values(monkeypatch):
 
 def test_scan_evaluates_the_integer_form_over_one_common_denominator(monkeypatch):
     # axes with different denominators are put over their common lcm, and
-    # every entry is tested by polysolve's integer evaluator
+    # every entry is tested by polysolve's integer evaluator, whose dpows
+    # are D^top, ..., D, 1 (a term of degree d is homogenized by D^(top - d))
     grid = [[F(1, 2), F(-2, 3), F(0)], [F(0), F(1, 5), F(-3, 7)], [F(1, 2), F(-1, 2), F(4, 11)]]
     expected = brute_force_scan("B2", grid)
     assert expected == [(F(1, 2), F(0), F(-1, 2)), (F(1, 2), F(0), F(1, 2))]
     denominators = set()
+    int_value = polysolve._int_value
 
     def spy(terms, values, dpows):
-        denominators.add(dpows[1])
-        return polysolve._int_value(terms, values, dpows)
+        denominators.add(dpows[-2])
+        return int_value(terms, values, dpows)
 
-    assert catalog._int_value is polysolve._int_value
-    monkeypatch.setattr(catalog, "_int_value", spy)
+    assert not hasattr(catalog, "_int_value")
+    monkeypatch.setattr(polysolve, "_int_value", spy)
     assert totassoc_scan("B2", grid) == expected
     assert denominators == {2 * 3 * 5 * 7 * 11}
