@@ -12,7 +12,7 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("ring", "Ring RingElem prime_field polynomial_ring parse_scalar substitute"),
-        ("msc", "Matrix Msc BasisChange kron eval_product transform basis_vector "
+        ("msc", "Matrix Msc BasisChange eval_product transform basis_vector "
                 "msc_to_doc msc_from_doc"),
         ("generate", "generate_nary expressibility_residual symbolic_system"),
         ("identities", "total_assoc_residuals is_totally_associative quintuple_oracle "

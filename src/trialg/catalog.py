@@ -24,7 +24,14 @@ from .identities import (
 )
 from .iso import DEFAULT_EVIDENCE_PRIMES, iso_search
 from .msc import Msc, column_tuple, msc_to_doc
-from .polysolve import PolySystem, _int_poly, _lowest_terms, certify_expressibility, grid_zeros
+from .polysolve import (
+    DEFAULT_PRIMES,
+    PolySystem,
+    _int_poly,
+    _lowest_terms,
+    certify_expressibility,
+    grid_zeros,
+)
 
 __all__ = [
     "FamilyEntry",
@@ -669,11 +676,11 @@ def _claim_sign_pair(claim_id, family, values_plus, values_minus, prime):
         "family": family,
         "prime": prime,
         "witnesses": len(found),
-        "first_witness": found[0].g.to_strings() if found else None,
+        "first_witness": found[0].to_strings() if found else None,
     })
 
 
-def claims_verify(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
+def claims_verify(primes=DEFAULT_PRIMES, collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
                   groebner: bool = True) -> Report:
     """Replay the bullet and list claims about the catalog algebras.
 
@@ -707,7 +714,7 @@ def claims_verify(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=
     return Report(claims)
 
 
-def paper_replay(primes=(5, 7), collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
+def paper_replay(primes=DEFAULT_PRIMES, collision_primes=DEFAULT_EVIDENCE_PRIMES, caps=None,
                  groebner: bool = True) -> Report:
     """Full replay: table rows, default scans, and every bullet/list claim.
 

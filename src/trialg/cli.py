@@ -150,9 +150,13 @@ def _catalog_algebra(source: str, params: str | None):
     return cat.catalog_get(m.group(1), _parse_params(text) if text else None)
 
 
-def _parse_primes(text: str, allow_empty: bool = False):
+def _parse_primes(text: str | None, default: tuple, allow_empty: bool = False):
+    """The primes of a comma-separated option value, or ``default`` when the
+    option is not given."""
     from . import ring as rg
 
+    if text is None:
+        return default
     primes = []
     for item in filter(str.strip, text.split(",")):
         try:
@@ -202,12 +206,12 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_express(args) -> int:
-    from .polysolve import certify_expressibility
+    from .polysolve import DEFAULT_PRIMES, certify_expressibility
 
     C = _load_algebra(args.input or args.name, args.params)
     outcome = certify_expressibility(
-        C, primes=_parse_primes(args.primes, allow_empty=True), caps=_solver_caps(args),
-        groebner=args.groebner,
+        C, primes=_parse_primes(args.primes, DEFAULT_PRIMES, allow_empty=True),
+        caps=_solver_caps(args), groebner=args.groebner,
     )
     _emit(outcome.to_doc())
     if outcome.status == "witness":
@@ -257,11 +261,13 @@ def _cmd_totassoc_scan(args) -> int:
 
 def _cmd_paper_replay(args) -> int:
     from . import catalog as cat
+    from .iso import DEFAULT_EVIDENCE_PRIMES
+    from .polysolve import DEFAULT_PRIMES
 
     with _warnings_as_diagnostics():
         report = cat.paper_replay(
-            primes=_parse_primes(args.primes),
-            collision_primes=_parse_primes(args.collision_primes),
+            primes=_parse_primes(args.primes, DEFAULT_PRIMES),
+            collision_primes=_parse_primes(args.collision_primes, DEFAULT_EVIDENCE_PRIMES),
             caps=_solver_caps(args), groebner=args.groebner,
         )
     text = _json(report.to_doc()) + "\n"
@@ -296,9 +302,9 @@ def _add_iso_options(sub):
 
 
 def _add_solver_options(sub):
-    # the caps default to None, and buchberger fills in DEFAULT_CAPS for
-    # those not given
-    sub.add_argument("--primes", default="5,7")
+    # the primes and caps default to None: the command fills in
+    # polysolve.DEFAULT_PRIMES, and buchberger DEFAULT_CAPS, for those not given
+    sub.add_argument("--primes")
     sub.add_argument("--groebner", action=argparse.BooleanOptionalAction, default=True)
     sub.add_argument("--max-pairs", type=int)
     sub.add_argument("--max-degree", type=int)
@@ -321,7 +327,8 @@ def _add_totassoc_scan_options(sub):
 
 def _add_paper_replay_options(sub):
     sub.add_argument("--out", help="write the report to this path")
-    sub.add_argument("--collision-primes", default="5,7,11")
+    # None: the command fills in iso.DEFAULT_EVIDENCE_PRIMES
+    sub.add_argument("--collision-primes")
     _add_solver_options(sub)
 
 

@@ -30,9 +30,9 @@ built; past that the core's row budget (polysolve's _MAX_TOTAL_ROWS) is
 the only limit, so no input runs without end.  Candidates g come out in
 row-major lexicographic order of their entries over 0..p-1, so results are
 reproducible bit for bit.  Each witness, those residues held as integer
-rows (BasisChange._of), is re-checked by the core's scalar path and
-verified exactly (iso_verify).  Like a sweep, a search keeps at most
-polysolve's _MAX_WITNESSES witnesses.
+rows (BasisChange._of), is re-checked by the core's scalar path, verified
+exactly (iso_verify) and returned as that BasisChange.  Like a sweep, a
+search keeps at most polysolve's _MAX_WITNESSES witnesses.
 """
 
 from __future__ import annotations
@@ -49,25 +49,10 @@ from . import ring as rg
 from .msc import BasisChange, Msc, transform
 from .polysolve import PolySystem, _check_modulus, _sweep
 
-__all__ = ["IsoWitness", "iso_verify", "iso_search", "iso_report",
-           "DEFAULT_EVIDENCE_PRIMES"]
+__all__ = ["iso_verify", "iso_search", "iso_report", "DEFAULT_EVIDENCE_PRIMES"]
 
 # avoids the excluded characteristics 2 and 3; keeps 2x2 searches instant
 DEFAULT_EVIDENCE_PRIMES = (5, 7, 11)
-
-
-class IsoWitness:
-    """A basis change carrying source to target, verified exactly."""
-
-    __slots__ = ("g", "source", "target")
-
-    def __init__(self, g: BasisChange, source: Msc, target: Msc):
-        self.g = g
-        self.source = source
-        self.target = target
-
-    def __repr__(self):
-        return f"IsoWitness(g={self.g.to_strings()})"
 
 
 def iso_verify(A: Msc, B: Msc, g: BasisChange) -> bool:
@@ -176,12 +161,13 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     """Enumerate GL(m, GF(p)) for basis changes carrying A to B.
 
     A and B may have rational entries (reduced mod p; p must not divide a
-    denominator) or already live over GF(p).  Returns the witnesses in
-    enumeration order: the first polysolve._MAX_WITNESSES of them, or just
-    the first when find_all is False.  An empty result means that there is
-    no isomorphism over GF(p): either an invariant of _invariants differs
-    between A and B, which proves it without a scan, or an exhaustive scan
-    found none.
+    denominator) or already live over GF(p).  Returns the witnesses, the
+    BasisChanges g over GF(p) that iso_verify finds carrying A mod p to
+    B mod p, in enumeration order: the first polysolve._MAX_WITNESSES of
+    them, or just the first when find_all is False.  An empty result means
+    that there is no isomorphism over GF(p): either an invariant of
+    _invariants differs between A and B, which proves it without a scan, or
+    an exhaustive scan found none.
     """
     if A.dim != B.dim or A.arity != B.arity:
         raise ValueError("algebras must share dimension and arity")
@@ -223,7 +209,7 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
         g = BasisChange._of(gf, [list(values[r * m:(r + 1) * m]) for r in range(m)])
         if not iso_verify(Ap, Bp, g):
             raise RuntimeError("search produced a candidate the exact check rejects")
-        witnesses.append(IsoWitness(g, Ap, Bp))
+        witnesses.append(g)
     return witnesses
 
 
@@ -235,6 +221,6 @@ def iso_report(A: Msc, B: Msc, p: int, find_all: bool = False) -> dict:
     return {
         "prime": p,
         "witness_count": len(witnesses),
-        "witnesses": [w.g.to_strings() for w in witnesses],
+        "witnesses": [g.to_strings() for g in witnesses],
         "exhaustive": exhaustive,
     }

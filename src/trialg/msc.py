@@ -42,7 +42,6 @@ __all__ = [
     "Matrix",
     "Msc",
     "BasisChange",
-    "kron",
     "eval_product",
     "transform",
     "basis_vector",
@@ -133,6 +132,7 @@ class Matrix:
         return Matrix(self.ring, out)
 
     def kron(self, other: "Matrix") -> "Matrix":
+        """Kronecker product: the block matrix (a_ij * other)."""
         self._same_ring(other)
         z = rg.zero(self.ring)
         br, bc = other.nrows, other.ncols
@@ -160,11 +160,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.ring!r})"
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: the block matrix (a_ij * b)."""
-    return a.kron(b)
 
 
 def _checked_rows(ring: Ring, rows) -> tuple:

@@ -30,7 +30,8 @@ Two engines back every verdict:
   ints (_Packing): one field per variable under a guard bit, the total
   degree on top, so that products, quotients, divisibility, lcms and
   grevlex comparisons are a few int operations.  The inputs are packed
-  straight from the system's integer terms, and the monic reduced
+  straight from the system's integer terms by _pack, the one packer that
+  reduce_poly and groebner_selfcheck use too, and the monic reduced
   basis and cofactors become Fractions, unpacked, once on exit; the
   fields are sized so that no exponent passes one unnoticed.  Besides the
   max_pairs and max_degree caps, the pairs a run may form
@@ -76,9 +77,12 @@ __all__ = [
     "groebner_selfcheck",
     "grid_zeros",
     "DEFAULT_CAPS",
+    "DEFAULT_PRIMES",
 ]
 
 DEFAULT_CAPS = {"max_pairs": 20000, "max_degree": 12}
+# the sweep primes of an expressibility verdict, avoiding characteristics 2 and 3
+DEFAULT_PRIMES = (5, 7)
 # rows built by one expansion step of the finite-field enumerator
 _MAX_ROWS = 1 << 16
 # rows built by one whole enumeration: past this it is refused, not finished
@@ -845,7 +849,7 @@ def _buchberger(system, caps, track, pk):
     """buchberger on monomials packed by ``pk``."""
     max_pairs, max_degree = caps["max_pairs"], caps["max_degree"]
     nin = len(system.int_polys)
-    low, shift, guard, width = pk.low, pk.shift, pk.guard, pk.width
+    low, shift, guard = pk.low, pk.shift, pk.guard
 
     basis, lms, lcs = [], [], []
     reps = [] if track else None
@@ -862,9 +866,7 @@ def _buchberger(system, caps, track, pk):
         if track:
             # the terms sum to L times input j
             rep = ([{0: L} if t == j else {} for t in range(nin)], 1)
-        # packed straight from the terms: no exponent passes the input degree
-        packed = {sum(e << (i * width) for i, e in f) + (d << shift): c for c, f, d in terms}
-        terms, rep = _primitive(packed, pk, rep)
+        terms, rep = _primitive(_pack(terms, pk), pk, rep)
         push_basis(terms, rep)
 
     # a pair waits as (grevlex key of its lcm, i, j); the degree tops the key
@@ -977,32 +979,38 @@ def _numerators(terms):
     return L, {m: q.numerator * (L // q.denominator) for m, q in terms.items()}
 
 
-def _packed(nvars, polys, bound):
-    """A _Packing of ``nvars`` variables for degree ``bound``, with the
-    primitive parts of the nonzero term dicts of ``polys`` (_numerators)
-    packed by it, their leading monomials and their leading coefficients:
-    (pk, terms, lms, lcs)."""
-    pk = _Packing(nvars, bound)
-    terms = [_primitive(pk.pack_terms(_numerators(p)[1]), pk)[0] for p in polys if p]
+def _pack(terms, pk) -> dict:
+    """The terms (c, factors, d) of a polynomial in PolySystem's layout as
+    {packed monomial: c}, packed straight from the factors: the caller
+    sizes ``pk`` so that no exponent passes its fields."""
+    width, shift = pk.width, pk.shift
+    return {sum(e << (i * width) for i, e in f) + (d << shift): c for c, f, d in terms}
+
+
+def _packed(system: PolySystem, bound):
+    """A _Packing of the system's variables for degree ``bound``, at least
+    system.top, with the primitive parts of the system's polynomials
+    packed by it (_pack), their leading monomials and their leading
+    coefficients: (pk, terms, lms, lcs)."""
+    pk = _Packing(len(system.vars), bound)
+    terms = [_primitive(_pack(t, pk), pk)[0] for _, t in system.int_polys]
     lms = [_lm(t, pk) for t in terms]
     return pk, terms, lms, [t[lm] for t, lm in zip(terms, lms)]
-
-
-def _degree(terms) -> int:
-    return max(map(sum, terms), default=0)
 
 
 def reduce_poly(f: RingElem, basis_elems) -> RingElem:
     """Normal form of f modulo a list of polynomials in the same ring.
 
     f and the basis elements are divided as positive integer multiples
-    (_numerators, the basis made primitive), which leaves every division
-    step as it is; the remainder is divided by f's multiplier and the scale
-    the division accumulated (_normal_form)."""
-    L, nums = _numerators(f.v)
-    polys = [b.v for b in basis_elems]
-    pk, basis, lms, lcs = _packed(len(f.ring.vars), polys, max(map(_degree, [nums, *polys])))
-    rem, scale, _ = _normal_form(pk.pack_terms(nums), basis, lms, lcs, pk)
+    (PolySystem's layout, the basis made primitive), which leaves every
+    division step as it is; the remainder is divided by f's multiplier and
+    the scale the division accumulated (_normal_form)."""
+    target, system = PolySystem(f.ring, [f]), PolySystem(f.ring, basis_elems)
+    if not target.int_polys:
+        return rg.zero(f.ring)
+    (L, terms), = target.int_polys
+    pk, basis, lms, lcs = _packed(system, max(target.top, system.top))
+    rem, scale, _ = _normal_form(_pack(terms, pk), basis, lms, lcs, pk)
     den = L * scale
     return RingElem(f.ring, {pk.unpack(m): Fraction(c, den) for m, c in rem.items()})
 
@@ -1011,10 +1019,9 @@ def groebner_selfcheck(basis_elems) -> bool:
     """Every S-polynomial of the basis reduces to zero modulo the basis."""
     if not basis_elems:
         return True
-    polys = [b.v for b in basis_elems]
+    system = PolySystem(basis_elems[0].ring, basis_elems)
     # an S-polynomial has at most twice the basis degree
-    pk, basis, lms, lcs = _packed(len(basis_elems[0].ring.vars), polys,
-                                  2 * max(map(_degree, polys)))
+    pk, basis, lms, lcs = _packed(system, 2 * system.top)
     for j in range(len(basis)):
         for i in range(j):
             mult = _s_multipliers(lms[i], lms[j], lcs[i], lcs[j], pk.lcm(lms[i], lms[j]))
@@ -1072,7 +1079,7 @@ def _crt_pair(r1, p1, r2, p2):
     return [(a + p1 * ((b - a) * inv % p2)) % (p1 * p2) for a, b in zip(r1, r2)]
 
 
-def certify_expressibility(C, primes=(5, 7), caps=None,
+def certify_expressibility(C, primes=DEFAULT_PRIMES, caps=None,
                            groebner: bool = True) -> SolveOutcome:
     """Strongest available verdict on whether C, of any shape that
     symbolic_system builds a system for, is generated by a binary algebra.
@@ -1092,11 +1099,6 @@ def certify_expressibility(C, primes=(5, 7), caps=None,
     system = symbolic_system(C)
     effort = {"primes": list(primes)}
     evidence = []
-
-    if not system.int_polys:
-        effort["trivial"] = True
-        witness = {n: rg.zero(rg.QQ) for n in system.vars}
-        return SolveOutcome("witness", witness=witness, effort=effort, evidence=evidence)
 
     witnessed = []  # the witness-bearing sweeps
     for p in primes:

@@ -141,6 +141,11 @@ def test_residual_shape_validation(gf5, rng):
         expressibility_residual(rand_msc(gf5, 2, 3, rng), rand_msc(gf5, 2, 3, rng))
 
 
+def test_residual_refuses_a_dimension_mismatch(gf5, rng):
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+        expressibility_residual(rand_msc(gf5, 2, 2, rng), rand_msc(gf5, 3, 3, rng))
+
+
 def test_symbolic_system_variables_and_size():
     system = symbolic_system(Msc.zero(Q, 2, 3))
     assert system.vars == (

@@ -36,7 +36,6 @@ from trialg.msc import (
     Matrix,
     Msc,
     column_tuple,
-    kron,
     msc_from_doc,
     msc_to_doc,
     transform,
@@ -317,7 +316,7 @@ def test_a_basis_change_and_its_inverse_are_integer_rows(data, ring, m, arity):
     assert g.mat * g.inv_mat == ident == g.inv_mat * g.mat
     A = data.draw(sparse_algebras(m, arity, ring))
     B = transform(A, g)
-    assert B.mat == (g.mat * A.mat) * reduce(kron, [g.inv_mat] * arity)
+    assert B.mat == (g.mat * A.mat) * reduce(Matrix.kron, [g.inv_mat] * arity)
     assert transform(B, BasisChange(g.inv_mat)) == A
     if ring.kind == "GF":
         # a witness as the isomorphism search builds it, from residues

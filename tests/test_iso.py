@@ -44,6 +44,13 @@ def test_iso_verify_shape_guards(gf5, rng):
         iso_verify(A, B, BasisChange.identity(gf5, 2))
 
 
+def test_iso_verify_refuses_two_rings(gf5, rng):
+    A = rand_msc(gf5, 2, 2, rng)
+    B = rand_msc(rg.prime_field(7), 2, 2, rng)
+    with pytest.raises(ValueError, match="algebras must share one ring"):
+        iso_verify(A, B, BasisChange.identity(gf5, 2))
+
+
 def test_nonisomorphic_pair_has_no_witness_over_gf5():
     assert iso_search(a4(1, 1), a4(1, -1), 5) == []
 
@@ -53,15 +60,15 @@ def test_sign_flip_pair_is_isomorphic_over_gf5():
     minus = catalog_get("A2", {"a1": 1, "b1": -1, "b2": 1})
     witnesses = iso_search(plus, minus, 5)
     assert witnesses
-    for w in witnesses:
-        assert iso_verify(w.source, w.target, w.g)
+    for g in witnesses:
+        assert iso_verify(plus.reduce_mod(5), minus.reduce_mod(5), g)
 
 
 def test_self_search_contains_identity(gf5, rng):
     for _ in range(3):
         A = rand_msc(gf5, 2, 3, rng)
         witnesses = iso_search(A, A, 5)
-        mats = [w.g.mat.to_strings() for w in witnesses]
+        mats = [g.mat.to_strings() for g in witnesses]
         assert [["1", "0"], ["0", "1"]] in mats
 
 
@@ -82,8 +89,8 @@ def test_witness_soundness_recheck(gf5, rng):
     B = transform(A, g)
     witnesses = iso_search(A, B, 5)
     assert witnesses
-    for w in witnesses:
-        assert transform(w.source, w.g) == w.target
+    for g in witnesses:
+        assert transform(A, g) == B
 
 
 def test_search_symmetry_spot_checks(gf5, rng):
@@ -112,7 +119,7 @@ def test_enumeration_order_is_row_major_lexicographic(gf5, rng):
     A = rand_msc(gf5, 2, 3, rng)
     witnesses = iso_search(A, A, 5)
     flats = [
-        [int(x) for row in w.g.mat.to_strings() for x in row] for w in witnesses
+        [int(x) for row in g.mat.to_strings() for x in row] for g in witnesses
     ]
     assert flats == sorted(flats)
 
@@ -122,7 +129,7 @@ def test_find_first_matches_full_enumeration(gf5, rng):
     all_wits = iso_search(A, A, 5)
     first = iso_search(A, A, 5, find_all=False)
     assert len(first) == 1
-    assert first[0].g == all_wits[0].g
+    assert first[0] == all_wits[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -201,7 +208,7 @@ def test_search_matches_brute_force_oracle_dim_2(gf5, rng, monkeypatch, arity, r
     if rows is not None:
         monkeypatch.setattr(polysolve, "_MAX_ROWS", rows)
     for A, B in oracle_pairs(gf5, 2, arity, rng):
-        got = [w.g.mat.to_strings() for w in iso_search(A, B, 5)]
+        got = [g.mat.to_strings() for g in iso_search(A, B, 5)]
         assert got == brute_force_iso(A, B, 5)
 
 
@@ -209,7 +216,7 @@ def test_search_matches_brute_force_oracle_dim_2(gf5, rng, monkeypatch, arity, r
 def test_search_matches_brute_force_oracle_dim_3(gf3, rng):
     A = rand_msc(gf3, 3, 2, rng)
     B = transform(A, rand_basis_change(gf3, 3, rng))
-    got = [w.g.mat.to_strings() for w in iso_search(A, B, 3)]
+    got = [g.mat.to_strings() for g in iso_search(A, B, 3)]
     assert got and got == brute_force_iso(A, B, 3)
 
 
@@ -403,8 +410,8 @@ def test_gf_algebras_are_built_only_for_a_hit(monkeypatch):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_witness_algebras_are_the_reductions_mod_p(p):
-    # the witnesses carry the GF(p) algebras the search reduced once, and
-    # they must be what reduce_mod gives
+    # the witnesses are basis changes over GF(p), verified on the GF(p)
+    # algebras that reduce_mod gives
     rng = random.Random(p)
     g = BasisChange.from_strings(Q, [["1", "1"], ["0", "2"]])
     for ring in (Q, rg.prime_field(p)):
@@ -415,18 +422,18 @@ def test_witness_algebras_are_the_reductions_mod_p(p):
             lambda x: rg.reduce_mod(x, p), ring)))
         witnesses = iso_search(A, B, p)
         assert witnesses
-        for w in witnesses:
-            assert w.source == A.reduce_mod(p) and w.target == B.reduce_mod(p)
-            assert w.source.ring == w.target.ring == rg.prime_field(p)
+        for g in witnesses:
+            assert iso_verify(A.reduce_mod(p), B.reduce_mod(p), g)
+            assert g.ring == rg.prime_field(p)
 
 
 def test_search_keeps_the_first_witnesses_up_to_the_cap(monkeypatch):
     zero = Msc.zero(rg.prime_field(7), 2, 2)  # every g is an automorphism
-    full = [w.g.mat.to_strings() for w in iso_search(zero, zero, 7)]
+    full = [g.mat.to_strings() for g in iso_search(zero, zero, 7)]
     assert len(full) == (7 ** 2 - 1) * (7 ** 2 - 7) == 2016
     assert iso_report(zero, zero, 7, find_all=True)["exhaustive"] is True
     monkeypatch.setattr(polysolve, "_MAX_WITNESSES", 100)
-    assert [w.g.mat.to_strings() for w in iso_search(zero, zero, 7)] == full[:100]
+    assert [g.mat.to_strings() for g in iso_search(zero, zero, 7)] == full[:100]
     doc = iso_report(zero, zero, 7, find_all=True)
     assert doc["witness_count"] == 100 and doc["witnesses"] == full[:100]
     assert doc["exhaustive"] is False
@@ -456,7 +463,7 @@ def test_arity_bound_holds_in_dimension_1():
     for n in (18, 19, 10 ** 7):
         A = Msc.from_strings(Q, 1, n, [["2"]])
         if n < 19:
-            assert [w.g.mat.to_strings() for w in iso_search(A, A, 5)] == [[["1"]]]
+            assert [g.mat.to_strings() for g in iso_search(A, A, 5)] == [[["1"]]]
         else:
             with pytest.raises(ValueError, match=f"refuses arity {n}"):
                 iso_search(A, A, 5)
@@ -498,7 +505,7 @@ def test_search_finds_the_basis_change_that_made_the_target(data):
     B = transform(A, g)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # p = 3 is weak evidence
-        found = [w.g.mat.to_strings() for w in iso_search(A, B, p)]
+        found = [g.mat.to_strings() for g in iso_search(A, B, p)]
     assert [[str(x % p) for x in row] for row in g_rows] in found
 
 

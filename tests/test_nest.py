@@ -17,7 +17,6 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from trialg import kron
 from trialg import msc
 from trialg import ring as rg
 from trialg.catalog import FAMILIES, TOTASSOC_ITEMS, catalog_get
@@ -84,20 +83,20 @@ def identity(A: Msc) -> Matrix:
 def generate_by_kron(M: Msc, n: int) -> Matrix:
     mat = M.mat
     for _ in range(n - 2):
-        mat = M.mat * kron(identity(M), mat)
+        mat = M.mat * identity(M).kron(mat)
     return mat
 
 
 def residuals_by_kron(A: Msc):
     i = identity(A)
-    a_i_i = kron(kron(A.mat, i), i)
-    i_a_i = kron(kron(i, A.mat), i)
-    i_i_a = kron(i, kron(i, A.mat))
+    a_i_i = A.mat.kron(i).kron(i)
+    i_a_i = i.kron(A.mat).kron(i)
+    i_i_a = i.kron(i.kron(A.mat))
     return (A.mat * (a_i_i - i_a_i), A.mat * (a_i_i - i_i_a), A.mat * (i_a_i - i_i_a))
 
 
 def transform_by_kron(A: Msc, g: BasisChange) -> Matrix:
-    return (g.mat * A.mat) * reduce(kron, [g.inv_mat] * A.arity)
+    return (g.mat * A.mat) * reduce(Matrix.kron, [g.inv_mat] * A.arity)
 
 
 def truncated_polynomial_algebra(ring, dim) -> Msc:
@@ -215,7 +214,7 @@ def test_total_assoc_residuals_match_kronecker_form(ring, dim, data):
 def test_binary_assoc_residual_matches_kronecker_form(ring, dim, data):
     M = data.draw(algebras(ring, dim, 2))
     i = identity(M)
-    assert binary_assoc_residual(M).mat == M.mat * kron(M.mat, i) - M.mat * kron(i, M.mat)
+    assert binary_assoc_residual(M).mat == M.mat * M.mat.kron(i) - M.mat * i.kron(M.mat)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -370,7 +369,7 @@ def test_callers_match_kronecker_forms_on_wide_scalars(ring, dim, data):
     i = identity(M)
     results = [
         (generate_nary(M, 4).mat, generate_by_kron(M, 4)),
-        (binary_assoc_residual(M).mat, M.mat * kron(M.mat, i) - M.mat * kron(i, M.mat)),
+        (binary_assoc_residual(M).mat, M.mat * M.mat.kron(i) - M.mat * i.kron(M.mat)),
         (transform(A, g).mat, transform_by_kron(A, g)),
     ]
     results += [(R.mat, K) for R, K in zip(total_assoc_residuals(A), residuals_by_kron(A))]
@@ -388,7 +387,7 @@ def test_callers_match_kronecker_forms_on_wide_polynomials(dim, data):
     i = identity(M)
     results = [
         (generate_nary(M, 4).mat, generate_by_kron(M, 4)),
-        (binary_assoc_residual(M).mat, M.mat * kron(M.mat, i) - M.mat * kron(i, M.mat)),
+        (binary_assoc_residual(M).mat, M.mat * M.mat.kron(i) - M.mat * i.kron(M.mat)),
     ]
     results += [(R.mat, K) for R, K in zip(total_assoc_residuals(A), residuals_by_kron(A))]
     for got, expected in results:

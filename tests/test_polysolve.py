@@ -621,6 +621,14 @@ def test_reduce_poly_normal_form():
     assert not reduce_poly(g, out.basis).is_zero()
 
 
+def test_groebner_selfcheck_rejects_a_set_that_is_no_basis():
+    # S(x^2 - y, x*y - 1) = x - y^2 is left as it is by both
+    system = sys_of(["x", "y"], ["x^2 - y", "x*y - 1"])
+    assert groebner_selfcheck(system.polys) is False
+    assert groebner_selfcheck(buchberger(system).basis) is True
+    assert groebner_selfcheck([]) is True
+
+
 def test_buchberger_rejects_non_rational_carrier():
     # systems are built over Q[vars] by construction; the engine trusts that
     system = sys_of(["x"], ["x - 2"])
