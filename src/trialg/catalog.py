@@ -22,7 +22,7 @@ from .identities import (
     is_totally_associative,
     total_assoc_residuals,
 )
-from .iso import DEFAULT_EVIDENCE_PRIMES, iso_search
+from .iso import DEFAULT_EVIDENCE_PRIMES, _screens_kept, iso_search
 from .msc import Msc, column_tuple, msc_to_doc
 from .polysolve import (
     DEFAULT_PRIMES,
@@ -688,29 +688,31 @@ def claims_verify(primes=DEFAULT_PRIMES, collision_primes=DEFAULT_EVIDENCE_PRIME
     """
     primes = rg._distinct_primes(primes)
     collision_primes = rg._distinct_primes(collision_primes)
-    claims = [
-        _claim_inexpressible(primes, caps, groebner),
-        _claim_cstar_non_iso(primes),
-        _claim_collision(
-            "bullet:collision-Cdagger",
-            ("A4", (_F(1, 3), _F(-1, 3))), ("A5", (_F(1, 3),)),
-            "Cdagger", collision_primes,
-        ),
-        _claim_collision(
-            "bullet:collision-B4-unit",
-            ("A4", (_F(1), _F(1))), ("A4", (_F(1), _F(-1))),
-            "Ex52", collision_primes,
-        ),
-        *_claims_totassoc(),
-        _claim_scan("B2", B2_TOTASSOC_POINTS),
-        _claim_scan("B4", B4_TOTASSOC_POINTS),
-        _claim_assoc_binary(),
-        _claim_nonassoc_generators(),
-        _claim_sign_pair("iso:A2-sign-flip", "A2",
-                         (_F(1), _F(1), _F(1)), (_F(1), _F(-1), _F(1)), primes[0]),
-        _claim_sign_pair("iso:A6-sign-flip", "A6",
-                         (_F(1), _F(1)), (_F(1), _F(-1)), primes[0]),
-    ]
+    # Cstar's 54 searches screen it once per prime
+    with _screens_kept():
+        claims = [
+            _claim_inexpressible(primes, caps, groebner),
+            _claim_cstar_non_iso(primes),
+            _claim_collision(
+                "bullet:collision-Cdagger",
+                ("A4", (_F(1, 3), _F(-1, 3))), ("A5", (_F(1, 3),)),
+                "Cdagger", collision_primes,
+            ),
+            _claim_collision(
+                "bullet:collision-B4-unit",
+                ("A4", (_F(1), _F(1))), ("A4", (_F(1), _F(-1))),
+                "Ex52", collision_primes,
+            ),
+            *_claims_totassoc(),
+            _claim_scan("B2", B2_TOTASSOC_POINTS),
+            _claim_scan("B4", B4_TOTASSOC_POINTS),
+            _claim_assoc_binary(),
+            _claim_nonassoc_generators(),
+            _claim_sign_pair("iso:A2-sign-flip", "A2",
+                             (_F(1), _F(1), _F(1)), (_F(1), _F(-1), _F(1)), primes[0]),
+            _claim_sign_pair("iso:A6-sign-flip", "A6",
+                             (_F(1), _F(1)), (_F(1), _F(-1)), primes[0]),
+        ]
     return Report(claims)
 
 

@@ -6,22 +6,27 @@ field the whole of GL(m, GF(p)) can be enumerated, which decides the
 question there; an empty search is evidence (never proof) about fields of
 characteristic zero.
 
-Before it enumerates anything the search compares GL(m, GF(p)) invariants
-of A and B, computed from their residues mod p (_invariants): the rank of
-the structure matrix and, per argument slot, the rank of the trace
-contraction of that slot with the output.  A mismatch proves that no g
-over GF(p) exists, so the search returns no witness at once; like an empty
-scan, that is decisive mod p only.  Equal invariants decide nothing, and
-the scan below runs as before.
+Before it enumerates anything the search screens A and B with GL(m, GF(p))
+invariants of their residues mod p (_invariants): the rank of the
+structure matrix and, per argument slot, the rank of the trace contraction
+of that slot with the output.  The screen is lazy: it compares them one
+at a time in that order and stops at the first pair that differs, which
+proves that no g over GF(p) exists, so the search returns no witness at
+once; like an empty scan, that is decisive mod p only.  Equal invariants
+decide nothing, and the scan below runs as before.  An algebra's residues
+and the invariants computed so far are its _Screen; inside _screens_kept,
+which claims_verify opens for one replay, each algebra object is screened
+once per prime and reused by all its searches (Cstar's 54 among them).
+Outside it every search screens afresh, and nothing outlives the block.
 
 The search writes the equivalent identity B . g^(tensor n) = g . A, together
 with t . det(g) = 1 for invertibility, as one PolySystem over Q[g11, ...,
 gmm, t], and hands it to polysolve's sweep core, the one path that sweeps
-take too.  A and B are reduced mod p once (Msc.reduce_mod): the witnesses
-are verified on those GF(p) algebras, and their residue rows serve the
-invariants and the system.  The system is expanded straight from them:
-each entry of B . g^(tensor n) is a sum of products of entries of g,
-collected by monomial in plain ints, and det(g) is the permutation
+take too.  A and B are reduced mod p once (Msc.reduce_mod, in the screen):
+the witnesses are verified on those GF(p) algebras, and their residue rows
+serve the invariants and the system.  The system is expanded straight
+from them: each entry of B . g^(tensor n) is a sum of products of entries
+of g, collected by monomial in plain ints, and det(g) is the permutation
 expansion.  Fed integer numerators instead, the same builder poses the
 system over Q, for Buchberger and the rational lift.  An algebra whose
 expansion would form more than msc's _MAX_ENTRIES products, or whose arity
@@ -37,6 +42,8 @@ search keeps at most polysolve's _MAX_WITNESSES witnesses.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 import warnings
@@ -82,6 +89,34 @@ def _rank_mod_p(rows, p: int) -> int:
     return rank
 
 
+@functools.lru_cache(maxsize=4)
+def _contractions(m: int, n: int):
+    """Per argument slot s, the columns of the structure matrix that the
+    trace contraction C_s sums: C_s[o] = sum over k of A[k, o with k
+    inserted at slot s], o running over the (n - 1)-tuples.  Each slot's
+    entry is C_s's matrix, o's first index against the rest, holding for
+    each o the column of every k in order.  They depend on the shape
+    alone, so they serve every algebra of it."""
+    inner = m ** (n - 2)
+    slots = []
+    for s in range(n):
+        after = m ** (n - 1 - s)  # o's indices after slot s, as one number
+        flat = [tuple((head * m + k) * after + tail for k in range(m))
+                for head, tail in (divmod(o, after) for o in range(m ** (n - 1)))]
+        slots.append(tuple(tuple(flat[i:i + inner]) for i in range(0, len(flat), inner)))
+    return tuple(slots)
+
+
+def _invariant(a, m: int, n: int, p: int, i: int) -> int:
+    """Invariant i of _invariants for the residue rows a mod p: the
+    structure rank for i = 0, slot i - 1's trace-contraction rank after."""
+    if i == 0:
+        return _rank_mod_p(a, p)
+    return _rank_mod_p(
+        [[sum(row[c] for row, c in zip(a, cols)) % p for cols in line]
+         for line in _contractions(m, n)[i - 1]], p)
+
+
 def _invariants(a, m: int, n: int, p: int):
     """GL(m, GF(p)) invariants of the algebra with residue rows a mod p.
 
@@ -94,17 +129,58 @@ def _invariants(a, m: int, n: int, p: int):
     cancels against slot s's g^-1 in the trace, so
     C_s(B) = C_s(A) . (g^-1)^(tensor (n - 1)), invertible on each index.
     """
-    inner = m ** (n - 2)
-    ranks = [_rank_mod_p(a, p)]
-    for s in range(n):
-        after = m ** (n - 1 - s)  # o's indices after slot s, as one number
-        flat = [
-            sum(a[k][(head * m + k) * after + tail] for k in range(m)) % p
-            for head, tail in (divmod(o, after) for o in range(m ** (n - 1)))
-        ]
-        ranks.append(_rank_mod_p(
-            [flat[i:i + inner] for i in range(0, len(flat), inner)], p))
-    return tuple(ranks)
+    return tuple(_invariant(a, m, n, p, i) for i in range(n + 1))
+
+
+class _Screen:
+    """An algebra's residues mod p (the GF(p) algebra) and its invariants,
+    each computed when first asked for and then kept."""
+
+    __slots__ = ("algebra", "_known")
+
+    def __init__(self, A: Msc, p: int):
+        self.algebra = A.reduce_mod(p)
+        self._known = []
+
+    def invariant(self, i: int) -> int:
+        known, A = self._known, self.algebra
+        while len(known) <= i:
+            known.append(_invariant(A.rows, A.dim, A.arity, A.ring.p, len(known)))
+        return known[i]
+
+    def separates(self, other: "_Screen") -> bool:
+        """True iff an invariant differs, found by comparing them in order
+        and stopping at the first pair that differs."""
+        return any(self.invariant(i) != other.invariant(i)
+                   for i in range(self.algebra.arity + 1))
+
+
+# (id(A), p) -> (A, its _Screen) while _screens_kept is open; A is held so
+# that its id stays its own while the memo lives
+_SCREENS: contextvars.ContextVar = contextvars.ContextVar("iso_screens", default=None)
+
+
+@contextlib.contextmanager
+def _screens_kept():
+    """Within the block, iso_search screens each algebra object once per
+    prime: its residues and the invariants computed so far are reused by
+    every later search of it.  They are dropped when the block ends."""
+    token = _SCREENS.set({})
+    try:
+        yield
+    finally:
+        _SCREENS.reset(token)
+
+
+def _screen(A: Msc, p: int) -> _Screen:
+    """A's _Screen at p: the kept one inside _screens_kept, else a new one."""
+    memo = _SCREENS.get()
+    if memo is None:
+        return _Screen(A, p)
+    kept = memo.get((id(A), p))
+    if kept is None:
+        kept = memo[id(A), p] = (A, _Screen(A, p))
+    return kept[1]
 
 
 @functools.lru_cache(maxsize=4)
@@ -167,7 +243,9 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     them, or just the first when find_all is False.  An empty result means
     that there is no isomorphism over GF(p): either an invariant of
     _invariants differs between A and B, which proves it without a scan, or
-    an exhaustive scan found none.
+    an exhaustive scan found none.  The invariants are compared in order
+    and computed only up to the first that differs; inside _screens_kept
+    an algebra's residues and invariants come from its earlier searches.
     """
     if A.dim != B.dim or A.arity != B.arity:
         raise ValueError("algebras must share dimension and arity")
@@ -199,9 +277,10 @@ def iso_search(A: Msc, B: Msc, p: int, find_all: bool = True):
     # refused before the screen, so that whether p is accepted never
     # depends on the pair
     _check_modulus(p)
-    Ap, Bp = A.reduce_mod(p), B.reduce_mod(p)
-    if _invariants(Ap.rows, m, n, p) != _invariants(Bp.rows, m, n, p):
+    screen_a, screen_b = _screen(A, p), _screen(B, p)
+    if screen_a.separates(screen_b):
         return []
+    Ap, Bp = screen_a.algebra, screen_b.algebra
     hits = _sweep(_iso_polys(Ap.rows, Bp.rows, m, n), p,
                   polysolve._MAX_WITNESSES if find_all else 1)
     witnesses = []

@@ -618,9 +618,6 @@ class _Packing:
         fields = (a & pick) | (b & (self.low ^ pick))
         return fields | (fields % ((1 << width) - 1)) << self.shift
 
-    def pack_terms(self, terms: dict) -> dict:
-        return {self.pack(m): c for m, c in terms.items()}
-
     def unpack_terms(self, terms: dict) -> dict:
         return {self.unpack(m): c for m, c in terms.items()}
 

@@ -148,7 +148,7 @@ def _buchberger(system, caps, track, pk):
         rep = None
         if track:
             rep = [({0: _F1} if t == j else {}) for t in range(nin)]
-        terms, rep = _make_primitive(pk.pack_terms(poly.v), pk, rep)
+        terms, rep = _make_primitive(pack_terms(pk, poly.v), pk, rep)
         push_basis(terms, rep)
 
     formed = nin * (nin - 1) // 2
@@ -252,11 +252,16 @@ def _reduced_basis(basis, lms, lcs, reps, pk):
     return out_terms, out_reps if reps is not None else None
 
 
+def pack_terms(pk, terms: dict) -> dict:
+    """A term dict keyed by exponent tuples, keyed by pk's packed monomials."""
+    return {pk.pack(m): c for m, c in terms.items()}
+
+
 def _packed(nvars, polys, bound):
     """A _Packing for degree ``bound``, the nonzero term dicts of ``polys``
     packed by it, their leading monomials and coefficients."""
     pk = _Packing(nvars, bound)
-    terms = [pk.pack_terms(p) for p in polys if p]
+    terms = [pack_terms(pk, p) for p in polys if p]
     lms = [_lm(t, pk) for t in terms]
     return pk, terms, lms, [t[lm] for t, lm in zip(terms, lms)]
 
@@ -269,5 +274,5 @@ def reduce_poly(f: RingElem, basis_elems) -> RingElem:
     """Normal form of f modulo a list of polynomials in the same ring, over Q."""
     polys = [b.v for b in basis_elems]
     pk, basis, lms, lcs = _packed(len(f.ring.vars), polys, max(map(_degree, [f.v, *polys])))
-    rem, _ = _normal_form(pk.pack_terms(f.v), basis, lms, lcs, pk)
+    rem, _ = _normal_form(pack_terms(pk, f.v), basis, lms, lcs, pk)
     return RingElem(f.ring, pk.unpack_terms(rem))

@@ -256,6 +256,24 @@ def test_totassoc_scan_bad_grid_exits_2(capsys, family, grid, message):
     assert message in err
 
 
+@pytest.mark.parametrize("primes, refusal", [
+    ("2,5", "denominator of 5/12 vanishes mod 2"),
+    ("3,5", "denominator of 1/9 vanishes mod 3"),
+])
+def test_paper_replay_at_a_weak_prime_warns_once_then_refuses(capsys, primes, refusal):
+    # Cstar reduces mod 2 and 3; the first Cstar search warns, each later one
+    # warns again but is printed once, and the first target whose denominator
+    # the prime divides (a B1 sample point mod 2, B9 mod 3) ends the replay
+    # before anything is printed to stdout
+    code, out, err = run_cli(capsys, "paper-replay", "--primes", primes)
+    assert code == 2 and out == ""
+    assert err == (
+        f"trialg: isomorphism evidence over GF({primes[0]}) is weak: characteristics "
+        "2 and 3 sit outside the intended evidence range\n"
+        f"trialg: {refusal}\n"
+    )
+
+
 def test_paper_replay_deterministic(capsys, tmp_path):
     args = ("paper-replay", "--primes", "5", "--collision-primes", "5",
             "--no-groebner")

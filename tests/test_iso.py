@@ -7,7 +7,7 @@ from itertools import product as iter_product
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from trialg import iso, msc, polysolve
+from trialg import catalog, iso, msc, polysolve
 from trialg import ring as rg
 from trialg.catalog import catalog_get, claims_verify
 from trialg.identities import is_totally_associative
@@ -632,6 +632,103 @@ def test_the_replay_enumerates_only_what_the_invariants_leave(monkeypatch):
     screened = claims_verify().to_doc()
     assert calls == [5, 7, 11, 5, 5]
     calls.clear()
-    monkeypatch.setattr(iso, "_invariants", lambda a, m, n, p: ())
+    monkeypatch.setattr(iso, "_invariant", lambda a, m, n, p, i: 0)
     assert claims_verify().to_doc() == screened
     assert len(calls) == 62
+
+
+def unscreened_search(A, B, p, find_all=True):
+    """iso_search as it ran with the whole invariant tuples compared at
+    once: [] when they differ, else the scan's witnesses."""
+    m, n = A.dim, A.arity
+    Ap, Bp = A.reduce_mod(p), B.reduce_mod(p)
+    if iso._invariants(Ap.rows, m, n, p) != iso._invariants(Bp.rows, m, n, p):
+        return []
+    hits = polysolve._sweep(iso._iso_polys(Ap.rows, Bp.rows, m, n), p,
+                            polysolve._MAX_WITNESSES if find_all else 1)
+    return [BasisChange._of(Ap.ring, [list(v[r * m:(r + 1) * m]) for r in range(m)])
+            for v in hits]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_the_lazy_screen_separates_exactly_where_the_invariants_differ(data):
+    dim, arity = data.draw(st.sampled_from(SCREEN_SHAPES), label="shape")
+    p = data.draw(st.sampled_from(SCREEN_PRIMES), label="p")
+    A = data.draw(screen_algebras(p, dim, arity), label="A")
+    B = data.draw(screen_algebras(p, dim, arity), label="B")
+    gf = rg.prime_field(p)
+    g = BasisChange(Matrix(gf, [[rg.RingElem(gf, x % p) for x in row]
+                                for row in data.draw(basis_changes(dim, p), label="g")]))
+    gA = transform(A, g)
+    differ = invariants(A, p) != invariants(B, p)
+    assert iso._Screen(A, p).separates(iso._Screen(B, p)) == differ
+    assert iso._Screen(B, p).separates(iso._Screen(A, p)) == differ
+    assert not iso._Screen(A, p).separates(iso._Screen(gA, p))
+    if differ:
+        assert iso_search(A, B, p) == []
+    # the scans where the first tested level stays small, as above
+    if p ** (dim * dim - 2) <= 7 ** 7:
+        assert iso_search(A, gA, p, find_all=False) == unscreened_search(A, gA, p, False)
+        assert iso_search(A, B, p, find_all=False) == unscreened_search(A, B, p, False)
+
+
+def count_reductions(monkeypatch, algebra):
+    """The primes that Msc.reduce_mod is called with on algebras equal to
+    ``algebra``, appended as the calls happen."""
+    primes = []
+    reduce_mod = Msc.reduce_mod
+
+    def counted(self, p):
+        if self == algebra:
+            primes.append(p)
+        return reduce_mod(self, p)
+
+    monkeypatch.setattr(Msc, "reduce_mod", counted)
+    return primes
+
+
+def test_claims_verify_reduces_cstar_once_per_prime_and_call(monkeypatch):
+    reductions = count_reductions(monkeypatch, catalog_get("Cstar"))
+    claims_verify()
+    assert reductions == [5, 7]
+    assert iso._SCREENS.get() is None
+    claims_verify()
+    assert reductions == [5, 7, 5, 7]
+
+
+def test_bare_searches_keep_no_screen(monkeypatch):
+    cstar = catalog_get("Cstar")
+    reductions = count_reductions(monkeypatch, cstar)
+    invariant_calls = []
+    invariant = iso._invariant
+
+    def counted(a, m, n, p, i):
+        invariant_calls.append(i)
+        return invariant(a, m, n, p, i)
+
+    monkeypatch.setattr(iso, "_invariant", counted)
+    for k in range(1, 4):
+        assert iso_search(cstar, catalog_get("B9"), 5) == []
+        assert reductions == [5] * k
+        # B9 shares Cstar's structure rank at 5 and is told apart by slot
+        # 1's, so each search computes both invariants of both algebras
+        assert invariant_calls == [0, 0, 1, 1] * k
+    assert iso._SCREENS.get() is None
+
+
+def test_the_cstar_claim_is_a_plain_loop_of_searches():
+    claim = next(c for c in claims_verify().to_doc()["claims"]
+                 if c["id"] == "bullet:Cstar-not-isomorphic")
+    cstar = catalog_get("Cstar")
+    targets = [("B9", ()), ("B10", ()), ("B11", ())] + [
+        (name, values) for name in ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8")
+        for values in catalog.ISO_SAMPLE_POINTS[name]]
+    expected = [
+        {"target": name, "params": catalog._point_doc(name, values) if values else None,
+         "prime": p, "witnesses": len(iso_search(cstar, catalog._at(name, values), p))}
+        for name, values in targets for p in (5, 7)
+    ]
+    assert len(expected) == 54
+    assert claim["evidence"]["searches"] == expected
+    assert claim["status"] == "pass"

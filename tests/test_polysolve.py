@@ -838,9 +838,13 @@ def test_each_integer_step_is_a_positive_multiple_of_the_step_over_q(polys, f):
     # the primitive part is the one over Q; an S-polynomial and a remainder
     # are positive multiples of theirs
     pk = polysolve._Packing(3, 6)
-    nums = [pk.pack_terms(polysolve._numerators(p.v)[1]) for p in polys]
+
+    def pack(terms):
+        return reference_groebner.pack_terms(pk, terms)
+
+    nums = [pack(polysolve._numerators(p.v)[1]) for p in polys]
     basis = [polysolve._primitive(t, pk)[0] for t in nums]
-    ref_basis = [reference_groebner._make_primitive(pk.pack_terms(p.v), pk)[0] for p in polys]
+    ref_basis = [reference_groebner._make_primitive(pack(p.v), pk)[0] for p in polys]
     assert basis == ref_basis
     lms = [polysolve._lm(t, pk) for t in basis]
     lcs = [t[lm] for t, lm in zip(basis, lms)]
@@ -858,8 +862,8 @@ def test_each_integer_step_is_a_positive_multiple_of_the_step_over_q(polys, f):
                                              F(lcs[i]), F(lcs[j]), L, pk.guard)
             positive_multiple(s, ref, lcs[i] * lcs[j] // math.gcd(lcs[i], lcs[j]))
     L, nums_f = polysolve._numerators(f.v)
-    rem, scale, _ = polysolve._normal_form(pk.pack_terms(nums_f), basis, lms, lcs, pk)
-    ref, _ = reference_groebner._normal_form(pk.pack_terms(f.v), ref_basis, lms,
+    rem, scale, _ = polysolve._normal_form(pack(nums_f), basis, lms, lcs, pk)
+    ref, _ = reference_groebner._normal_form(pack(f.v), ref_basis, lms,
                                              [F(c) for c in lcs], pk)
     positive_multiple(rem, ref, scale * L)
 
